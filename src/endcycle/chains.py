@@ -725,11 +725,6 @@ def _ray_darts_split(ray):
     return tuple(ray.initial), tuple(ray.repeat)
 
 
-def _accumulate_dart(acc, d, coeff):
-    sgn = coeff if d.forward else -coeff
-    acc.add_point(d.edge.cls, d.edge.index, sgn)
-
-
 def _accumulate_ray(acc, ray, coeff, lo, hi, step):
     """Edge counts of a ray template shifted by k*step over k in [lo, hi].
     lo/hi None means unbounded; admissibility guarantees an unbounded
@@ -924,13 +919,12 @@ def _require_cycle(rep):
 
 def is_cycle_adhoc(g, rep: ChainRep) -> bool:
     """Whether the chain splits into finite closed subchains, tested
-    through the cut criterion on its edge vector."""
-    if rep.graph.spec != g.spec:
-        raise GraphMismatch("chain belongs to a different graph")
-    _require_admissible(g, rep)
-    _require_cycle(rep)
-    vec = edge_vector_of(rep)
-    return isinstance(is_member(g, vec), Member)
+    through the cut criterion on its edge vector: homology_class succeeds."""
+    try:
+        homology_class(g, rep)
+    except NotACycle:
+        return False
+    return True
 
 
 def homology_class(g, rep: ChainRep) -> EdgeVector:
@@ -1168,14 +1162,16 @@ def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
             if region.has_simplex(_shift_simplex(m.template, k * m.step)):
                 kept.append(k)
         runs = _runs(kept)
-        if m.hi is None:
-            deep = _shift_simplex(m.template, (k_horizon + 1) * m.step)
-            if region.has_simplex(deep):
-                runs = _attach(runs, k_horizon + 1, None)
-        if m.lo is None:
-            deep = _shift_simplex(m.template, -(k_horizon + 1) * m.step)
-            if region.has_simplex(deep):
-                runs = _attach(runs, None, -k_horizon - 1)
+        # past the horizon every member lies beyond the fence, where one
+        # deep probe per side settles the rest of that side
+        if m.hi is None or m.hi > k_horizon:
+            first = max(k_horizon + 1, lo_scan)
+            if region.has_simplex(_shift_simplex(m.template, first * m.step)):
+                runs = _attach(runs, first, m.hi)
+        if m.lo is None or m.lo < -k_horizon:
+            last = min(-k_horizon - 1, hi_scan)
+            if region.has_simplex(_shift_simplex(m.template, last * m.step)):
+                runs = _attach(runs, m.lo, last)
         for lo, hi in runs:
             if lo is not None and lo == hi:
                 finite.append(
@@ -1199,22 +1195,17 @@ def _runs(ks):
     return [(a, b) for a, b in out]
 
 
-def _attach(runs, lo_open, hi_open):
-    """Extend the run list with a half-infinite piece on one side."""
-    if lo_open is not None:
-        # piece [lo_open, inf); merge with a run ending at lo_open - 1
-        for i, (a, b) in enumerate(runs):
-            if b == lo_open - 1:
-                runs[i] = (a, None)
-                return runs
-        runs.append((lo_open, None))
-        return runs
-    # piece (-inf, hi_open]
+def _attach(runs, lo, hi):
+    """Extend the run list with the piece [lo, hi] (None for an open end),
+    merged with a run that ends just before it or starts just after it."""
     for i, (a, b) in enumerate(runs):
-        if a == hi_open + 1:
-            runs[i] = (None, b)
+        if lo is not None and b == lo - 1:
+            runs[i] = (a, hi)
             return runs
-    runs.append((None, hi_open))
+        if hi is not None and a == hi + 1:
+            runs[i] = (lo, b)
+            return runs
+    runs.append((lo, hi))
     return runs
 
 

@@ -12,7 +12,7 @@ descriptions cover the ones this package produces and checks:
                   meet at a common end. One segment whose two rays share an
                   end is a plain double ray.
 
-Every piece can be evaluated exactly on any single edge, and a
+Every piece evaluates exactly on any single edge through hits(g, e), and a
 CircleDecomposition is a finite list of integer-weighted pieces. Families
 keep each edge's total finite because a template meets a fixed edge at
 finitely many shifts.
@@ -47,12 +47,8 @@ class FiniteCircuit:
             dup = next(e for e in edges if edges.count(e) > 1)
             raise FormatError("circuit repeats edge %s" % dup.label())
 
-    def hits(self, e: EdgeId) -> int:
-        out = 0
-        for d in self.darts:
-            if d.edge == e:
-                out += 1 if d.forward else -1
-        return out
+    def hits(self, g, e: EdgeId) -> int:
+        return _signed_count(self.darts, e)
 
     def vector(self, g) -> EdgeVector:
         return EdgeVector.from_darts(g, self.darts)
@@ -90,7 +86,7 @@ class CircuitFamily:
                 raise FormatError("shift %d slides the template off the graph"
                                   % self.lo)
 
-    def hits(self, e: EdgeId) -> int:
+    def hits(self, g, e: EdgeId) -> int:
         if e.index is None:
             return 0
         out = 0
@@ -105,12 +101,18 @@ class CircuitFamily:
         return out
 
 
-def ray_hits(g, ray: Ray, e: EdgeId) -> int:
-    """Net number of times the ray traverses e (signed by direction)."""
+def _signed_count(darts, e: EdgeId) -> int:
+    """Darts on e, counted +1 forward and -1 backward."""
     out = 0
-    for d in ray.initial:
+    for d in darts:
         if d.edge == e:
             out += 1 if d.forward else -1
+    return out
+
+
+def ray_hits(g, ray: Ray, e: EdgeId) -> int:
+    """Net number of times the ray traverses e (signed by direction)."""
+    out = _signed_count(ray.initial, e)
     if e.index is None:
         return out
     for d in ray.repeat:
@@ -181,11 +183,11 @@ class RaySegment:
             )
 
     def hits(self, g, e: EdgeId) -> int:
-        out = ray_hits(g, self.fwd, e) - ray_hits(g, self.back, e)
-        for d in self.middle:
-            if d.edge == e:
-                out += 1 if d.forward else -1
-        return out
+        return (
+            ray_hits(g, self.fwd, e)
+            - ray_hits(g, self.back, e)
+            + _signed_count(self.middle, e)
+        )
 
     def rays(self):
         return (self.back, self.fwd)
@@ -254,10 +256,7 @@ class CircleDecomposition:
     def value_on(self, g, e: EdgeId) -> int:
         out = 0
         for coeff, piece in self.entries:
-            if isinstance(piece, EndCircle):
-                out += coeff * piece.hits(g, e)
-            else:
-                out += coeff * piece.hits(e)
+            out += coeff * piece.hits(g, e)
         return out
 
     def evaluate(self, g, d: Dart) -> int:

@@ -78,9 +78,11 @@ def _oracle_radius(g, vec, args):
 
 
 def _run_oracle(g, vec, verdict_member, args):
-    """Cross check against the exhaustive cut criterion: some finite cut
-    inside the radius sums nonzero exactly when the library says
-    non-member. Disagreement is an internal error."""
+    """Cross check with cuts.exhaustive_cut_check: every vertex star of the
+    window and the half-space cut toward each end, at a radius past the
+    data unless --radius says otherwise, plus 32 literal cuts drawn at
+    random. This is the solver's own criterion, not an enumeration of
+    every finite cut. Disagreement with the verdict is an internal error."""
     radius = _oracle_radius(g, vec, args)
     rng = random.Random(args.seed)
     violated = cuts.exhaustive_cut_check(g, vec, radius, sample=32, rng=rng)
@@ -403,10 +405,11 @@ def _build_parser():
         sp.add_argument(
             "--oracle",
             action="store_true",
-            help="cross-check against exhaustive finite-cut enumeration",
+            help="cross-check the verdict with the star and end-flux cuts "
+            "of a window past the data plus 32 sampled literal cuts",
         )
         sp.add_argument(
-            "--radius", type=int, help="oracle enumeration radius"
+            "--radius", type=int, help="oracle window radius"
         )
 
     sp = cmd(

@@ -350,12 +350,6 @@ class _RayStructure:
         self._fixpoint()
         self._classify()
 
-    def cell_of_depth(self, d):
-        return self.sign * (self.r0 + 1 + d)
-
-    def depth_of_cell(self, n):
-        return self.sign * n - self.r0 - 1
-
     def _base_index(self, s, t):
         if self.sign > 0:
             return t + self.r0 + 1
@@ -508,6 +502,41 @@ class _RayStructure:
         cid = self.cls_id[(c, d % self.W)]
         return self.parent_pow(cid, d // self.W)
 
+    # A fence is a radius >= r0; the block of cells fence+1 .. fence+W in
+    # this direction stands for everything beyond it.
+    def close_deep(self, uf, fence):
+        """Close off the deep pattern past the fence: glue the block by the
+        stable partition."""
+        for rel in range(self.W):
+            for c in self.g.cell_classes:
+                first = self.members[self.cls_id[(c, rel)]][0]
+                uf.union(
+                    VertexId(first[0], self.sign * (fence + 1 + first[1])),
+                    VertexId(c, self.sign * (fence + 1 + rel)),
+                )
+
+    def deep_representative(self, v, fence):
+        """The vertex in the block past the fence that the vertex v, beyond
+        the block, is glued to."""
+        d = self.sign * v.index - fence - 1
+        c0, rel0 = self.members[self.stable_class(v.cls, d)][0]
+        return VertexId(c0, self.sign * (fence + 1 + rel0))
+
+    def end_roots(self, uf, fence):
+        """Root in uf of each end, by rank, read off the closed block."""
+        roots = {}
+        for rel in range(self.W):
+            for c in self.g.cell_classes:
+                cid = self.stable_class(c, fence - self.r0 + rel)
+                if cid not in self.unbounded:
+                    continue
+                root = uf.find(VertexId(c, self.sign * (fence + 1 + rel)))
+                if roots.setdefault(self.rank[cid], root) != root:
+                    raise InternalError("one end spread over two components")
+        if set(roots) != set(range(self.end_count)):
+            raise InternalError("an end vanished from its own band")
+        return roots
+
 
 class _Band:
     """Connected components of the part of the graph beyond one truncation
@@ -515,9 +544,7 @@ class _Band:
     partition. Answers half-space membership at this radius."""
 
     def __init__(self, g, ray, rho):
-        self.g = g
         self.ray = ray
-        self.rho = rho
         W = g.W
         nb = max(1, len(g.cell_classes) * W)
         self.top = max(rho, g.stabilization_radius) + (nb + 3) * W
@@ -535,43 +562,15 @@ class _Band:
         for e in g.cell_instances_within(clo, chi):
             t, h = g.endpoints(e)
             uf.union(t, h)
-        # close the far boundary: one block, glued by the stable partition
-        for rel in range(W):
-            for c in g.cell_classes:
-                cid = ray.cls_id[(c, rel)]
-                first = ray.members[cid][0]
-                uf.union(
-                    VertexId(first[0], ray.sign * (self.top + 1 + first[1])),
-                    VertexId(c, ray.sign * (self.top + 1 + rel)),
-                )
+        ray.close_deep(uf, self.top)
         self.uf = uf
         self.universe = set(universe)
-        self.end_root = {}
-        for rel in range(W):
-            for c in g.cell_classes:
-                v = VertexId(c, ray.sign * (self.top + 1 + rel))
-                cid = ray.stable_class(c, ray.depth_of_cell(v.index))
-                if cid not in ray.unbounded:
-                    continue
-                rk = ray.rank[cid]
-                root = uf.find(v)
-                if rk in self.end_root and self.end_root[rk] != root:
-                    raise InternalError("one end spread over two components")
-                self.end_root[rk] = root
-        if set(self.end_root) != set(range(ray.end_count)):
-            raise InternalError("an end vanished from its own band")
+        self.end_root = ray.end_roots(uf, self.top)
 
     def contains(self, v, rank):
-        if v in self.universe:
-            return self.uf.find(v) == self.end_root[rank]
-        ray = self.ray
-        dc = ray.sign * v.index - self.top - 1
-        cid = ray.parent_pow(
-            ray.cls_id[(v.cls, dc % ray.W)], dc // ray.W
-        )
-        c0, rel0 = ray.members[cid][0]
-        w = VertexId(c0, ray.sign * (self.top + 1 + rel0))
-        return self.uf.find(w) == self.end_root[rank]
+        if v not in self.universe:
+            v = self.ray.deep_representative(v, self.top)
+        return self.uf.find(v) == self.end_root[rank]
 
 
 class Graph:
@@ -600,7 +599,9 @@ class Graph:
                 if pos is not None:
                     reach = max(reach, abs(pos))
         self.cap_reach = reach
-        self._r0 = reach + self.D + 1
+        # radius past which the periodic pattern is clean: caps are cleared
+        # and every cell sees its full star
+        self.stabilization_radius = reach + self.D + 1
         self._rays = {}
         if self.kind != KIND_FINITE and self.cell_classes:
             signs = (1, -1) if self.kind == KIND_PERIODIC_Z else (1,)
@@ -684,23 +685,11 @@ class Graph:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def stabilization_radius(self):
-        """Radius past which the periodic pattern is clean: caps are cleared
-        and every cell sees its full star."""
-        return getattr(self, "_r0")
-
-    @property
     def edge_classes(self):
         return self._ec
 
     def directions(self):
         return tuple(self._rays[s].direction for s in (1, -1) if s in self._rays)
-
-    def _ray(self, direction):
-        sign = 1 if direction in ("+", 1) else -1
-        if sign not in self._rays:
-            raise UnknownEnd("graph has no %s direction" % direction)
-        return self._rays[sign]
 
     def require_vertex(self, v: VertexId):
         if not isinstance(v, VertexId):
@@ -739,13 +728,6 @@ class Graph:
             if self.kind == KIND_PERIODIC_N and e.index < 0:
                 raise UnknownEdge("no edge %s" % e.label())
         return ec
-
-    def has_edge(self, e):
-        try:
-            self.require_edge(e)
-            return True
-        except UnknownEdge:
-            return False
 
     def endpoints(self, e: EdgeId):
         ec = self.require_edge(e)
@@ -808,9 +790,6 @@ class Graph:
                         )
         out.sort(key=lambda p: dart_key(p[0]))
         return tuple(out)
-
-    def degree(self, v):
-        return len(self.neighbors(v))
 
     # -- enumeration ------------------------------------------------------
 
@@ -909,39 +888,25 @@ class Graph:
         nb = max(1, len(self.cell_classes) * W)
         M = self.stabilization_radius + (nb + 3) * W
         universe = set(self.cap_vertices())
-        if self.cell_classes and self.kind != KIND_FINITE:
-            lo = 0 if self.kind == KIND_PERIODIC_N else -(M + W)
-            universe.update(self.cell_vertices_within(lo, M + W))
+        edges = list(self.static_instances())
+        if self._rays:
+            # both enumerations stop at cell 0 on a periodic-n graph
+            universe.update(self.cell_vertices_within(-M - W, M + W))
+            edges.extend(self.cell_instances_within(-M - W, M + W))
         uf = UnionFind(universe)
-        for e in self.static_instances():
+        for e in edges:
             t, h = self.endpoints(e)
             uf.union(t, h)
-        if self.cell_classes and self.kind != KIND_FINITE:
-            lo = 0 if self.kind == KIND_PERIODIC_N else -(M + W)
-            for e in self.cell_instances_within(lo, M + W):
-                t, h = self.endpoints(e)
-                uf.union(t, h)
-        for sign, ray in self._rays.items():
-            for rel in range(W):
-                for c in self.cell_classes:
-                    cid = ray.cls_id[(c, rel)]
-                    first = ray.members[cid][0]
-                    uf.union(
-                        VertexId(first[0], sign * (M + 1 + first[1])),
-                        VertexId(c, sign * (M + 1 + rel)),
-                    )
+        for ray in self._rays.values():
+            ray.close_deep(uf, M)
         raw = sorted(
             uf.groups().values(),
             key=lambda ms: min(vertex_key(u) for u in ms),
         )
         end_roots = {}
-        for sign, ray in self._rays.items():
-            for cid in ray.unbounded:
-                c0, rel0 = ray.members[cid][0]
-                v = VertexId(c0, sign * (M + 1 + rel0))
-                end_roots.setdefault(uf.find(v), []).append(
-                    EndId(ray.direction, ray.rank[cid])
-                )
+        for ray in self._rays.values():
+            for rk, root in ray.end_roots(uf, M).items():
+                end_roots.setdefault(root, []).append(EndId(ray.direction, rk))
         comps = []
         root_index = {}
         for i, ms in enumerate(raw):
@@ -975,14 +940,10 @@ class Graph:
     def component_of(self, v):
         self.require_vertex(v)
         uf, universe, comps, root_index, M = self._components_info()
-        if v in universe:
-            return root_index[uf.find(v)]
-        sign = 1 if v.index > 0 else -1
-        ray = self._rays[sign]
-        cid = ray.stable_class(v.cls, ray.depth_of_cell(v.index))
-        c0, rel0 = ray.members[cid][0]
-        w = VertexId(c0, ray.cell_of_depth(rel0))
-        return root_index[uf.find(w)]
+        if v not in universe:
+            ray = self._rays[1 if v.index > 0 else -1]
+            v = ray.deep_representative(v, self.stabilization_radius)
+        return root_index[uf.find(v)]
 
     # -- half spaces ---------------------------------------------------------
 
@@ -1079,11 +1040,6 @@ class Graph:
             if self.in_half_space(u, e, r0):
                 return e
         raise InternalError("ray tail escaped every end")
-
-
-def validate(spec: GraphSpec) -> Graph:
-    """Build (and thereby fully check) a graph from its description."""
-    return Graph(spec)
 
 
 def graph_from_text(text) -> Graph:

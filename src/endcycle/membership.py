@@ -42,9 +42,12 @@ from .errors import (
     GraphMismatch,
     InfiniteCut,
     InternalError,
+    NotARay,
     NotInCycleSpace,
+    UnknownEdge,
+    UnknownVertex,
 )
-from .graph import Dart, EdgeId, EndId, Ray, VertexId, edge_key, vertex_key
+from .graph import Dart, EdgeId, EndId, Ray, UnionFind, VertexId, edge_key, vertex_key
 from .vectors import EdgeVector, FamilyMember, VectorFamily, thin_sum
 
 _COMPOSITE_COPY_CAP = 64
@@ -289,19 +292,12 @@ def _normalized_template(g, darts):
 
 
 def _class_components(g):
-    comp = {c: c for c in g.spec.cell_classes}
-
-    def find(c):
-        while comp[c] != c:
-            comp[c] = comp[comp[c]]
-            c = comp[c]
-        return c
-
+    """Each cell class mapped to the smallest class name of its component
+    in the quotient graph."""
+    uf = UnionFind(g.spec.cell_classes)
     for ec in g.cell_edge_classes:
-        a, b = find(ec.tail_cls), find(ec.head_cls)
-        if a != b:
-            comp[max(a, b)] = min(a, b)
-    return {c: find(c) for c in comp}
+        uf.union(ec.tail_cls, ec.head_cls)
+    return {c: min(grp) for grp in uf.groups().values() for c in grp}
 
 
 def _connector_paths(g, comp_of, hub):
@@ -440,11 +436,14 @@ def _cycle_class(g, steps):
     return ec.tail_cls if fwd else ec.head_cls
 
 
-def _family_vector(g, coeff, template, lo, hi):
+def _peel_family(g, entries, resid, coeff, template, lo, hi):
+    """Record coeff times the template shifted over [lo, hi]; return the
+    residue with that family's thin sum taken off."""
+    entries.append((coeff, CircuitFamily(template, lo, hi)))
     fam = VectorFamily(
         g, periodic=(FamilyMember(coeff, template.vector(g), lo, hi),)
     )
-    return thin_sum(fam)
+    return resid - thin_sum(fam)
 
 
 def _peel_tails(g, vec, start, prefer_strands=False):
@@ -487,20 +486,13 @@ def _peel_tails(g, vec, start, prefer_strands=False):
         lifted, _s, _e = _lift_cycle(g, steps)
         template, _sh = _normalized_template(g, lifted)
         both = min(wp, wm) if (wp > 0 and wm > 0) else 0
-        if both:
-            fam = CircuitFamily(template, None, None)
-            entries.append((both, fam))
-            resid = resid - _family_vector(g, both, template, None, None)
-            wp -= both
-            wm -= both
-        if wp:
-            fam = CircuitFamily(template, start, None)
-            entries.append((wp, fam))
-            resid = resid - _family_vector(g, wp, template, start, None)
-        if wm:
-            fam = CircuitFamily(template, None, -start)
-            entries.append((wm, fam))
-            resid = resid - _family_vector(g, wm, template, None, -start)
+        for wgt, lo, hi in (
+            (both, None, None),
+            (wp - both, start, None),
+            (wm - both, None, -start),
+        ):
+            if wgt:
+                resid = _peel_family(g, entries, resid, wgt, template, lo, hi)
 
     # drifting cycles: composite circuit when possible, strands otherwise
     plus_drift = per_dir.get(1, ([], {}))[1]
@@ -513,8 +505,9 @@ def _peel_tails(g, vec, start, prefer_strands=False):
             built = _try_composite(g, cp, comp_of)
             if built is not None:
                 wgt, template = built
-                entries.append((wgt, CircuitFamily(template, None, None)))
-                resid = resid - _family_vector(g, wgt, template, None, None)
+                resid = _peel_family(
+                    g, entries, resid, wgt, template, None, None
+                )
                 continue
         for sign, group in ((1, cp), (-1, cm)):
             if not group:
@@ -527,8 +520,7 @@ def _peel_tails(g, vec, start, prefer_strands=False):
             if built is not None:
                 wgt, template = built
                 lo, hi = (start, None) if sign > 0 else (None, -start)
-                entries.append((wgt, CircuitFamily(template, lo, hi)))
-                resid = resid - _family_vector(g, wgt, template, lo, hi)
+                resid = _peel_family(g, entries, resid, wgt, template, lo, hi)
             else:
                 ent, resid = _emit_strands(g, group, sign, start, resid)
                 strands.extend(ent)
@@ -767,10 +759,14 @@ def verify_certificate(g, vec: EdgeVector, cert) -> bool:
 
     For Member the decomposition is validated and compared with the vector
     on a window wide enough to cover all data plus one full period of every
-    ray, which settles equality everywhere. For NonMember the cut must be
-    finite and its crossing sum must match the claim and be nonzero."""
+    ray, which settles equality everywhere; a malformed decomposition is
+    rejected. For NonMember the cut must be finite and its crossing sum
+    must match the claim and be nonzero."""
     if isinstance(cert, Member):
-        cert.decomposition.check(g)
+        try:
+            cert.decomposition.check(g)
+        except (FormatError, UnknownEdge, UnknownVertex, NotARay):
+            return False
         return _values_agree(g, vec, cert.decomposition)
     if isinstance(cert, NonMember):
         try:

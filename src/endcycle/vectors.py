@@ -481,16 +481,8 @@ def _vector_from_intervals(g, intervals) -> EdgeVector:
 # spec-level wrappers ---------------------------------------------------------
 
 
-def evaluate(vec: EdgeVector, dart: Dart) -> int:
-    return vec.evaluate(dart)
-
-
 def add(a: EdgeVector, b: EdgeVector) -> EdgeVector:
     return a + b
-
-
-def negate(a: EdgeVector) -> EdgeVector:
-    return -a
 
 
 def scale(c: int, a: EdgeVector) -> EdgeVector:

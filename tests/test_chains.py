@@ -329,6 +329,23 @@ def test_restrict_drops_members_outside_kept_region(ladder):
         assert ch.chain_to_text(gone) == ""
 
 
+def test_restrict_keeps_finite_family_past_the_horizon(ladder):
+    pair = ch.parse_pair_text(
+        ladder, "delete top[11]\ndelete bot[11]\nkeep top[12]"
+    )
+    square = SQUARES[SQUARES.index("{"):]
+    for given, kept in (
+        ("coeff 2 periodic 5..37", "coeff 2 periodic 12..37"),
+        ("periodic 40..60", "periodic 40..60"),
+        ("periodic 30..inf", "periodic 30..inf"),
+        ("periodic -inf..60", "periodic 12..60"),
+    ):
+        res = ch.restrict_chain(
+            ladder, pair, ch.parse_chain_text(ladder, given + " " + square)
+        )
+        assert ch.chain_to_text(res) == kept + " " + square
+
+
 def test_restrict_rejects_deleted_keep(ladder):
     pair = ch.parse_pair_text(ladder, "delete top[0]\nkeep top[0]")
     with pytest.raises(NotAdmissiblePair):

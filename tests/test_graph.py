@@ -31,7 +31,7 @@ def test_ladder_basics(ladder):
     assert ladder.spec.name == "ladder"
     assert ladder.kind == KIND_PERIODIC_Z
     assert sorted(ladder.spec.cell_classes) == ["bot", "top"]
-    assert ladder.degree(parse_vertex_label("top[0]")) == 3
+    assert len(ladder.neighbors(parse_vertex_label("top[0]"))) == 3
     e = parse_edge_label("rung[2]")
     tail, head = ladder.endpoints(e)
     assert tail == VertexId("top", 2)
@@ -90,6 +90,29 @@ def test_component_of_is_consistent(disjoint):
     t0 = parse_vertex_label("t0")
     assert disjoint.component_of(top) == disjoint.component_of(bot)
     assert disjoint.component_of(top) != disjoint.component_of(t0)
+
+
+# two interleaved double rays: a[n] -> b[n+1] -> a[n+2], so each end
+# class alternates between the two vertex classes from cell to cell
+TWISTED = """\
+graph twisted
+kind periodic-z
+vertex a
+vertex b
+edge x : a -> b[+1]
+edge y : b -> a[+1]
+"""
+
+
+def test_component_ends_match_half_spaces():
+    g = graph_from_text(TWISTED)
+    comps = g.components()
+    assert len(comps) == 2
+    for n in range(8, 14):
+        v = VertexId("a", n)
+        inside = [e for e in g.ends() if g.in_half_space(v, e, 5)]
+        assert len(inside) == 1
+        assert inside[0] in comps[g.component_of(v)].ends
 
 
 def test_ray_end_and_half_space(double_ray):

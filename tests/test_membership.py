@@ -7,9 +7,15 @@ even if the verdicts stay correct.
 
 import pytest
 
-from endcycle.circles import CircleDecomposition, CircuitFamily, EndCircle, FiniteCircuit
+from endcycle.circles import (
+    CircleDecomposition,
+    CircuitFamily,
+    EndCircle,
+    FiniteCircuit,
+    RaySegment,
+)
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
-from endcycle.graph import parse_vertex_label
+from endcycle.graph import Ray, parse_dart_label, parse_vertex_label
 from endcycle.membership import (
     Member,
     NonMember,
@@ -165,6 +171,22 @@ def test_tampered_member_rejected(ladder):
     (c0, p0), = cert.decomposition.entries
     assert not verify_certificate(ladder, vec, Member(CircleDecomposition(((c0 + 1, p0),))))
     assert not verify_certificate(ladder, vec, Member(CircleDecomposition(())))
+
+
+def test_malformed_member_rejected(ladder):
+    vec = parse_vector_text(ladder, RAIL_DIFFERENCE)
+    # a one-dart circuit that does not close, and a dart on an unknown class
+    for darts in (["rail_top[0]+"], ["nope[0]+"]):
+        circuit = FiniteCircuit(tuple(parse_dart_label(t) for t in darts))
+        cert = Member(CircleDecomposition(((1, circuit),)))
+        assert not verify_certificate(ladder, vec, cert)
+    # a ray that does not shift as it claims, and one from an unknown vertex
+    step = (parse_dart_label("rail_top[0]+"),)
+    for start, shift in (("top[0]", 2), ("nope[0]", 1)):
+        ray = Ray(parse_vertex_label(start), (), step, shift)
+        circle = EndCircle((RaySegment(ray, (), ray),))
+        cert = Member(CircleDecomposition(((1, circle),)))
+        assert not verify_certificate(ladder, vec, cert)
 
 
 def test_tampered_nonmember_rejected(ladder):

@@ -8,9 +8,7 @@ from endcycle.vectors import (
     FamilyMember,
     VectorFamily,
     add,
-    evaluate,
     is_thin,
-    negate,
     parse_vector_text,
     scale,
     thin_sum,
@@ -69,7 +67,7 @@ def test_n_graph_rejects_negative_index(single_ray):
 def test_arithmetic(ladder):
     a = parse_vector_text(ladder, "set rung[0] = 2\ntail+ rail_top from 1 = 5")
     b = parse_vector_text(ladder, "set rung[1] = 1\ntail+ rail_top from 3 = -5")
-    assert add(a, negate(a)).is_zero()
+    assert add(a, -a).is_zero()
     assert scale(3, a).value_on(parse_edge_label("rung[0]")) == 6
     assert (a - b).value_on(parse_edge_label("rung[1]")) == -1
     # the tails cancel past both start points
@@ -85,8 +83,8 @@ def test_shifted(ladder):
 
 def test_evaluate_on_darts(ladder):
     a = parse_vector_text(ladder, "set rung[0] = 2")
-    assert evaluate(a, parse_dart_label("rung[0]+")) == 2
-    assert evaluate(a, parse_dart_label("rung[0]-")) == -2
+    assert a.evaluate(parse_dart_label("rung[0]+")) == 2
+    assert a.evaluate(parse_dart_label("rung[0]-")) == -2
 
 
 def test_from_darts(ladder):
