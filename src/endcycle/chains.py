@@ -1162,26 +1162,57 @@ def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
             if region.has_simplex(_shift_simplex(m.template, k * m.step)):
                 kept.append(k)
         runs = _runs(kept)
-        # past the horizon every member lies beyond the fence, where one
-        # deep probe per side settles the rest of that side
+        # past the horizon every member lies beyond the fence, where the
+        # kept ones repeat with the deep pattern: one probe per residue of
+        # k modulo its period settles the rest of each side
+        deep = []
         if m.hi is None or m.hi > k_horizon:
             first = max(k_horizon + 1, lo_scan)
-            if region.has_simplex(_shift_simplex(m.template, first * m.step)):
-                runs = _attach(runs, first, m.hi)
+            deep += _deep_side(g, region, m, first, m.hi, 1, runs)
         if m.lo is None or m.lo < -k_horizon:
             last = min(-k_horizon - 1, hi_scan)
-            if region.has_simplex(_shift_simplex(m.template, last * m.step)):
-                runs = _attach(runs, m.lo, last)
-        for lo, hi in runs:
+            deep += _deep_side(g, region, m, last, m.lo, -1, runs)
+        for template, lo, hi, step in [
+            (m.template, lo, hi, m.step) for lo, hi in runs
+        ] + deep:
             if lo is not None and lo == hi:
-                finite.append(
-                    (m.coeff, _shift_simplex(m.template, lo * m.step))
-                )
+                finite.append((m.coeff, _shift_simplex(template, lo * step)))
             else:
                 periodic.append(
-                    PeriodicMember(m.coeff, m.template, lo, hi, m.step)
+                    PeriodicMember(m.coeff, template, lo, hi, step)
                 )
     return ChainRep(g, tuple(finite), tuple(periodic))
+
+
+def _deep_side(g, region, m, near, far, sign, runs):
+    """Members of m from k = near outward (sign) to far (None: open) that
+    the region keeps. When every residue of k modulo the deep period is
+    kept, the side joins runs. Otherwise each kept residue is returned as
+    its own family (template, lo, hi, step) with the period times m.step
+    as its step."""
+    period = g.deep_period(sign)
+    period //= math.gcd(period, m.step)
+    probes = [
+        near + sign * r for r in range(period)
+        if far is None or sign * (far - near) >= r
+    ]
+    kept = [
+        k for k in probes
+        if region.has_simplex(_shift_simplex(m.template, k * m.step))
+    ]
+    if len(kept) == len(probes):
+        _attach(runs, *((near, far) if sign > 0 else (far, near)))
+        return []
+    out = []
+    for k in kept:
+        r = k % period
+        # members k, k + sign * period, ... up to far, numbered from r
+        j = (k - r) // period
+        end = None if far is None else j + sign * (sign * (far - k) // period)
+        lo, hi = (j, end) if sign > 0 else (end, j)
+        out.append((_shift_simplex(m.template, r * m.step), lo, hi,
+                    period * m.step))
+    return out
 
 
 def _runs(ks):

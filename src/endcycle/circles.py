@@ -12,10 +12,16 @@ descriptions cover the ones this package produces and checks:
                   meet at a common end. One segment whose two rays share an
                   end is a plain double ray.
 
-Every piece evaluates exactly on any single edge through hits(g, e), and a
-CircleDecomposition is a finite list of integer-weighted pieces. Families
-keep each edge's total finite because a template meets a fixed edge at
-finitely many shifts.
+A CircleDecomposition is a finite list of integer-weighted pieces. It is
+evaluated over a window: every piece's tally(g, lo, hi, coeff, out) makes
+one pass over its darts and adds coeff times its signed count to out for
+each edge with index in [lo, hi] and each static edge. A family walks each
+template dart over its shift range, a ray each repeat dart along its
+progression, both clipped to the window, so the cost grows with the
+description and the window, not with their product. ray_hits and
+CircleDecomposition.value_on are the one-edge case lo = hi of the same
+tally. Families keep each edge's total finite because a template meets a
+fixed edge at finitely many shifts.
 """
 
 from __future__ import annotations
@@ -26,6 +32,12 @@ from dataclasses import dataclass
 from .errors import FormatError, NotARay
 from .graph import Dart, EdgeId, Ray, VertexId
 from .vectors import EdgeVector
+
+
+def _one_edge(e: EdgeId):
+    """The window that holds the cell edge e alone; static edges are in
+    every window."""
+    return (0, 0) if e.index is None else (e.index, e.index)
 
 
 @dataclass(frozen=True)
@@ -47,8 +59,8 @@ class FiniteCircuit:
             dup = next(e for e in edges if edges.count(e) > 1)
             raise FormatError("circuit repeats edge %s" % dup.label())
 
-    def hits(self, g, e: EdgeId) -> int:
-        return _signed_count(self.darts, e)
+    def tally(self, g, lo, hi, coeff, out):
+        _tally_darts(self.darts, lo, hi, coeff, out)
 
     def vector(self, g) -> EdgeVector:
         return EdgeVector.from_darts(g, self.darts)
@@ -86,42 +98,51 @@ class CircuitFamily:
                 raise FormatError("shift %d slides the template off the graph"
                                   % self.lo)
 
-    def hits(self, g, e: EdgeId) -> int:
-        if e.index is None:
-            return 0
-        out = 0
+    def tally(self, g, lo, hi, coeff, out):
         for d in self.template.darts:
-            if d.edge.cls != e.cls:
-                continue
-            k = e.index - d.edge.index
-            if (self.lo is None or k >= self.lo) and (
-                self.hi is None or k <= self.hi
-            ):
-                out += 1 if d.forward else -1
-        return out
+            j = d.edge.index
+            if j is None:
+                continue  # check() refuses static template darts
+            first = lo if self.lo is None else max(lo, j + self.lo)
+            last = hi if self.hi is None else min(hi, j + self.hi)
+            s = coeff if d.forward else -coeff
+            for n in range(first, last + 1):
+                e = EdgeId(d.edge.cls, n)
+                out[e] = out.get(e, 0) + s
 
 
-def _signed_count(darts, e: EdgeId) -> int:
-    """Darts on e, counted +1 forward and -1 backward."""
-    out = 0
+def _tally_darts(darts, lo, hi, coeff, out):
+    """Add coeff for each forward and -coeff for each backward dart on a
+    static edge or on an edge with index in [lo, hi]."""
     for d in darts:
-        if d.edge == e:
-            out += 1 if d.forward else -1
-    return out
+        n = d.edge.index
+        if n is None or lo <= n <= hi:
+            out[d.edge] = out.get(d.edge, 0) + (coeff if d.forward else -coeff)
+
+
+def _tally_ray(ray: Ray, lo, hi, coeff, out):
+    """The window tally of a ray: its initial darts, then every repeat dart
+    at i0 + p * shift for p >= 0, clipped to [lo, hi]."""
+    _tally_darts(ray.initial, lo, hi, coeff, out)
+    s = ray.shift
+    for d in ray.repeat:
+        i0 = d.edge.index
+        if i0 is None:
+            continue  # a repeat on a static edge is not a ray
+        # p runs from where the progression enters the window to where it
+        # leaves it; near and far are its ends in the direction of travel
+        near, far = (lo, hi) if s > 0 else (hi, lo)
+        w = coeff if d.forward else -coeff
+        for p in range(max(0, -((i0 - near) // s)), (far - i0) // s + 1):
+            e = EdgeId(d.edge.cls, i0 + p * s)
+            out[e] = out.get(e, 0) + w
 
 
 def ray_hits(g, ray: Ray, e: EdgeId) -> int:
     """Net number of times the ray traverses e (signed by direction)."""
-    out = _signed_count(ray.initial, e)
-    if e.index is None:
-        return out
-    for d in ray.repeat:
-        if d.edge.cls != e.cls:
-            continue
-        diff = e.index - d.edge.index
-        if diff % ray.shift == 0 and diff // ray.shift >= 0:
-            out += 1 if d.forward else -1
-    return out
+    out = {}
+    _tally_ray(ray, *_one_edge(e), 1, out)
+    return out.get(e, 0)
 
 
 def _lattices_meet(a, sa, b, sb) -> bool:
@@ -182,12 +203,10 @@ class RaySegment:
                 % (seq[-1].label(), self.fwd.start.label())
             )
 
-    def hits(self, g, e: EdgeId) -> int:
-        return (
-            ray_hits(g, self.fwd, e)
-            - ray_hits(g, self.back, e)
-            + _signed_count(self.middle, e)
-        )
+    def tally(self, g, lo, hi, coeff, out):
+        _tally_ray(self.fwd, lo, hi, coeff, out)
+        _tally_ray(self.back, lo, hi, -coeff, out)
+        _tally_darts(self.middle, lo, hi, coeff, out)
 
     def rays(self):
         return (self.back, self.fwd)
@@ -230,8 +249,9 @@ class EndCircle:
                         "circle traverses edge %s twice" % e.label()
                     )
 
-    def hits(self, g, e: EdgeId) -> int:
-        return sum(seg.hits(g, e) for seg in self.segments)
+    def tally(self, g, lo, hi, coeff, out):
+        for seg in self.segments:
+            seg.tally(g, lo, hi, coeff, out)
 
     def ends(self, g):
         return tuple(g.end_of_ray(seg.fwd) for seg in self.segments)
@@ -253,15 +273,16 @@ class CircleDecomposition:
                 raise FormatError("not a circle: %r" % (piece,))
             piece.check(g)
 
-    def value_on(self, g, e: EdgeId) -> int:
-        out = 0
+    def window_values(self, g, lo, hi) -> dict:
+        """Value on every static edge and every edge with index in
+        [lo, hi] that some piece meets; edges left out are 0."""
+        out = {}
         for coeff, piece in self.entries:
-            out += coeff * piece.hits(g, e)
+            piece.tally(g, lo, hi, coeff, out)
         return out
 
-    def evaluate(self, g, d: Dart) -> int:
-        v = self.value_on(g, d.edge)
-        return v if d.forward else -v
+    def value_on(self, g, e: EdgeId) -> int:
+        return self.window_values(g, *_one_edge(e)).get(e, 0)
 
 
 # serialization ------------------------------------------------------------

@@ -10,6 +10,7 @@ that is iterated to a least fixpoint and then certified by one more step.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -496,6 +497,17 @@ class _RayStructure:
             k -= 1
         return cid
 
+    def period(self):
+        """Cells after which the deep pattern repeats: W times the order of
+        the parent map, a permutation of the unbounded classes."""
+        order = 1
+        for cid in self.unbounded:
+            n, x = 1, self.parent[cid]
+            while x != cid:
+                n, x = n + 1, self.parent[x]
+            order = order * n // math.gcd(order, n)
+        return self.W * order
+
     def stable_class(self, c, d):
         """Stable class id of the cell-class vertex at depth d >= 0, pulled
         back to depth level zero through the parent map."""
@@ -873,6 +885,11 @@ class Graph:
 
     def end_count(self):
         return len(self.ends())
+
+    def deep_period(self, sign):
+        """Shift, in cells, that maps every deep vertex in direction sign
+        (+1 or -1) into the half-spaces of the same ends."""
+        return self._rays[sign].period()
 
     def require_end(self, end: EndId):
         if end not in self.ends():

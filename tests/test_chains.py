@@ -4,7 +4,7 @@ import pytest
 
 from endcycle import chains as ch
 from endcycle.cuts import cut_sum
-from endcycle.graph import parse_edge_label, parse_vertex_label
+from endcycle.graph import graph_from_text, parse_edge_label, parse_vertex_label
 from endcycle.membership import Member, NonMember, is_member
 from endcycle.vectors import parse_vector_text
 from endcycle.errors import (
@@ -344,6 +344,32 @@ def test_restrict_keeps_finite_family_past_the_horizon(ladder):
             ladder, pair, ch.parse_chain_text(ladder, given + " " + square)
         )
         assert ch.chain_to_text(res) == kept + " " + square
+
+
+def test_restrict_follows_ends_that_alternate_with_parity():
+    # x and y alternate the classes, so a[0] and a[1] lie in different
+    # components and the kept passes x[k] are those with k even, also past
+    # the scan horizon
+    g = graph_from_text(
+        "graph twisted\nkind periodic-z\nvertex a\nvertex b\n"
+        "edge x : a -> b[+1]\nedge y : b -> a[+1]\n"
+    )
+    pair = ch.parse_pair_text(g, "delete a[1]\nkeep a[0]")
+    rep = ch.parse_chain_text(g, "periodic -inf..inf { pass x[0] + }")
+    res = ch.restrict_chain(g, pair, rep)
+    assert ch.chain_to_text(res).splitlines() == (
+        ["pass x[%d] +" % k for k in range(-12, 13, 2)]
+        + ["periodic 7..inf step 2 { pass x[0] + }",
+           "periodic -inf..-7 step 2 { pass x[0] + }"]
+    )
+    assert ch.check_admissible(g, res).ok
+    # a bounded family past the horizon keeps the passes on even x only
+    for given, kept in (
+        ("periodic 20..41 { pass x[0] + }", "periodic 10..20 step 2 { pass x[0] + }"),
+        ("periodic 20..41 { pass x[1] + }", "periodic 10..20 step 2 { pass x[2] + }"),
+    ):
+        res = ch.restrict_chain(g, pair, ch.parse_chain_text(g, given))
+        assert ch.chain_to_text(res) == kept
 
 
 def test_restrict_rejects_deleted_keep(ladder):

@@ -5,8 +5,11 @@ in the decision procedure that alters a certificate shape should trip these
 even if the verdicts stay correct.
 """
 
+import dataclasses
+
 import pytest
 
+from endcycle import chains
 from endcycle.circles import (
     CircleDecomposition,
     CircuitFamily,
@@ -15,7 +18,7 @@ from endcycle.circles import (
     RaySegment,
 )
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
-from endcycle.graph import Ray, parse_dart_label, parse_vertex_label
+from endcycle.graph import Ray, graph_from_text, parse_dart_label, parse_vertex_label
 from endcycle.membership import (
     Member,
     NonMember,
@@ -187,6 +190,77 @@ def test_malformed_member_rejected(ladder):
         circle = EndCircle((RaySegment(ray, (), ray),))
         cert = Member(CircleDecomposition(((1, circle),)))
         assert not verify_certificate(ladder, vec, cert)
+
+
+DRIFT_16 = """\
+graph drift
+kind periodic-z
+vertex a
+edge s : a -> a[+1]
+edge l : a -> a[+16]
+"""
+
+
+def _drift_members():
+    # the closed walk of 16 short steps forward and one long step back,
+    # over all shifts and over each half: tails s=16, l=-1
+    g = graph_from_text(DRIFT_16)
+    walk = " ".join("a[%d] s[%d]" % (i, i) for i in range(16)) + " a[16] l[0] a[0]"
+    for shifts in ("-inf..inf", "0..inf", "-inf..0"):
+        rep = chains.parse_chain_text(g, "periodic %s { walk %s }" % (shifts, walk))
+        vec = chains.edge_vector_of(rep)
+        yield g, vec, is_member(g, vec)
+
+
+def _rail_difference_rays(ladder):
+    """RAIL_DIFFERENCE as one end circle: the top rail from the - end to
+    the + end, then the bottom rail back."""
+    def ray(start, dart, shift):
+        return Ray(parse_vertex_label(start), (), (parse_dart_label(dart),), shift)
+
+    top = RaySegment(ray("top[0]", "rail_top[-1]-", -1), (), ray("top[0]", "rail_top[0]+", 1))
+    bot = RaySegment(ray("bot[0]", "rail_bot[0]+", 1), (), ray("bot[0]", "rail_bot[-1]-", -1))
+    return Member(CircleDecomposition(((1, EndCircle((top, bot))),)))
+
+
+def _tampered(dec):
+    """Each certificate that one small change makes from dec, by kind."""
+    entries = list(dec.entries)
+    for i, (coeff, piece) in enumerate(entries):
+        yield "coefficient", entries[:i] + [(coeff + 1, piece)] + entries[i + 1:]
+        if isinstance(piece, CircuitFamily):
+            for side in ("lo", "hi"):
+                if getattr(piece, side) is None:
+                    continue
+                for step in (-1, 1):
+                    moved = dataclasses.replace(
+                        piece, **{side: getattr(piece, side) + step})
+                    yield "family bound", entries[:i] + [(coeff, moved)] + entries[i + 1:]
+        if isinstance(piece, EndCircle):
+            for j, seg in enumerate(piece.segments):
+                for side in ("back", "fwd"):
+                    r = getattr(seg, side)
+                    flipped = (r.repeat[0].reverse(),) + r.repeat[1:]
+                    seg2 = dataclasses.replace(
+                        seg, **{side: dataclasses.replace(r, repeat=flipped)})
+                    segs = piece.segments[:j] + (seg2,) + piece.segments[j + 1:]
+                    yield "ray repeat dart", entries[:i] + [(coeff, EndCircle(segs))] + entries[i + 1:]
+
+
+def test_tampered_drift_and_rail_certificates_rejected(ladder):
+    vec = parse_vector_text(ladder, RAIL_DIFFERENCE)
+    cases = list(_drift_members())
+    cases.append((ladder, vec, is_member(ladder, vec)))
+    cases.append((ladder, vec, _rail_difference_rays(ladder)))
+    kinds = set()
+    for g, v, cert in cases:
+        assert isinstance(cert, Member)
+        assert verify_certificate(g, v, cert)
+        for kind, entries in _tampered(cert.decomposition):
+            kinds.add(kind)
+            bad = Member(CircleDecomposition(tuple(entries)))
+            assert not verify_certificate(g, v, bad), kind
+    assert kinds == {"coefficient", "family bound", "ray repeat dart"}
 
 
 def test_tampered_nonmember_rejected(ladder):

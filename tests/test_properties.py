@@ -6,7 +6,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from endcycle import chains as ch
-from endcycle.graph import graph_from_text
+from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
+                              FiniteCircuit, RaySegment)
+from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
 from endcycle.vectors import add, parse_vector_text, scale
@@ -151,3 +153,106 @@ def test_homologous_iff_equal_vectors(seed, i, j):
     same = ch.homologous(g, c1, c2)
     assert same == (ch.edge_vector_of(c1) == ch.edge_vector_of(c2))
     assert same == ((i, j) == (k, l))
+
+
+# -- window evaluation of circle pieces --------------------------------------
+#
+# The pieces below need not be circles: evaluation only counts darts, so
+# random dart lists test it on more shapes than the solver ever emits.
+
+def _random_dart(g, rng, lo_index):
+    if g.static_edge_classes and rng.random() < 0.2:
+        e = EdgeId(rng.choice(g.static_edge_classes).name, None)
+    else:
+        e = EdgeId(rng.choice(g.cell_edge_classes).name,
+                   rng.randint(lo_index, lo_index + 12))
+    return Dart(e, rng.random() < 0.5)
+
+
+def _random_piece(g, rng):
+    one_ended = g.kind == "periodic-n"
+    lo_index = 0 if one_ended else -6
+
+    def darts(n):
+        return tuple(_random_dart(g, rng, lo_index) for _ in range(n))
+
+    def ray():
+        shift = rng.randint(1, 3)
+        if not one_ended and rng.random() < 0.5:
+            shift = -shift
+        cells = [d for d in darts(3) if d.edge.index is not None]
+        return Ray(VertexId("x", 0), darts(rng.randint(0, 2)),
+                   tuple(cells) or darts(0), shift)
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return FiniteCircuit(darts(rng.randint(1, 5)))
+    if kind == 1:
+        cells = tuple(d for d in darts(4) if d.edge.index is not None)
+        bound = [None, rng.randint(-8, 8)]
+        lo = rng.randint(0, 8) if one_ended else rng.choice(bound)
+        hi = rng.choice([None, (lo or 0) + rng.randint(0, 8)])
+        return CircuitFamily(FiniteCircuit(cells), lo, hi)
+    return EndCircle(tuple(
+        RaySegment(ray(), darts(rng.randint(0, 2)), ray())
+        for _ in range(rng.randint(1, 2))
+    ))
+
+
+def _unrolled(piece, lo, hi):
+    """Signed dart counts of piece on the window, from an explicit list of
+    its darts: families over every shift that can reach the window, rays
+    over enough repeats to pass it."""
+    listed = []  # (sign, dart)
+
+    def shift(d, k):
+        return Dart(EdgeId(d.edge.cls, d.edge.index + k), d.forward)
+
+    def ray(r, sign):
+        listed.extend((sign, d) for d in r.initial)
+        for p in range(80):
+            listed.extend((sign, shift(d, p * r.shift)) for d in r.repeat)
+
+    if isinstance(piece, FiniteCircuit):
+        listed.extend((1, d) for d in piece.darts)
+    elif isinstance(piece, CircuitFamily):
+        for k in range(lo - 20, hi + 21):
+            if (piece.lo is None or k >= piece.lo) and (
+                    piece.hi is None or k <= piece.hi):
+                listed.extend((1, shift(d, k)) for d in piece.template.darts)
+    else:
+        for seg in piece.segments:
+            ray(seg.back, -1)
+            listed.extend((1, d) for d in seg.middle)
+            ray(seg.fwd, 1)
+    counts = {}
+    for sign, d in listed:
+        n = d.edge.index
+        if n is None or lo <= n <= hi:
+            counts[d.edge] = counts.get(d.edge, 0) + (sign if d.forward else -sign)
+    return counts
+
+
+@given(st.sampled_from(["ladder", "chords"]), seeds)
+def test_window_evaluation_matches_unrolled_darts(gname, seed):
+    g = GRAPHS[gname]
+    rng = random.Random(seed)
+    entries = [(rng.choice([-2, -1, 1, 3]), _random_piece(g, rng))
+               for _ in range(rng.randint(1, 3))]
+    # windows near the pieces, past them, or missing them altogether
+    lo = rng.randint(0 if g.kind == "periodic-n" else -30, 25)
+    hi = lo + rng.randint(0, 12)
+    want = {}
+    for coeff, piece in entries:
+        for e, c in _unrolled(piece, lo, hi).items():
+            want[e] = want.get(e, 0) + coeff * c
+    dec = CircleDecomposition(tuple(entries))
+    got = dec.window_values(g, lo, hi)
+    nonzero = lambda m: {e: c for e, c in m.items() if c}
+    assert nonzero(got) == nonzero(want)
+    # the one-edge case: value_on on every edge of the window
+    edges = [EdgeId(ec.name, n) for ec in g.cell_edge_classes
+             for n in range(lo, hi + 1)]
+    edges += list(g.static_instances())
+    for e in edges:
+        assert dec.value_on(g, e) == want.get(e, 0)
