@@ -177,14 +177,6 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class Subgraph:
-    center: VertexId
-    radius: int
-    vertices: frozenset
-    edges: frozenset
-
-
-@dataclass(frozen=True)
 class Truncation:
     radius: int
     vertices: tuple
@@ -829,27 +821,6 @@ class Graph:
                 yield VertexId(c, n)
 
     # -- local structure --------------------------------------------------
-
-    def ball(self, v, r):
-        self.require_vertex(v)
-        if not isinstance(r, int) or r < 0:
-            raise FormatError("radius must be a nonnegative integer")
-        seen = {v}
-        frontier = [v]
-        for _ in range(r):
-            new = []
-            for u in frontier:
-                for _, w in self.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-            frontier = new
-        edges = set()
-        for u in seen:
-            for d, w in self.neighbors(u):
-                if w in seen:
-                    edges.add(d.edge)
-        return Subgraph(v, r, frozenset(seen), frozenset(edges))
 
     def truncate(self, r):
         if not isinstance(r, int) or r < 0:

@@ -66,16 +66,6 @@ class NonMember:
     cut_sum: int
 
 
-def _data_extent(vec: EdgeVector) -> int:
-    out = 0
-    for e in vec.vals:
-        if e.index is not None:
-            out = max(out, abs(e.index))
-    for (_c, _d), (t, _v) in vec.tails.items():
-        out = max(out, abs(t))
-    return out
-
-
 def is_member(g, vec: EdgeVector):
     """Decide membership in the cycle space; always returns a certificate."""
     try:
@@ -90,7 +80,7 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
 
     W = g.W
     nb = len(g.spec.cell_classes)
-    ext = _data_extent(vec)
+    ext = vec.support_bound()
     deep = max(ext, g.stabilization_radius) + g.D + 1
 
     _check_stars(g, vec, deep)
@@ -744,7 +734,7 @@ def _values_agree(g, vec, dec) -> bool:
     """Compare dec with vec on every static edge and every cell edge of
     the window [-(T+P), T+P] (from 0 on a one-ended lattice); the
     decomposition is evaluated over the whole window in one pass."""
-    T = max(_data_extent(vec), _cert_extent(dec)) + g.W + 1
+    T = max(vec.support_bound(), _cert_extent(dec)) + g.W + 1
     P = _cert_period(dec)
     lo = 0 if g.kind == "periodic-n" else -(T + P)
     got = dec.window_values(g, lo, T + P)

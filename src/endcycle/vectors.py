@@ -6,6 +6,22 @@ instance at index >= threshold (direction "+") or <= threshold ("-") carries
 the value unless an explicit entry overrides it. Values are attached to the
 forward orientation; evaluating a reversed dart negates.
 
+The stored form is canonical, so equal vectors compare equal: no explicit
+entry is zero or lies at or past a tail threshold, thresholds lie as far in
+as the values allow, and a class that is constant on the whole line keeps
+the split "+" from 0 / "-" from -1 (just "+" from 0 on a periodic-n graph).
+
+Every vector is made by one breakpoint builder, _Breakpoints. Per cell
+class it holds the value far to the left and the change of value at each
+breakpoint, the index where the value changes; static edges hold plain
+sums. Construction from raw input, sums and thin sums fill it, and one sweep
+over each class's sorted breakpoints writes the stored form. Cost grows
+with the number of breakpoints and stored entries, not with the size of the
+indices. The one limit on the stored form is _ENTRY_CAP explicit entries
+per class (FormatError beyond it), which a short description can still ask
+for: an explicit value far inside a one-sided tail, or a wide finite shift
+range of an untailed template.
+
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
 exactly or refuses with NotThin / NotRepresentable.
@@ -31,10 +47,11 @@ from .graph import (
     parse_edge_label,
 )
 
-# widest finite shift range that gets expanded member by member
+# widest finite shift range over which a tailed template is expanded
 _EXPAND_CAP = 4096
-# widest contiguous block of explicit values a thin sum may materialize
-_WIDTH_CAP = 200_000
+# most explicit entries one edge class may store: every class within
+# |index| <= 200,000 fits
+_ENTRY_CAP = 400_001
 
 
 def _check_same_graph(a, b):
@@ -102,76 +119,20 @@ class EdgeVector:
                 t = 0
             tails[(cname, direction)] = (t, v)
         self.tails = tails
-        # rebuild each tailed class from the values it denotes, so equal
-        # vectors always land on the same representation
-        for cname in {c for c, _ in self.tails}:
-            pt = self.tails.get((cname, "+"))
-            mt = self.tails.get((cname, "-"))
-            vp = pt[1] if pt else 0
-            vm = mt[1] if mt else 0
-            explicit = {
-                e.index: w
-                for e, w in self.vals.items()
-                if e.cls == cname and e.index is not None
-            }
-            b = 0
-            for tl in (pt, mt):
-                if tl is not None:
-                    b = max(b, abs(tl[0]))
-            for i in explicit:
-                b = max(b, abs(i))
-            if b > _WIDTH_CAP:
-                raise FormatError(
-                    "vector support on %r is too wide to canonicalize" % cname
-                )
-            if pt and mt and mt[0] >= pt[0] and vp != vm:
-                span = range(pt[0], mt[0] + 1)
-                if len(span) > len(explicit) or any(i not in explicit for i in span):
+        for cname in {c for c, _ in tails}:
+            pt = tails.get((cname, "+"))
+            mt = tails.get((cname, "-"))
+            if pt and mt and mt[0] >= pt[0] and pt[1] != mt[1]:
+                if any(
+                    EdgeId(cname, i) not in self.vals
+                    for i in range(pt[0], mt[0] + 1)
+                ):
                     raise FormatError(
                         "tails of %r overlap with different values" % cname
                     )
-
-            lo = 0 if g.kind == KIND_PERIODIC_N else -b - 1
-            hi = b + 1
-
-            def val_at(i):
-                if i in explicit:
-                    return explicit[i]
-                if pt and i >= pt[0]:
-                    return vp
-                if mt and i <= mt[0]:
-                    return vm
-                return 0
-
-            # beyond the window every index is plain tail (or zero)
-            t_plus = hi
-            while t_plus > lo and val_at(t_plus - 1) == vp:
-                t_plus -= 1
-            t_minus = lo - 1
-            while t_minus + 1 <= hi and val_at(t_minus + 1) == vm:
-                t_minus += 1
-
-            for i in explicit:
-                del self.vals[EdgeId(cname, i)]
-            self.tails.pop((cname, "+"), None)
-            self.tails.pop((cname, "-"), None)
-            if vp == vm != 0 and t_plus <= t_minus + 1:
-                # the class is constant: canonical split at zero
-                self.tails[(cname, "+")] = (0, vp)
-                self.tails[(cname, "-")] = (-1, vp)
-                continue
-            if vp != 0:
-                self.tails[(cname, "+")] = (t_plus, vp)
-            if vm != 0:
-                self.tails[(cname, "-")] = (t_minus, vm)
-            for i in range(max(lo, t_minus + 1), t_plus):
-                w = val_at(i)
-                if w != 0:
-                    self.vals[EdgeId(cname, i)] = w
-        # untailed classes and statics just shed their zeros
-        for e in list(self.vals):
-            if self.vals[e] == 0:
-                del self.vals[e]
+        acc = _Breakpoints(g)
+        acc.add(self)
+        self.vals, self.tails = acc.sweep()
 
     def _tail_value(self, e: EdgeId):
         """Tail value covering this instance, or None if no tail covers it."""
@@ -241,48 +202,10 @@ class EdgeVector:
         if not isinstance(other, EdgeVector):
             return NotImplemented
         _check_same_graph(self.graph, other.graph)
-        classes = {c for c, _ in self.tails} | {c for c, _ in other.tails}
-        vals = {}
-        tails = {}
-        if classes:
-            # past the window both operands are pure tail, so the sum is
-            # pointwise inside and a summed tail outside
-            b = 0
-            for vec in (self, other):
-                for (_, _), (t, _) in vec.tails.items():
-                    b = max(b, abs(t))
-                for e in vec.vals:
-                    if e.cls in classes and e.index is not None:
-                        b = max(b, abs(e.index))
-            if b > _WIDTH_CAP:
-                raise FormatError("vector sum support is too wide to canonicalize")
-            lo = 0 if self.graph.kind == KIND_PERIODIC_N else -b - 1
-            hi = b + 1
-            for cname in classes:
-                sp = (
-                    self.tails.get((cname, "+"), (0, 0))[1]
-                    + other.tails.get((cname, "+"), (0, 0))[1]
-                )
-                sm = (
-                    self.tails.get((cname, "-"), (0, 0))[1]
-                    + other.tails.get((cname, "-"), (0, 0))[1]
-                )
-                if sp != 0:
-                    tails[(cname, "+")] = (hi, sp)
-                if sm != 0:
-                    tails[(cname, "-")] = (lo, sm)
-                for i in range(lo, hi):
-                    e = EdgeId(cname, i)
-                    w = self.value_on(e) + other.value_on(e)
-                    if w != 0:
-                        vals[e] = w
-        for e in set(self.vals) | set(other.vals):
-            if e.cls in classes:
-                continue
-            w = self.value_on(e) + other.value_on(e)
-            if w != 0:
-                vals[e] = w
-        return EdgeVector(self.graph, vals, tails)
+        acc = _Breakpoints(self.graph)
+        acc.add(self)
+        acc.add(other)
+        return acc.vector()
 
     def __neg__(self):
         return self.scale(-1)
@@ -316,6 +239,88 @@ class EdgeVector:
         vals = {EdgeId(e.cls, e.index + k): v for e, v in self.vals.items()}
         tails = {key: (t + k, v) for key, (t, v) in self.tails.items()}
         return EdgeVector(self.graph, vals, tails)
+
+
+class _Breakpoints:
+    """Accumulator behind every vector: per cell class the value far to
+    the left and {index: change of value there}, per static edge a sum."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.left = {}
+        self.steps = {}
+        self.statics = {}
+
+    def span(self, cname, lo, hi, d):
+        """Add d at every index i with lo <= i < hi; None is unbounded."""
+        steps = self.steps.setdefault(cname, {})
+        if lo is None:
+            self.left[cname] = self.left.get(cname, 0) + d
+        else:
+            steps[lo] = steps.get(lo, 0) + d
+        if hi is not None:
+            steps[hi] = steps.get(hi, 0) - d
+
+    def add(self, vec, c=1, k=0):
+        """Add c times vec shifted by k cells. An explicit entry replaces
+        the tail value under it, and where the two tails of a class overlap
+        the "+" tail wins, so raw validated input reads as it is meant."""
+        for e, w in vec.vals.items():
+            if e.index is None:
+                self.statics[e] = self.statics.get(e, 0) + c * w
+                continue
+            d = c * (w - (vec._tail_value(e) or 0))
+            if d:
+                self.span(e.cls, e.index + k, e.index + k + 1, d)
+        for (cname, direction), (t, v) in vec.tails.items():
+            if direction == "+":
+                self.span(cname, t + k, None, c * v)
+                continue
+            end = t + 1
+            pt = vec.tails.get((cname, "+"))
+            if pt:
+                end = min(end, pt[0])
+            self.span(cname, None, end + k, c * v)
+
+    def sweep(self):
+        """The stored form (vals, tails) of the accumulated values. A
+        periodic-n graph has nothing left of index 0, so there the value far
+        to the left is 0 and no breakpoint lies below 0."""
+        vals = {e: v for e, v in self.statics.items() if v}
+        tails = {}
+        for cname, steps in sorted(self.steps.items()):
+            value = self.left.get(cname, 0)
+            points = [p for p in sorted(steps.items()) if p[1]]
+            if not points:
+                if value:  # constant on the whole line: split at 0 / -1
+                    tails[(cname, "+")] = (0, value)
+                    tails[(cname, "-")] = (-1, value)
+                continue
+            start = points[0][0]
+            if value:
+                tails[(cname, "-")] = (start - 1, value)
+            stored = 0
+            for i, d in points:
+                if value:
+                    stored += i - start
+                    if stored > _ENTRY_CAP:
+                        raise FormatError(
+                            "vector needs more than %d explicit entries on %r"
+                            % (_ENTRY_CAP, cname)
+                        )
+                    for j in range(start, i):
+                        vals[EdgeId(cname, j)] = value
+                value += d
+                start = i
+            if value:
+                tails[(cname, "+")] = (start, value)
+        return vals, tails
+
+    def vector(self):
+        vec = EdgeVector.__new__(EdgeVector)
+        vec.graph = self.graph
+        vec.vals, vec.tails = self.sweep()
+        return vec
 
 
 @dataclass(frozen=True)
@@ -403,11 +408,10 @@ def thin_sum(family: VectorFamily) -> EdgeVector:
         raise NotThin(
             "family hits %s infinitely often" % witness.label(), witness=witness
         )
-    acc = EdgeVector.zero(g)
+    acc = _Breakpoints(g)
     for c, v in family.finite:
         if c:
-            acc = acc + v.scale(c)
-    intervals = {}
+            acc.add(v, c)
     for m in family.periodic:
         if m.coeff == 0 or m.base.is_zero():
             continue
@@ -421,72 +425,17 @@ def thin_sum(family: VectorFamily) -> EdgeVector:
             if w > _EXPAND_CAP:
                 raise FormatError("shift range too wide to expand")
             for k in range(m.lo, m.hi + 1):
-                acc = acc + m.base.shifted(k).scale(m.coeff)
+                acc.add(m.base, m.coeff, k)
             continue
-        w = m.width()
-        if w is not None and w <= _EXPAND_CAP:
-            for k in range(m.lo, m.hi + 1):
-                acc = acc + m.base.shifted(k).scale(m.coeff)
-            continue
+        # each entry of an untailed template covers one interval of shifts
         for e, val in m.base.vals.items():
-            d = m.coeff * val
-            if d == 0:
-                continue
-            a = None if m.lo is None else m.lo + e.index
-            b = None if m.hi is None else m.hi + e.index
-            intervals.setdefault(e.cls, []).append((a, b, d))
-    if intervals:
-        acc = acc + _vector_from_intervals(g, intervals)
-    return acc
-
-
-def _vector_from_intervals(g, intervals) -> EdgeVector:
-    """Turn per-class interval contributions (a, b, delta), endpoints
-    possibly None for unbounded, into one canonical vector."""
-    vals = {}
-    tails = {}
-    for cname, ivs in intervals.items():
-        bps = set()
-        for a, b, _d in ivs:
-            if a is not None:
-                bps.add(a)
-            if b is not None:
-                bps.add(b + 1)
-        if not bps:
-            c0 = sum(d for _a, _b, d in ivs)
-            if c0:
-                tails[(cname, "+")] = (0, c0)
-                if g.kind != KIND_PERIODIC_N:
-                    tails[(cname, "-")] = (-1, c0)
-            continue
-        p0, pk = min(bps), max(bps)
-        if pk - p0 > _WIDTH_CAP:
-            raise FormatError("family support too wide to materialize")
-        left = sum(d for a, _b, d in ivs if a is None)
-        right = sum(d for _a, b, d in ivs if b is None)
-        if left and g.kind != KIND_PERIODIC_N:
-            tails[(cname, "-")] = (p0 - 1, left)
-        if right:
-            tails[(cname, "+")] = (pk, right)
-        lo_m = max(p0, 0) if g.kind == KIND_PERIODIC_N else p0
-        for mm in range(lo_m, pk):
-            s = 0
-            for a, b, d in ivs:
-                if (a is None or a <= mm) and (b is None or mm <= b):
-                    s += d
-            vals[EdgeId(cname, mm)] = s
-    return EdgeVector(g, vals, tails)
-
-
-# spec-level wrappers ---------------------------------------------------------
-
-
-def add(a: EdgeVector, b: EdgeVector) -> EdgeVector:
-    return a + b
-
-
-def scale(c: int, a: EdgeVector) -> EdgeVector:
-    return a.scale(c)
+            acc.span(
+                e.cls,
+                None if m.lo is None else m.lo + e.index,
+                None if m.hi is None else m.hi + e.index + 1,
+                m.coeff * val,
+            )
+    return acc.vector()
 
 
 # text format ------------------------------------------------------------------

@@ -140,11 +140,6 @@ def test_finite_graphs_have_no_rays(theta):
         theta.check_ray(Ray(VertexId("u", None), (), (Dart(EdgeId("left", None), True),), 0))
 
 
-def test_ball_radius_one(double_ray):
-    sub = double_ray.ball(parse_vertex_label("node[0]"), 1)
-    assert {v.label() for v in sub.vertices} == {"node[-1]", "node[0]", "node[1]"}
-
-
 def test_require_helpers(ladder):
     with pytest.raises(UnknownVertex):
         ladder.require_vertex(VertexId("origin", None))

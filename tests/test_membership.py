@@ -28,7 +28,7 @@ from endcycle.membership import (
     is_member,
     verify_certificate,
 )
-from endcycle.vectors import add, parse_vector_text, scale
+from endcycle.vectors import parse_vector_text
 
 RAIL_DIFFERENCE = """\
 tail+ rail_top from 0 = 1
@@ -144,7 +144,7 @@ def test_json_round_trips(ladder, double_ray):
 
 
 def test_scaled_member(ladder):
-    vec = scale(3, parse_vector_text(ladder, RAIL_DIFFERENCE))
+    vec = parse_vector_text(ladder, RAIL_DIFFERENCE).scale(3)
     cert = is_member(ladder, vec)
     assert isinstance(cert, Member)
     assert verify_certificate(ladder, vec, cert)
@@ -156,7 +156,7 @@ def test_sum_of_members(ladder):
         "set rail_top[0] = 1\nset rung[1] = 1\nset rail_bot[0] = -1\nset rung[0] = -1",
     )
     assert isinstance(is_member(ladder, square), Member)
-    vec = add(square, parse_vector_text(ladder, RAIL_DIFFERENCE))
+    vec = square + parse_vector_text(ladder, RAIL_DIFFERENCE)
     cert = is_member(ladder, vec)
     assert isinstance(cert, Member)
     assert verify_certificate(ladder, vec, cert)
@@ -164,7 +164,7 @@ def test_sum_of_members(ladder):
 
 def test_member_plus_nonmember(ladder):
     rail = parse_vector_text(ladder, "tail+ rail_top from 0 = 1\ntail- rail_top from -1 = 1")
-    vec = add(rail, parse_vector_text(ladder, RAIL_DIFFERENCE))
+    vec = rail + parse_vector_text(ladder, RAIL_DIFFERENCE)
     assert isinstance(is_member(ladder, vec), NonMember)
 
 

@@ -11,7 +11,7 @@ from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
 from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
-from endcycle.vectors import add, parse_vector_text, scale
+from endcycle.vectors import parse_vector_text
 
 from conftest import (CHORDS, DOUBLE_RAY, LADDER, THETA, TRIPLE, merged,
                       random_chain, random_vector, random_walk_text)
@@ -46,9 +46,9 @@ small = st.integers(min_value=-4, max_value=4)
 def known_member(gname, rng, k1, k2):
     g = GRAPHS[gname]
     texts = KNOWN_MEMBERS[gname]
-    a = scale(k1, parse_vector_text(g, texts[0]))
-    b = scale(k2, parse_vector_text(g, texts[1]))
-    return add(a, b)
+    a = parse_vector_text(g, texts[0]).scale(k1)
+    b = parse_vector_text(g, texts[1]).scale(k2)
+    return a + b
 
 
 @given(graph_names, seeds)
@@ -68,14 +68,14 @@ def test_adding_a_member_never_changes_membership(gname, seed, k1, k2):
     assert isinstance(is_member(g, m), Member)
     vec = random_vector(g, random.Random(seed ^ 0x5DEECE66))
     verdict = type(is_member(g, vec))
-    assert type(is_member(g, add(vec, m))) is verdict
+    assert type(is_member(g, vec + m)) is verdict
 
 
 @given(member_graph_names, seeds, small, small, small)
 def test_members_scale(gname, seed, k1, k2, c):
     g = GRAPHS[gname]
     m = known_member(gname, random.Random(seed), k1, k2)
-    assert isinstance(is_member(g, scale(c, m)), Member)
+    assert isinstance(is_member(g, m.scale(c)), Member)
 
 
 @given(graph_names, seeds)
@@ -100,7 +100,7 @@ def test_winding_is_linear(gname, seed):
     rng = random.Random(seed)
     c1, c2 = random_chain(g, rng), random_chain(g, rng)
     lhs = ch.edge_vector_of(merged(g, c1, c2))
-    assert lhs == add(ch.edge_vector_of(c1), ch.edge_vector_of(c2))
+    assert lhs == ch.edge_vector_of(c1) + ch.edge_vector_of(c2)
 
 
 @given(graph_names, seeds)

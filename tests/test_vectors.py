@@ -1,16 +1,16 @@
 """Edge vector text format, arithmetic, and thin sums."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from endcycle.graph import parse_dart_label, parse_edge_label
+from endcycle.examples import RAIL_DIFFERENCE
+from endcycle.graph import EdgeId, graph_from_text, parse_dart_label, parse_edge_label
 from endcycle.vectors import (
     EdgeVector,
     FamilyMember,
     VectorFamily,
-    add,
     is_thin,
     parse_vector_text,
-    scale,
     thin_sum,
     vector_to_json,
     vector_to_text,
@@ -21,6 +21,8 @@ from endcycle.errors import (
     NotThin,
     UnknownEdge,
 )
+
+from conftest import LADDER, SINGLE_RAY
 
 
 def test_round_trip_canonical(ladder):
@@ -67,8 +69,8 @@ def test_n_graph_rejects_negative_index(single_ray):
 def test_arithmetic(ladder):
     a = parse_vector_text(ladder, "set rung[0] = 2\ntail+ rail_top from 1 = 5")
     b = parse_vector_text(ladder, "set rung[1] = 1\ntail+ rail_top from 3 = -5")
-    assert add(a, -a).is_zero()
-    assert scale(3, a).value_on(parse_edge_label("rung[0]")) == 6
+    assert (a + -a).is_zero()
+    assert a.scale(3).value_on(parse_edge_label("rung[0]")) == 6
     assert (a - b).value_on(parse_edge_label("rung[1]")) == -1
     # the tails cancel past both start points
     assert (a + b).value_on(parse_edge_label("rail_top[50]")) == 0
@@ -161,3 +163,162 @@ def test_family_range_must_stay_on_n_graph(single_ray):
     base = parse_vector_text(single_ray, "set step[0] = 1")
     with pytest.raises(FormatError):
         VectorFamily(single_ray, periodic=[(1, base, None, None)])
+
+
+# --- data far out -------------------------------------------------------------
+
+
+def test_far_entry_on_constant_rails(ladder):
+    v = parse_vector_text(ladder, RAIL_DIFFERENCE + "set rail_top[250000] = 2\n")
+    assert list(v.vals) == [EdgeId("rail_top", 250000)]
+    assert v.value_on(EdgeId("rail_top", 250000)) == 2
+    assert v.value_on(EdgeId("rail_top", 250001)) == 1
+    assert parse_vector_text(ladder, vector_to_text(v)) == v
+
+
+def test_thin_sum_far_half_line(ladder):
+    base = parse_vector_text(ladder, "set rung[0] = 1")
+    fam = VectorFamily(ladder, periodic=[(1, base, 300000, None)])
+    assert vector_to_text(thin_sum(fam)) == "tail+ rung from 300000 = 1\n"
+
+
+def test_far_tail_minus_itself(ladder):
+    v = parse_vector_text(ladder, "tail+ rail_top from 300000 = 1")
+    assert (v - v).is_zero()
+
+
+def test_entry_limit(ladder):
+    # the stored form would hold rail_top[0..500000] one by one
+    with pytest.raises(FormatError, match="explicit entries"):
+        parse_vector_text(ladder, "tail+ rail_top from 0 = 1\nset rail_top[500000] = 2")
+
+
+# --- stored form against a dense reference -----------------------------------
+
+DENSE = {"z": graph_from_text(LADDER), "n": graph_from_text(SINGLE_RAY)}
+CLASSES = {"z": ("rail_top", "rung"), "n": ("step",)}
+WINDOW = 40  # past every breakpoint the strategies below can place
+values = st.integers(-2, 2)
+
+
+@st.composite
+def raw_inputs(draw, kind, tails=True):
+    """Raw (vals, tails): entries anywhere, zeros included; tails that may
+    overlap, with the overlap given explicitly where their values differ;
+    "+" thresholds below 0 on periodic-n."""
+    lo = -10 if kind == "z" else 0
+    vals = {}
+    tl = {}
+    for cls in CLASSES[kind]:
+        for i in draw(st.sets(st.integers(lo, 10), max_size=5)):
+            vals[EdgeId(cls, i)] = draw(values)
+        if not tails:
+            continue
+        for d in ("+", "-") if kind == "z" else ("+",):
+            if draw(st.booleans()):
+                tl[(cls, d)] = (draw(st.integers(-10, 10)), draw(values))
+        if (cls, "+") in tl and (cls, "-") in tl:
+            (tp, vp), (tm, vm) = tl[(cls, "+")], tl[(cls, "-")]
+            if draw(st.booleans()):
+                tl[(cls, "-")] = (tm, vp)  # the same value: maybe constant
+            elif tm >= tp and vp != vm:
+                for i in range(tp, tm + 1):
+                    vals.setdefault(EdgeId(cls, i), draw(values))
+    return vals, tl
+
+
+def dense(kind, raw):
+    """The value on cls[i] as the vector format defines it."""
+    vals, tails = raw
+
+    def value(cls, i):
+        if kind == "n" and i < 0:
+            return 0
+        if EdgeId(cls, i) in vals:
+            return vals[EdgeId(cls, i)]
+        pt, mt = tails.get((cls, "+")), tails.get((cls, "-"))
+        if pt and pt[1] and i >= pt[0]:
+            return pt[1]
+        if mt and mt[1] and i <= mt[0]:
+            return mt[1]
+        return 0
+
+    return value
+
+
+def check_stored(kind, vec, ref):
+    g = DENSE[kind]
+    lo = 0 if kind == "n" else -WINDOW
+    window = range(lo, WINDOW + 1)
+    far = [10 * WINDOW] + ([-10 * WINDOW] if kind == "z" else [])
+    for cls in CLASSES[kind]:
+        for i in list(window) + far:
+            assert vec.value_on(EdgeId(cls, i)) == ref(cls, i), (cls, i)
+        pt, mt = vec.tail_of(cls, "+"), vec.tail_of(cls, "-")
+        idxs = [e.index for e in vec.vals if e.cls == cls]
+        assert all(vec.vals[EdgeId(cls, i)] != 0 for i in idxs)
+        want = {ref(cls, i) for i in window}
+        if len(want) == 1 and 0 not in want:
+            # a constant class is split at 0 / -1
+            v = want.pop()
+            assert pt == (0, v) and mt == (None if kind == "n" else (-1, v))
+            assert not idxs
+            continue
+        if pt:
+            assert all(i < pt[0] for i in idxs)
+            assert pt[0] == lo or ref(cls, pt[0] - 1) != pt[1]
+        if mt:
+            assert all(i > mt[0] for i in idxs)
+            assert ref(cls, mt[0] + 1) != mt[1]
+    # any other raw input with the same values stores the same way
+    vals = {EdgeId(c, i): ref(c, i) for c in CLASSES[kind] for i in window}
+    tails = {(c, "+"): (WINDOW + 1, ref(c, 10 * WINDOW)) for c in CLASSES[kind]}
+    if kind == "z":
+        tails.update({(c, "-"): (-WINDOW - 1, ref(c, -10 * WINDOW)) for c in CLASSES[kind]})
+    assert EdgeVector(g, vals, tails) == vec
+
+
+@given(st.sampled_from("zn"), st.data())
+@settings(max_examples=300, deadline=None)
+def test_stored_form_matches_dense_reference(kind, data):
+    g = DENSE[kind]
+    ra, rb = data.draw(raw_inputs(kind)), data.draw(raw_inputs(kind))
+    fa, fb = dense(kind, ra), dense(kind, rb)
+    a, b = EdgeVector(g, *ra), EdgeVector(g, *rb)
+    check_stored(kind, a, fa)
+    check_stored(kind, a + b, lambda c, i: fa(c, i) + fb(c, i))
+    k = data.draw(st.integers(-3, 3))
+    check_stored(kind, a.scale(k), lambda c, i: k * fa(c, i))
+    s = data.draw(st.integers(0 if kind == "n" else -5, 5))
+    check_stored(kind, a.shifted(s), lambda c, i: fa(c, i - s))
+
+    # a finite part, untailed members over bounded and open ranges, and
+    # tailed members over bounded ranges
+    finite = [(k, a), (data.draw(values), b)]
+    members = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        tailed = data.draw(st.booleans())
+        raw = data.draw(raw_inputs(kind, tails=tailed))
+        lo = data.draw(st.integers(0 if kind == "n" else -5, 5))
+        hi = lo + data.draw(st.integers(0, 6))
+        if not tailed:
+            lo = data.draw(st.sampled_from([lo] if kind == "n" else [lo, None]))
+            hi = data.draw(st.sampled_from([hi, None]))
+        members.append((data.draw(values), raw, lo, hi))
+    fam = VectorFamily(g, finite=finite, periodic=[
+        FamilyMember(c, EdgeVector(g, *raw), lo, hi) for c, raw, lo, hi in members])
+
+    def total(cls, i):
+        out = k * fa(cls, i) + finite[1][0] * fb(cls, i)
+        for c, raw, lo, hi in members:
+            f = dense(kind, raw)
+            if raw[1]:
+                out += c * sum(f(cls, i - j) for j in range(lo, hi + 1))
+                continue
+            for e, w in raw[0].items():
+                j = i - e.index
+                if e.cls == cls and (lo is None or lo <= j) and (hi is None or j <= hi):
+                    out += c * w
+        return out
+
+    check_stored(kind, thin_sum(fam), total)
