@@ -307,9 +307,6 @@ class ChainRep:
     def __sub__(self, other):
         return self.__add__(other.scale(-1))
 
-    def is_empty(self):
-        return not self.finite and not self.periodic
-
 
 def _check_member(g, m):
     if not isinstance(m, PeriodicMember):

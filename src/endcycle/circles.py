@@ -13,15 +13,19 @@ descriptions cover the ones this package produces and checks:
                   end is a plain double ray.
 
 A CircleDecomposition is a finite list of integer-weighted pieces. It is
-evaluated over a window: every piece's tally(g, lo, hi, coeff, out) makes
-one pass over its darts and adds coeff times its signed count to out for
-each edge with index in [lo, hi] and each static edge. A family walks each
-template dart over its shift range, a ray each repeat dart along its
-progression, both clipped to the window, so the cost grows with the
-description and the window, not with their product. ray_hits and
-CircleDecomposition.value_on are the one-edge case lo = hi of the same
-tally. Families keep each edge's total finite because a template meets a
-fixed edge at finitely many shifts.
+evaluated over windows, a sorted tuple of disjoint index ranges (lo, hi):
+every piece's tally(g, windows, coeff, out) makes one pass over its darts
+and adds coeff times its signed count to out for each edge with index in a
+window and each static edge. A family walks each template dart over its
+shift range, a ray each repeat dart along its progression, both clipped to
+each window, so the cost grows with the description and the windows, not
+with their product. A finite dart is added when its index lies between the
+first and the last window, so out may also hold edges in the gaps; callers
+read only edges inside the windows. CircleDecomposition.values_in sums the
+pieces' tallies; window_values is its one-window case, and ray_hits and
+CircleDecomposition.value_on are the one-edge case. Families keep each
+edge's total finite because a template meets a fixed edge at finitely many
+shifts.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .vectors import EdgeVector
 
 
 def _one_edge(e: EdgeId):
-    """The window that holds the cell edge e alone; static edges are in
+    """The windows that hold the cell edge e alone; static edges are in
     every window."""
-    return (0, 0) if e.index is None else (e.index, e.index)
+    return ((0, 0),) if e.index is None else ((e.index, e.index),)
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class FiniteCircuit:
             dup = next(e for e in edges if edges.count(e) > 1)
             raise FormatError("circuit repeats edge %s" % dup.label())
 
-    def tally(self, g, lo, hi, coeff, out):
-        _tally_darts(self.darts, lo, hi, coeff, out)
+    def tally(self, g, windows, coeff, out):
+        _tally_darts(self.darts, windows, coeff, out)
 
     def vector(self, g) -> EdgeVector:
         return EdgeVector.from_darts(g, self.darts)
@@ -98,50 +102,55 @@ class CircuitFamily:
                 raise FormatError("shift %d slides the template off the graph"
                                   % self.lo)
 
-    def tally(self, g, lo, hi, coeff, out):
+    def tally(self, g, windows, coeff, out):
         for d in self.template.darts:
             j = d.edge.index
             if j is None:
                 continue  # check() refuses static template darts
-            first = lo if self.lo is None else max(lo, j + self.lo)
-            last = hi if self.hi is None else min(hi, j + self.hi)
             s = coeff if d.forward else -coeff
-            for n in range(first, last + 1):
-                e = EdgeId(d.edge.cls, n)
-                out[e] = out.get(e, 0) + s
+            for lo, hi in windows:
+                first = lo if self.lo is None else max(lo, j + self.lo)
+                last = hi if self.hi is None else min(hi, j + self.hi)
+                for n in range(first, last + 1):
+                    e = EdgeId(d.edge.cls, n)
+                    out[e] = out.get(e, 0) + s
 
 
-def _tally_darts(darts, lo, hi, coeff, out):
+def _tally_darts(darts, windows, coeff, out):
     """Add coeff for each forward and -coeff for each backward dart on a
-    static edge or on an edge with index in [lo, hi]."""
+    static edge or on an edge with index between the first and the last
+    window."""
+    lo, hi = windows[0][0], windows[-1][1]
     for d in darts:
         n = d.edge.index
         if n is None or lo <= n <= hi:
             out[d.edge] = out.get(d.edge, 0) + (coeff if d.forward else -coeff)
 
 
-def _tally_ray(ray: Ray, lo, hi, coeff, out):
+def _tally_ray(ray: Ray, windows, coeff, out):
     """The window tally of a ray: its initial darts, then every repeat dart
-    at i0 + p * shift for p >= 0, clipped to [lo, hi]."""
-    _tally_darts(ray.initial, lo, hi, coeff, out)
+    at i0 + p * shift for p >= 0, clipped to each window."""
+    _tally_darts(ray.initial, windows, coeff, out)
     s = ray.shift
     for d in ray.repeat:
         i0 = d.edge.index
         if i0 is None:
             continue  # a repeat on a static edge is not a ray
-        # p runs from where the progression enters the window to where it
-        # leaves it; near and far are its ends in the direction of travel
-        near, far = (lo, hi) if s > 0 else (hi, lo)
         w = coeff if d.forward else -coeff
-        for p in range(max(0, -((i0 - near) // s)), (far - i0) // s + 1):
-            e = EdgeId(d.edge.cls, i0 + p * s)
-            out[e] = out.get(e, 0) + w
+        for lo, hi in windows:
+            # p runs from where the progression enters the window to where
+            # it leaves it; near and far are its ends in the direction of
+            # travel
+            near, far = (lo, hi) if s > 0 else (hi, lo)
+            for p in range(max(0, -((i0 - near) // s)), (far - i0) // s + 1):
+                e = EdgeId(d.edge.cls, i0 + p * s)
+                out[e] = out.get(e, 0) + w
 
 
 def ray_hits(g, ray: Ray, e: EdgeId) -> int:
     """Net number of times the ray traverses e (signed by direction)."""
     out = {}
-    _tally_ray(ray, *_one_edge(e), 1, out)
+    _tally_ray(ray, _one_edge(e), 1, out)
     return out.get(e, 0)
 
 
@@ -203,10 +212,10 @@ class RaySegment:
                 % (seq[-1].label(), self.fwd.start.label())
             )
 
-    def tally(self, g, lo, hi, coeff, out):
-        _tally_ray(self.fwd, lo, hi, coeff, out)
-        _tally_ray(self.back, lo, hi, -coeff, out)
-        _tally_darts(self.middle, lo, hi, coeff, out)
+    def tally(self, g, windows, coeff, out):
+        _tally_ray(self.fwd, windows, coeff, out)
+        _tally_ray(self.back, windows, -coeff, out)
+        _tally_darts(self.middle, windows, coeff, out)
 
     def rays(self):
         return (self.back, self.fwd)
@@ -249,9 +258,9 @@ class EndCircle:
                         "circle traverses edge %s twice" % e.label()
                     )
 
-    def tally(self, g, lo, hi, coeff, out):
+    def tally(self, g, windows, coeff, out):
         for seg in self.segments:
-            seg.tally(g, lo, hi, coeff, out)
+            seg.tally(g, windows, coeff, out)
 
     def ends(self, g):
         return tuple(g.end_of_ray(seg.fwd) for seg in self.segments)
@@ -273,16 +282,20 @@ class CircleDecomposition:
                 raise FormatError("not a circle: %r" % (piece,))
             piece.check(g)
 
-    def window_values(self, g, lo, hi) -> dict:
-        """Value on every static edge and every edge with index in
-        [lo, hi] that some piece meets; edges left out are 0."""
+    def values_in(self, g, windows) -> dict:
+        """Value on every static edge and every edge with index in one of
+        the windows that some piece meets; edges left out are 0. Edges
+        between the windows may appear too, with partial values."""
         out = {}
         for coeff, piece in self.entries:
-            piece.tally(g, lo, hi, coeff, out)
+            piece.tally(g, windows, coeff, out)
         return out
 
+    def window_values(self, g, lo, hi) -> dict:
+        return self.values_in(g, ((lo, hi),))
+
     def value_on(self, g, e: EdgeId) -> int:
-        return self.window_values(g, *_one_edge(e)).get(e, 0)
+        return self.values_in(g, _one_edge(e)).get(e, 0)
 
 
 # serialization ------------------------------------------------------------

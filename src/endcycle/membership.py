@@ -3,9 +3,11 @@
 decompose() either writes a vector as an explicit thin sum of circles or
 raises NotInCycleSpace carrying a violated finite cut. The pipeline:
 
-  1. Every vertex star must sum to zero. Beyond the explicit data the star
-     sum of a class is a constant determined by the tails, so one deep probe
-     per class and side settles the rest.
+  1. Every vertex star must sum to zero. A star's sum changes only where
+     an incident edge's value changes or a static edge attaches, so the
+     caps plus, per cell class, the first vertex of each run between such
+     indices settle every star of the window; the cost grows with the
+     description, not with the size of its indices.
   2. The flux toward each end must vanish (a half-space cut; by step 1 its
      value does not depend on the radius).
   3. The tails form a circulation on the quotient multigraph whose nodes are
@@ -19,8 +21,8 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      its cycle decomposition yields finite circuits and end circles.
 
 Steps 1 and 2 are the only obstructions: when both pass, the construction
-succeeds, and the result is re-verified by exact sampling before it is
-returned."""
+succeeds, and the result is compared with the input before it is returned,
+at the first indices of every run between breakpoints (_values_agree)."""
 
 from __future__ import annotations
 
@@ -47,7 +49,17 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graph import Dart, EdgeId, EndId, Ray, UnionFind, VertexId, edge_key, vertex_key
+from .graph import (
+    KIND_PERIODIC_N,
+    Dart,
+    EdgeId,
+    EndId,
+    Ray,
+    UnionFind,
+    VertexId,
+    edge_key,
+    vertex_key,
+)
 from .vectors import EdgeVector, FamilyMember, VectorFamily, thin_sum
 
 _COMPOSITE_COPY_CAP = 64
@@ -142,8 +154,31 @@ class _RetryStrands(Exception):
 
 
 def _check_stars(g, vec, bound):
+    """Raise at the first vertex, in vertex_key order, of the caps and the
+    cells in [-bound-1, bound+1] whose star does not sum to zero.
+
+    A cell star's sum changes only where the value of an incident edge
+    changes, where a static edge meets the cell, or, on a one-ended
+    lattice, where incident edges begin. Per cell class those indices and
+    the window start cut the window into runs of equal star sums; probing
+    the first vertex of each run finds the same first vertex and sum as
+    probing every vertex."""
+    lo = 0 if g.kind == KIND_PERIODIC_N else -bound - 1
+    hi = bound + 1
+    moves = vec.breakpoints()
+    probes = {c: {lo} for c in g.cell_classes}
+    for ec in g.cell_edge_classes:
+        for cls, pos in ((ec.tail_cls, ec.tail_pos), (ec.head_cls, ec.head_pos)):
+            probes[cls].update(n + pos for n in moves.get(ec.name, ()))
+            if g.kind == KIND_PERIODIC_N:
+                probes[cls].add(pos)
+    for ec in g.static_edge_classes:
+        for cls, pos in ((ec.tail_cls, ec.tail_pos), (ec.head_cls, ec.head_pos)):
+            if pos is not None:
+                probes[cls].update((pos, pos + 1))
     verts = list(g.cap_vertices())
-    verts.extend(g.cell_vertices_within(-bound - 1, bound + 1))
+    for c, points in probes.items():
+        verts.extend(VertexId(c, n) for n in points if lo <= n <= hi)
     for v in sorted(verts, key=vertex_key):
         s = sum(vec.evaluate(d) for d, _w in g.neighbors(v))
         if s != 0:
@@ -691,23 +726,45 @@ def _strand_ray(strands, step):
 # -- verification ------------------------------------------------------------
 
 
-def _cert_extent(dec: CircleDecomposition) -> int:
-    out = 0
+def _cert_shape(dec: CircleDecomposition):
+    """One pass over every dart of dec: (the indices where its value on a
+    class may change, its extent, its period P).
+
+    The changes lie at a finite dart's index and the index after it, at
+    j + lo and j + hi + 1 for a family template dart j, and at a ray repeat
+    dart's index i0 and i0 + 1. The extent is the largest |index| of a
+    dart, a change, a family bound or a ray start; P is the least common
+    multiple of the ray shifts. Between two changes each piece's value
+    repeats with period P, and past the extent it repeats with period P
+    for good."""
+    points = set()
+    extent = 0
+    period = 1
 
     def bump(n):
-        nonlocal out
+        nonlocal extent
         if n is not None:
-            out = max(out, abs(n))
+            extent = max(extent, abs(n))
 
     def darts(ds):
         for d in ds:
-            bump(d.edge.index)
+            n = d.edge.index
+            if n is not None:
+                points.update((n, n + 1))
 
     for _c, piece in dec.entries:
         if isinstance(piece, FiniteCircuit):
             darts(piece.darts)
         elif isinstance(piece, CircuitFamily):
-            darts(piece.template.darts)
+            for d in piece.template.darts:
+                j = d.edge.index
+                if j is None:
+                    continue
+                bump(j)
+                if piece.lo is not None:
+                    points.add(j + piece.lo)
+                if piece.hi is not None:
+                    points.add(j + piece.hi + 1)
             bump(piece.lo)
             bump(piece.hi)
         else:
@@ -717,35 +774,54 @@ def _cert_extent(dec: CircleDecomposition) -> int:
                     bump(ray.start.index)
                     darts(ray.initial)
                     darts(ray.repeat)
-    return out
+                    s = abs(ray.shift)
+                    period = period * s // math.gcd(period, s)
+    for n in points:
+        bump(n)
+    return points, extent, period
 
 
-def _cert_period(dec: CircleDecomposition) -> int:
-    p = 1
-    for _c, piece in dec.entries:
-        if isinstance(piece, EndCircle):
-            for seg in piece.segments:
-                for ray in (seg.back, seg.fwd):
-                    p = p * abs(ray.shift) // math.gcd(p, abs(ray.shift))
-    return p
+def _probe_windows(points, lo, hi, P):
+    """The first min(P, run length) indices of every run of [lo, hi]
+    between consecutive points, as sorted disjoint windows; touching
+    windows are merged."""
+    starts = sorted({lo} | {n for n in points if lo < n <= hi})
+    windows = []
+    for a, b in zip(starts, starts[1:] + [hi + 1]):
+        last = min(a + P, b) - 1
+        if windows and windows[-1][1] + 1 == a:
+            windows[-1] = (windows[-1][0], last)
+        else:
+            windows.append((a, last))
+    return tuple(windows)
 
 
 def _values_agree(g, vec, dec) -> bool:
     """Compare dec with vec on every static edge and every cell edge of
-    the window [-(T+P), T+P] (from 0 on a one-ended lattice); the
-    decomposition is evaluated over the whole window in one pass."""
-    T = max(vec.support_bound(), _cert_extent(dec)) + g.W + 1
-    P = _cert_period(dec)
-    lo = 0 if g.kind == "periodic-n" else -(T + P)
-    got = dec.window_values(g, lo, T + P)
+    the window [-(T+P), T+P] (from 0 on a one-ended lattice), where T
+    bounds the indices of both and P is dec's period.
+
+    Cut at the breakpoints of vec and of every dart of dec, the window
+    falls into runs on which vec is constant and dec repeats with period
+    P, so comparing the first min(P, run length) indices of each run
+    settles the whole window. The decomposition is evaluated over those
+    windows in one pass."""
+    points, extent, P = _cert_shape(dec)
+    for moves in vec.breakpoints().values():
+        points |= moves
+    T = max(vec.support_bound(), extent) + g.W + 1
+    lo = 0 if g.kind == KIND_PERIODIC_N else -(T + P)
+    windows = _probe_windows(points, lo, T + P, P)
+    got = dec.values_in(g, windows)
     for e in g.static_instances():
         if got.get(e, 0) != vec.value_on(e):
             return False
     for ec in g.cell_edge_classes:
-        for n in range(lo, T + P + 1):
-            e = EdgeId(ec.name, n)
-            if got.get(e, 0) != vec.value_on(e):
-                return False
+        for a, b in windows:
+            for n in range(a, b + 1):
+                e = EdgeId(ec.name, n)
+                if got.get(e, 0) != vec.value_on(e):
+                    return False
     return True
 
 

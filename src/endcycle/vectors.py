@@ -176,6 +176,19 @@ class EdgeVector:
             b = max(b, abs(t))
         return b
 
+    def breakpoints(self):
+        """Per cell class, the indices n where the value may differ from
+        the value at n - 1: an explicit entry and the index after it, a "+"
+        threshold, and the index after a "-" threshold. Between two of them
+        the class is constant."""
+        out = {}
+        for e in self.vals:
+            if e.index is not None:
+                out.setdefault(e.cls, set()).update((e.index, e.index + 1))
+        for (cname, direction), (t, _v) in self.tails.items():
+            out.setdefault(cname, set()).add(t if direction == "+" else t + 1)
+        return out
+
     def has_static_support(self):
         return any(e.index is None for e in self.vals)
 

@@ -6,10 +6,12 @@ even if the verdicts stay correct.
 """
 
 import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from endcycle import chains
+from endcycle import chains, membership
 from endcycle.circles import (
     CircleDecomposition,
     CircuitFamily,
@@ -18,7 +20,8 @@ from endcycle.circles import (
     RaySegment,
 )
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
-from endcycle.graph import Ray, graph_from_text, parse_dart_label, parse_vertex_label
+from endcycle.graph import (EdgeId, Ray, graph_from_text, parse_dart_label,
+                            parse_vertex_label, vertex_key)
 from endcycle.membership import (
     Member,
     NonMember,
@@ -28,7 +31,9 @@ from endcycle.membership import (
     is_member,
     verify_certificate,
 )
-from endcycle.vectors import parse_vector_text
+from endcycle.vectors import EdgeVector, parse_vector_text
+
+from conftest import CHORDS
 
 RAIL_DIFFERENCE = """\
 tail+ rail_top from 0 = 1
@@ -278,3 +283,174 @@ def test_find_violated_cut(ladder):
     cut, s = find_violated_cut(ladder, rail, 1)
     assert s != 0
     assert cut_sum(ladder, cut, rail) == s
+
+
+# -- the star check against a scan of every vertex ---------------------------
+
+F2_GRAPH = """\
+graph f2
+kind periodic-z
+vertex c0
+vertex c1
+cap-vertex p0
+cap-vertex p1
+edge e0 : c0 -> c1[+1]
+edge e1 : c1 -> c0[+3]
+edge e2 : c0 -> c1[+3]
+edge e3 : c0 -> c0[+1]
+edge e4 : c1 -> c1[+1]
+edge k0 : p0 -> c1[1]
+edge k1 : p1 -> c1[2]
+"""
+
+# static edges at negative and far cell indices, one between two caps, and
+# two classes of equal offsets between the same vertex classes
+HOOKS = """\
+graph hooks
+kind periodic-z
+vertex a
+vertex b
+cap-vertex p
+cap-vertex q
+edge s : a -> a[+1]
+edge r1 : a -> b
+edge r2 : b -> a
+edge t : b -> a[+2]
+edge k : p -> a[-2]
+edge m : b[5] -> q
+edge pq : p -> q
+"""
+
+# one-ended: a cap feeding two cells, a long edge and a static edge past 0
+FAN = """\
+graph fan
+kind periodic-n
+cap-vertex o
+vertex x
+vertex y
+edge in : o -> x[0]
+edge out : y[3] -> o
+edge sx : x -> x[+1]
+edge sy : y[+2] -> y
+edge xy : x -> y
+"""
+
+# two-sided constant circulations: every star sums to zero far out, so the
+# perturbations below decide where the first nonzero star lies
+STAR_GRAPHS = {
+    "f2": (graph_from_text(F2_GRAPH),
+           "tail+ e0 from 0 = 3\ntail- e0 from -1 = 3\n"
+           "tail+ e1 from 0 = 1\ntail- e1 from -1 = 1\n"
+           "tail+ e2 from 0 = -2\ntail- e2 from -1 = -2\n"
+           "tail+ e3 from 0 = 1\ntail- e3 from -1 = 1\n"
+           "tail+ e4 from 0 = -1\ntail- e4 from -1 = -1"),
+    "hooks": (graph_from_text(HOOKS),
+              "tail+ s from 0 = 2\ntail- s from -1 = 2\n"
+              "tail+ r1 from 0 = 1\ntail- r1 from -1 = 1\n"
+              "tail+ r2 from 0 = 1\ntail- r2 from -1 = 1"),
+    "chords": (graph_from_text(CHORDS), CHORD_RAIL_LOOP),
+    "fan": (graph_from_text(FAN), ""),
+}
+
+
+def _star_vector(g, base, rng):
+    """A multiple of base plus, each often left out: a one-sided "+" and a
+    one-sided "-" tail, explicit entries on the tails and off them, a far
+    single entry and a static value."""
+    one_ended = g.kind == "periodic-n"
+    near = 0 if one_ended else -8
+    cells = [ec.name for ec in g.cell_edge_classes]
+    vec = parse_vector_text(g, base).scale(rng.choice([0, 1, -2]))
+    vals, tails = {}, {}
+    plus = None
+    if rng.random() < 0.4:
+        plus = rng.choice(cells), rng.randint(near, 6), rng.choice([-2, -1, 1, 3])
+        tails[(plus[0], "+")] = plus[1:]
+    if not one_ended and rng.random() < 0.3:
+        cname, t, v = rng.choice(cells), rng.randint(-6, 6), rng.choice([-2, -1, 1, 3])
+        if plus is not None and plus[0] == cname and plus[2] != v:
+            t = min(t, plus[1] - 1)
+        tails[(cname, "-")] = (t, v)
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+        vals[EdgeId(rng.choice(cells), rng.randint(near, 8))] = rng.randint(-2, 2)
+    if rng.random() < 0.2:
+        n = rng.randint(40, 120)
+        vals[EdgeId(rng.choice(cells), n if one_ended or rng.random() < 0.5 else -n)] = 1
+    if g.static_edge_classes and rng.random() < 0.3:
+        vals[EdgeId(rng.choice(g.static_edge_classes).name, None)] = rng.randint(-2, 2)
+    return vec + EdgeVector(g, vals, tails)
+
+
+def _dense_first_star(g, vec):
+    """The first nonzero star by vertex_key among the caps and every cell
+    of the window decompose checks, with its sum; None when all are 0."""
+    deep = max(vec.support_bound(), g.stabilization_radius) + g.D + 1
+    verts = list(g.cap_vertices()) + list(g.cell_vertices_within(-deep - 1, deep + 1))
+    for v in sorted(verts, key=vertex_key):
+        s = sum(vec.evaluate(d) for d, _w in g.neighbors(v))
+        if s:
+            return v, s
+    return None
+
+
+def _assert_stars_match_dense_scan(g, vec):
+    want = _dense_first_star(g, vec)
+    if want is None:
+        deep = max(vec.support_bound(), g.stabilization_radius) + g.D + 1
+        membership._check_stars(g, vec, deep)
+        return
+    cert = is_member(g, vec)
+    assert isinstance(cert, NonMember)
+    assert (cert.cut, cert.cut_sum) == (star_cut(want[0]), want[1])
+
+
+@given(st.sampled_from(sorted(STAR_GRAPHS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_star_check_matches_dense_scan(gname, seed):
+    g, base = STAR_GRAPHS[gname]
+    _assert_stars_match_dense_scan(g, _star_vector(g, base, random.Random(seed)))
+
+
+def test_star_cut_at_static_endpoint():
+    # k0 : p0 -> c1[1]; c1[1] comes before p0 in vertex_key order
+    g = STAR_GRAPHS["f2"][0]
+    vec = parse_vector_text(g, "set k0 = 1")
+    _assert_stars_match_dense_scan(g, vec)
+    cert = is_member(g, vec)
+    assert cert.cut.describe() == "X = {c1[1]}"
+    assert cert.cut_sum == -1
+
+
+def test_family_past_the_window_is_rejected(ladder):
+    # four squares at indices 14..17: the template's index plus the shift
+    # range reaches past both bounds, and the certificate must not pass
+    # for the zero vector
+    square = FiniteCircuit(tuple(parse_dart_label(t) for t in (
+        "rail_top[9]+", "rung[10]+", "rail_bot[9]-", "rung[9]-")))
+    cert = Member(CircleDecomposition(((1, CircuitFamily(square, 5, 8)),)))
+    assert not verify_certificate(ladder, parse_vector_text(ladder, ""), cert)
+
+
+# -- cost set by the description, not by the size of its indices -------------
+
+def _ladder_square(g, n):
+    return parse_vector_text(g, "set rail_top[%d] = 1\nset rung[%d] = 1\n"
+                                "set rail_bot[%d] = -1\nset rung[%d] = -1" % (n, n + 1, n, n))
+
+
+def test_square_at_a_billion_is_the_square_at_ten_shifted(ladder):
+    near = is_member(ladder, _ladder_square(ladder, 10))
+    far_vec = _ladder_square(ladder, 10**9)
+    far = is_member(ladder, far_vec)
+    (coeff, circuit), = near.decomposition.entries
+    assert isinstance(far, Member)
+    assert far.decomposition.entries == ((coeff, circuit.shifted(ladder, 10**9 - 10)),)
+    assert verify_certificate(ladder, far_vec, far)
+
+
+def test_far_bump_is_cut_at_its_star(ladder):
+    vec = parse_vector_text(ladder, "set rail_top[100000] = 1")
+    cert = is_member(ladder, vec)
+    assert isinstance(cert, NonMember)
+    assert (cert.cut, cert.cut_sum) == (star_cut(parse_vertex_label("top[100000]")), 1)
+    assert verify_certificate(ladder, vec, cert)

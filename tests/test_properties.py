@@ -1,6 +1,8 @@
 """Property tests. Everything here is exact integer arithmetic, so the
 assertions are equalities, never tolerances."""
 
+import dataclasses
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from endcycle import chains as ch
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
+from endcycle.errors import FormatError, NotARay, UnknownEdge, UnknownVertex
 from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
-from endcycle.vectors import parse_vector_text
+from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
+                              parse_vector_text, thin_sum)
 
 from conftest import (CHORDS, DOUBLE_RAY, LADDER, THETA, TRIPLE, merged,
                       random_chain, random_vector, random_walk_text)
@@ -256,3 +260,250 @@ def test_window_evaluation_matches_unrolled_darts(gname, seed):
     edges += list(g.static_instances())
     for e in edges:
         assert dec.value_on(g, e) == want.get(e, 0)
+
+
+# -- verification against a dense window comparison --------------------------
+#
+# Certificates built from squares, square families and end circles whose
+# rays repeat blocks of one to three darts, on the ladder and on the chords
+# graph, paired with the vector they sum to and with tampered versions.
+
+def _darts(labels):
+    return tuple(Dart(EdgeId(cls, n), fwd) for cls, n, fwd in labels)
+
+
+def _ladder_square(n):
+    return FiniteCircuit(_darts([("rail_top", n, True), ("rung", n + 1, True),
+                                 ("rail_bot", n, False), ("rung", n, False)]))
+
+
+def _chord_quad(n):
+    return FiniteCircuit(_darts([("pos_step", n, True), ("chord", n + 1, True),
+                                 ("neg_step", n, True), ("chord", n, False)]))
+
+
+def _ladder_rails(rng):
+    """The ladder's rail difference as one end circle: along the top rail
+    from the - end to the + end, back along the bottom rail."""
+    def ray(cls, rail, start, sign, k):
+        step = range(start, start + k) if sign > 0 else range(start - 1, start - k - 1, -1)
+        return Ray(VertexId(cls, start), (), _darts([(rail, i, sign > 0) for i in step]),
+                   sign * k)
+
+    a = rng.randint(-6, 6)
+    b = a + rng.randint(0, 4)
+    c = rng.randint(-6, 6)
+    d = c - rng.randint(0, 4)
+    top = RaySegment(ray("top", "rail_top", a, -1, rng.randint(1, 3)),
+                     _darts([("rail_top", i, True) for i in range(a, b)]),
+                     ray("top", "rail_top", b, 1, rng.randint(1, 3)))
+    bot = RaySegment(ray("bot", "rail_bot", c, 1, rng.randint(1, 3)),
+                     _darts([("rail_bot", i, False) for i in range(c - 1, d - 1, -1)]),
+                     ray("bot", "rail_bot", d, -1, rng.randint(1, 3)))
+    return EndCircle((top, bot))
+
+
+def _chord_loop(rng):
+    """In from the end along the neg rail, through the origin, out along
+    the pos rail."""
+    c, a = rng.randint(0, 5), rng.randint(0, 5)
+    kb, kf = rng.randint(1, 3), rng.randint(1, 3)
+    back = Ray(VertexId("neg", c), (), _darts([("neg_step", i, False) for i in range(c, c + kb)]), kb)
+    fwd = Ray(VertexId("pos", a), (), _darts([("pos_step", i, True) for i in range(a, a + kf)]), kf)
+    middle = _darts([("neg_step", i, True) for i in range(c - 1, -1, -1)]
+                    + [("neg_first", None, True), ("pos_first", None, True)]
+                    + [("pos_step", i, True) for i in range(a)])
+    return EndCircle((RaySegment(back, middle, fwd),))
+
+
+CERT_GRAPHS = {
+    "ladder": (_ladder_square, _ladder_rails, KNOWN_MEMBERS["ladder"][1], -8),
+    "chords": (_chord_quad, _chord_loop,
+               "set pos_first = 1\nset neg_first = 1\n"
+               "tail+ pos_step from 0 = 1\ntail+ neg_step from 0 = 1", 0),
+}
+
+
+def _random_certificate(gname, rng):
+    """A decomposition and the vector it sums to."""
+    g = GRAPHS[gname]
+    circuit, loop, loop_text, near = CERT_GRAPHS[gname]
+    entries = []
+    vec = parse_vector_text(g, "")
+    for _ in range(rng.randint(1, 4)):
+        coeff = rng.choice([-2, -1, 1, 3])
+        kind = rng.randrange(3)
+        if kind == 0:
+            piece = circuit(rng.randint(near, 8))
+            part = piece.vector(g)
+        elif kind == 1:
+            template = circuit(rng.randint(0, 3))
+            lo = rng.choice([None, rng.randint(near, 6)]) if near else rng.randint(0, 6)
+            hi = rng.choice([None, (lo if lo is not None else 0) + rng.randint(0, 60)])
+            piece = CircuitFamily(template, lo, hi)
+            part = thin_sum(VectorFamily(g, periodic=(
+                FamilyMember(1, template.vector(g), lo, hi),)))
+        else:
+            piece = loop(rng)
+            part = parse_vector_text(g, loop_text)
+        entries.append((coeff, piece))
+        vec = vec + part.scale(coeff)
+    return entries, vec
+
+
+def _tamperings(g, entries, vec, rng, circuit):
+    """(entries, vector) pairs: the honest one, then one small change each:
+    a coefficient raised by one, a family bound moved by one, a ray repeat
+    dart reversed, one entry added to the vector far past all other data,
+    and a square or a family of them added to the certificate far out."""
+    yield entries, vec
+    i = rng.randrange(len(entries))
+    coeff, piece = entries[i]
+    yield entries[:i] + [(coeff + 1, piece)] + entries[i + 1:], vec
+    for j, (coeff, piece) in enumerate(entries):
+        if isinstance(piece, CircuitFamily):
+            for side in ("lo", "hi"):
+                if getattr(piece, side) is not None:
+                    moved = dataclasses.replace(
+                        piece, **{side: getattr(piece, side) + rng.choice([-1, 1])})
+                    yield entries[:j] + [(coeff, moved)] + entries[j + 1:], vec
+        if isinstance(piece, EndCircle):
+            segs = list(piece.segments)
+            k = rng.randrange(len(segs))
+            side = rng.choice(["back", "fwd"])
+            r = getattr(segs[k], side)
+            flipped = (r.repeat[0].reverse(),) + r.repeat[1:]
+            segs[k] = dataclasses.replace(segs[k], **{side: dataclasses.replace(r, repeat=flipped)})
+            yield entries[:j] + [(coeff, EndCircle(tuple(segs)))] + entries[j + 1:], vec
+    far = 30 + rng.randint(0, 400)
+    ec = rng.choice(g.cell_edge_classes)
+    n = far if g.kind == "periodic-n" or rng.random() < 0.5 else -far
+    yield entries, vec + EdgeVector(g, {EdgeId(ec.name, n): rng.choice([-1, 1])})
+    yield entries + [(1, circuit(far))], vec
+    yield entries + [(1, CircuitFamily(circuit(0), far, far + rng.randint(0, 40)))], vec
+
+
+def _dense_verdict(g, vec, dec):
+    """Whether dec checks and equals vec on every edge of a window past
+    all data of both by more than a full period of every ray."""
+    try:
+        dec.check(g)
+    except (FormatError, UnknownEdge, UnknownVertex, NotARay):
+        return False
+    reach, period = vec.support_bound(), 1
+    for _c, piece in dec.entries:
+        if isinstance(piece, CircuitFamily):
+            for b in (piece.lo, piece.hi):
+                if b is not None:
+                    reach = max([reach, abs(b)] + [abs(d.edge.index + b)
+                                                   for d in piece.template.darts])
+        rays = [r for seg in getattr(piece, "segments", ()) for r in seg.rays()]
+        for r in rays:
+            period = period * abs(r.shift) // math.gcd(period, abs(r.shift))
+            reach = max(reach, abs(r.start.index))
+        darts = [d for r in rays for d in r.initial + r.repeat]
+        darts += [d for seg in getattr(piece, "segments", ()) for d in seg.middle]
+        darts += list(getattr(piece, "darts", ())) + list(
+            getattr(getattr(piece, "template", None), "darts", ()))
+        reach = max([reach] + [abs(d.edge.index) for d in darts if d.edge.index is not None])
+    reach += 2 * period + g.W + 10
+    lo = 0 if g.kind == "periodic-n" else -reach
+    got = dec.window_values(g, lo, reach)
+    edges = [EdgeId(ec.name, n) for ec in g.cell_edge_classes for n in range(lo, reach + 1)]
+    edges += list(g.static_instances())
+    return all(got.get(e, 0) == vec.value_on(e) for e in edges)
+
+
+@given(st.sampled_from(sorted(CERT_GRAPHS)), seeds)
+@settings(max_examples=150, deadline=None)
+def test_verification_matches_dense_window_comparison(gname, seed):
+    g = GRAPHS[gname]
+    rng = random.Random(seed)
+    entries, vec = _random_certificate(gname, rng)
+    honest = True
+    for tampered, v in _tamperings(g, entries, vec, rng, CERT_GRAPHS[gname][0]):
+        dec = CircleDecomposition(tuple(tampered))
+        want = _dense_verdict(g, v, dec)
+        assert verify_certificate(g, v, Member(dec)) == want
+        if honest:
+            assert want  # the untampered certificate sums to its vector
+            honest = False
+
+
+def _perturbed(piece, rng):
+    """piece with one dart, bound or ray shift changed, or piece itself."""
+    def moved(darts):
+        if not darts:
+            return darts
+        i = rng.randrange(len(darts))
+        d = darts[i]
+        if d.edge.index is not None and rng.random() < 0.5:
+            d = Dart(EdgeId(d.edge.cls, d.edge.index + rng.choice([-1, 1])), d.forward)
+        else:
+            d = d.reverse()
+        return darts[:i] + (d,) + darts[i + 1:]
+
+    roll = rng.random()
+    if roll < 0.2:
+        return piece
+    if isinstance(piece, FiniteCircuit):
+        return FiniteCircuit(moved(piece.darts))
+    if isinstance(piece, CircuitFamily):
+        sides = [s for s in ("lo", "hi") if getattr(piece, s) is not None]
+        if not sides or roll < 0.4:
+            return CircuitFamily(FiniteCircuit(moved(piece.template.darts)), piece.lo, piece.hi)
+        side = rng.choice(sides)
+        return dataclasses.replace(piece, **{side: getattr(piece, side) + rng.choice([-1, 1])})
+    segs = list(piece.segments)
+    k = rng.randrange(len(segs))
+    side = rng.choice(["back", "fwd"])
+    r = getattr(segs[k], side)
+    if roll < 0.6:
+        r = dataclasses.replace(r, shift=r.shift + (1 if r.shift > 0 else -1))
+    elif roll < 0.8:
+        r = dataclasses.replace(r, repeat=moved(r.repeat))
+    else:
+        r = dataclasses.replace(r, initial=moved(r.initial))
+    segs[k] = dataclasses.replace(segs[k], **{side: r})
+    return EndCircle(tuple(segs))
+
+
+def _lone_rays(g, rng):
+    """Two rays of one repeat dart each and nothing else, so that their
+    values change at the two repeat darts alone."""
+    def ray():
+        d = _random_dart(g, rng, 0 if g.kind == "periodic-n" else -6)
+        while d.edge.index is None:
+            d = _random_dart(g, rng, 0)
+        shift = rng.randint(2, 4)
+        return Ray(VertexId("x", 0), (), (d,), shift if g.kind == "periodic-n" or rng.random() < 0.5 else -shift)
+
+    return EndCircle((RaySegment(ray(), (), ray()),))
+
+
+@given(st.sampled_from(["ladder", "chords"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_values_agree_matches_dense_window(gname, seed):
+    # pieces that need not be circles minus a copy with one change: the sum
+    # is zero exactly when the change cancels out everywhere, and the
+    # breakpoints of the certificate alone must find where it does not
+    from endcycle.membership import _values_agree
+
+    g = GRAPHS[gname]
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(rng.randint(1, 2)):
+        piece = _lone_rays(g, rng) if rng.random() < 0.3 else _random_piece(g, rng)
+        coeff = rng.choice([-2, -1, 1, 3])
+        entries += [(coeff, piece), (-coeff, _perturbed(piece, rng))]
+    dec = CircleDecomposition(tuple(entries))
+    zero = parse_vector_text(g, "")
+    reach, period = 80, 1
+    for _c, piece in entries:
+        for seg in getattr(piece, "segments", ()):
+            for r in seg.rays():
+                period = period * abs(r.shift) // math.gcd(period, abs(r.shift))
+    reach += 2 * period
+    lo = 0 if g.kind == "periodic-n" else -reach
+    got = dec.window_values(g, lo, reach)
+    assert _values_agree(g, zero, dec) == (not any(got.values()))
