@@ -22,13 +22,20 @@ from .graph import (
 from .membership import (
     Member,
     certificate_to_json,
+    find_violated_cut,
     is_member,
     verify_certificate,
 )
 from .vectors import parse_vector_text, vector_to_text
 
 _DEFAULT_SEED = 1729
-_DEFAULT_ORACLE_CAP = 64
+# the oracle enumerates every finite cut when there are at most 2^this
+# many (S, H) choices of truncation vertices and ends
+_LITERAL_ORACLE_BITS = 14
+_ORACLE_MODES = {
+    "literal": "literal: every finite cut of the window",
+    "sampled": "sampled: stars and end cuts plus 32 literal cuts",
+}
 
 
 class _CliError(Exception):
@@ -78,25 +85,35 @@ def _oracle_radius(g, vec, args):
 
 
 def _run_oracle(g, vec, verdict_member, args):
-    """Cross check with cuts.exhaustive_cut_check: every vertex star of the
-    window and the half-space cut toward each end, at a radius past the
-    data unless --radius says otherwise, plus 32 literal cuts drawn at
-    random. This is the solver's own criterion, not an enumeration of
-    every finite cut. Disagreement with the verdict is an internal error."""
+    """Cross check the verdict in a window past the data, unless --radius
+    says otherwise. When the truncation has at most 2^_LITERAL_ORACLE_BITS
+    (S, H) choices, every finite cut of the window is summed literally
+    (membership.find_violated_cut), which catches a wrong criterion too.
+    Otherwise cuts.exhaustive_cut_check runs the solver's own criterion,
+    every vertex star of the window and the half-space cut toward each
+    end, plus 32 literal cuts drawn at random. Disagreement with the
+    verdict is an internal error. Returns (radius, mode)."""
     radius = _oracle_radius(g, vec, args)
-    rng = random.Random(args.seed)
-    violated = cuts.exhaustive_cut_check(g, vec, radius, sample=32, rng=rng)
+    bits = len(g.truncate(radius).vertices) + len(tuple(g.ends()))
+    if bits <= _LITERAL_ORACLE_BITS:
+        mode = "literal"
+        found = find_violated_cut(g, vec, radius)
+        violated = None if found is None else found[0]
+    else:
+        mode = "sampled"
+        rng = random.Random(args.seed)
+        violated = cuts.exhaustive_cut_check(g, vec, radius, sample=32, rng=rng)
     if (violated is None) != verdict_member:
         if violated is None:
             raise InternalError(
-                "library answered non-member but the oracle found no "
-                "violated cut at radius %d" % radius
+                "library answered non-member but the %s oracle found no "
+                "violated cut at radius %d" % (mode, radius)
             )
         raise InternalError(
-            "library answered member but the oracle found a violated "
-            "cut: %s" % violated.describe()
+            "library answered member but the %s oracle found a violated "
+            "cut: %s" % (mode, violated.describe())
         )
-    return radius
+    return radius, mode
 
 
 def _cmd_ends(args):
@@ -142,7 +159,7 @@ def _cmd_member(args):
         raise InternalError("produced certificate failed verification")
     verdict = isinstance(cert, Member)
     if args.oracle:
-        radius = _run_oracle(g, vec, verdict, args)
+        radius, mode = _run_oracle(g, vec, verdict, args)
     payload = {
         "command": "member",
         "graph": g.spec.name,
@@ -162,8 +179,9 @@ def _cmd_member(args):
             "  cut sum: %d" % cert.cut_sum,
         ]
     if args.oracle:
-        lines.append("  oracle agreed at radius %d" % radius)
+        lines.append("  oracle agreed at radius %d (%s)" % (radius, _ORACLE_MODES[mode]))
         payload["oracle_radius"] = radius
+        payload["oracle_mode"] = mode
     _emit(args, payload, lines)
     return 0
 
@@ -405,8 +423,9 @@ def _build_parser():
         sp.add_argument(
             "--oracle",
             action="store_true",
-            help="cross-check the verdict with the star and end-flux cuts "
-            "of a window past the data plus 32 sampled literal cuts",
+            help="cross-check the verdict in a window past the data: every "
+            "finite cut when the window is small, else the star and "
+            "end-flux cuts plus 32 sampled literal cuts",
         )
         sp.add_argument(
             "--radius", type=int, help="oracle window radius"

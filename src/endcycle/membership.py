@@ -13,10 +13,17 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
   3. The tails form a circulation on the quotient multigraph whose nodes are
      the vertex classes. That circulation is peeled into simple quotient
      cycles. Drift-free cycles lift to circuit templates, repeated over a
-     shift range. Drifting cycles are either stitched into a drift-free
-     composite circuit via connector paths to a hub class, or handed to the
-     end stage as explicit rays (strands), one per residue class of the
-     drift.
+     shift range. Drifting cycles are grouped per quotient component and
+     tail side. Each group is either stitched into a drift-free composite
+     circuit via connector paths to a hub class, or handed to the end stage
+     as explicit rays (strands), one per residue class of the drift. Equal
+     + and - groups first try one two-sided composite family. Otherwise a
+     group becomes strands when its flux sum(w * |d|) (the unit ray stubs
+     strands carry) is at most sum(w) / gcd(w) (the unit cycle passes the
+     composite stitches), and a composite when it is larger and one can be
+     laid out. The choice reads only the tails, so one pass is built; only
+     when the strands' end rays overlap from every anchor tried is it
+     rebuilt with the composite wherever one can be laid out.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles.
 
@@ -87,6 +94,13 @@ def is_member(g, vec: EdgeVector):
 
 
 def decompose(g, vec: EdgeVector) -> CircleDecomposition:
+    """Write vec as a thin sum of circles, or raise NotInCycleSpace.
+
+    One assembly pass is built and self-checked. Composite or strands is
+    chosen per drifting group of the tail circulation (step 3 of the module
+    docstring): strands when the group's flux sum(w * |d|) is at most its
+    unit copy count sum(w) / gcd(w), otherwise the composite where it can
+    be laid out."""
     if vec.graph.spec is not g.spec and vec.graph.spec != g.spec:
         raise GraphMismatch("vector belongs to a different graph")
 
@@ -99,51 +113,28 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
     _check_end_flux(g, vec, deep + 1)
 
     start = deep + nb * max(g.D, 1) + W + 5
-    built = []
-    last = None
-    for prefer_strands in (False, True):
-        try:
-            dec, drifted = _assemble(g, vec, start, prefer_strands)
-        except InternalError as ex:
-            last = ex
-            continue
-        built.append(dec)
-        if not drifted:
-            # no drifting tails, so the strand pass would repeat this one
-            break
-    # self-check the smaller certificate first, ties to the first pass; the
-    # other one is checked only when that fails
-    built.sort(key=lambda dec: (len(dec.entries), _piece_weight(dec)))
-    for dec in built:
-        dec.check(g)
-        if _values_agree(g, vec, dec):
-            return dec
-        last = InternalError("decomposition does not re-sum to the input")
-    raise last
+    dec = _assemble(g, vec, start)
+    dec.check(g)
+    if not _values_agree(g, vec, dec):
+        raise InternalError("decomposition does not re-sum to the input")
+    return dec
 
 
-def _piece_weight(dec):
-    return sum(
-        1 for _c, piece in dec.entries if not isinstance(piece, CircuitFamily)
-    )
-
-
-def _assemble(g, vec, start, prefer_strands):
-    """One full pipeline pass, not yet self-checked; returns
-    (decomposition, saw drifting tails)."""
-    for attempt in range(_STRAND_RETRIES):
-        try:
-            entries, strands, resid, drifted = _peel_tails(
-                g, vec, start + 7 * attempt, prefer_strands
-            )
-            pieces = _finish_finite(g, resid, strands)
-            break
-        except _RetryStrands:
-            if attempt == _STRAND_RETRIES - 1:
-                raise InternalError(
-                    "could not lay out end rays without overlap"
+def _assemble(g, vec, start):
+    """One full pipeline pass, not yet self-checked. When the rule's strands
+    cannot be laid out without overlap, even from moved anchors, the pass
+    is rebuilt with the composite wherever one can be laid out."""
+    for avoid_strands in (False, True):
+        for attempt in range(_STRAND_RETRIES):
+            try:
+                entries, strands, resid = _peel_tails(
+                    g, vec, start + 7 * attempt, avoid_strands
                 )
-    return CircleDecomposition(tuple(entries + pieces)), drifted
+                pieces = _finish_finite(g, resid, strands)
+            except _RetryStrands:
+                continue
+            return CircleDecomposition(tuple(entries + pieces))
+    raise InternalError("could not lay out end rays without overlap")
 
 
 class _RetryStrands(Exception):
@@ -472,9 +463,10 @@ def _peel_family(g, entries, resid, coeff, template, lo, hi):
     return resid - thin_sum(fam)
 
 
-def _peel_tails(g, vec, start, prefer_strands=False):
+def _peel_tails(g, vec, start, avoid_strands=False):
     """Emit circuit families reproducing the tails; return (entries, strand
-    list, finite residue, whether any tail cycle drifts)."""
+    list, finite residue). With avoid_strands every drifting group takes
+    the composite when one can be laid out."""
     entries = []
     strands = []  # (weight, Ray, start VertexId, EndId)
     resid = vec
@@ -520,14 +512,14 @@ def _peel_tails(g, vec, start, prefer_strands=False):
             if wgt:
                 resid = _peel_family(g, entries, resid, wgt, template, lo, hi)
 
-    # drifting cycles: composite circuit when possible, strands otherwise
+    # drifting cycles: a two-sided composite for mirrored groups, then per
+    # sign group whichever of composite and strands is the smaller
     plus_drift = per_dir.get(1, ([], {}))[1]
     minus_drift = per_dir.get(-1, ([], {}))[1]
-    drifted = bool(plus_drift or minus_drift)
     for comp in sorted(set(plus_drift) | set(minus_drift)):
         cp = sorted(plus_drift.get(comp, []))
         cm = sorted(minus_drift.get(comp, []))
-        if cp and cp == cm and not prefer_strands:
+        if cp and cp == cm:
             built = _try_composite(g, cp, comp_of)
             if built is not None:
                 wgt, template = built
@@ -538,11 +530,9 @@ def _peel_tails(g, vec, start, prefer_strands=False):
         for sign, group in ((1, cp), (-1, cm)):
             if not group:
                 continue
-            built = (
-                None
-                if prefer_strands
-                else _try_composite(g, group, comp_of)
-            )
+            built = None
+            if avoid_strands or _composite_is_smaller(group):
+                built = _try_composite(g, group, comp_of)
             if built is not None:
                 wgt, template = built
                 lo, hi = (start, None) if sign > 0 else (None, -start)
@@ -552,7 +542,16 @@ def _peel_tails(g, vec, start, prefer_strands=False):
                 strands.extend(ent)
     if resid.tails:
         raise InternalError("tails survived the peeling stage")
-    return entries, strands, resid, drifted
+    return entries, strands, resid
+
+
+def _composite_is_smaller(group):
+    """Whether stitching the group's cycles into one composite beats closing
+    them as strands: strands carry sum(w * |d|) unit ray stubs, the
+    composite sum(w) / gcd(w) unit cycle passes."""
+    flux = sum(wgt * abs(delta) for wgt, delta, _s in group)
+    weights = [wgt for wgt, _d, _s in group]
+    return flux > sum(weights) // math.gcd(*weights)
 
 
 def _merge_weights(pairs):
@@ -573,9 +572,7 @@ def _unit_copies(group):
 
 def _try_composite(g, group, comp_of):
     """Common weight times one stitched drift-free template, or None."""
-    shared = 0
-    for wgt, _d, _s in group:
-        shared = math.gcd(shared, wgt)
+    shared = math.gcd(*(wgt for wgt, _d, _s in group))
     reduced = [(wgt // shared, delta, steps) for wgt, delta, steps in group]
     copies = _unit_copies(reduced)
     if copies is None:

@@ -110,6 +110,21 @@ def test_member_oracle_agrees(work, capsys):
     assert "oracle agreed at radius" in out
 
 
+def test_small_oracle_window_enumerates_every_cut(work, capsys):
+    # radius 1 on the ladder: 6 vertices and 2 ends, 2^8 (S, H) choices
+    args = ("member", "--oracle", "--radius", "1",
+            str(work / "ladder.graph"), str(work / "square.vec"))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "oracle agreed at radius 1 (literal" in out
+    code, out, _ = run(capsys, "--json", *args)
+    assert code == 0
+    assert json.loads(out)["oracle_mode"] == "literal"
+    code, out, _ = run(capsys, "--json", "member", "--oracle",
+                       str(work / "ladder.graph"), str(work / "square.vec"))
+    assert json.loads(out)["oracle_mode"] == "sampled"
+
+
 def test_oracle_disagreement_is_internal(work, capsys):
     # a starved oracle window cannot see the offending edge at index 5
     code, _, err = run(capsys, "member", "--oracle", "--radius", "0",

@@ -268,6 +268,80 @@ def test_tampered_drift_and_rail_certificates_rejected(ladder):
     assert kinds == {"coefficient", "family bound", "ray repeat dart"}
 
 
+def test_each_decision_assembles_one_pass(monkeypatch, ladder, chords):
+    # composite or strands is chosen per drifting group inside the one
+    # pass, so no decision builds a second pass to compare against
+    calls = []
+    assemble = membership._assemble
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(membership, "_assemble", counting)
+    cases = [(g, vec) for g, vec, _cert in _drift_members()]
+    cases.append((ladder, parse_vector_text(ladder, RAIL_DIFFERENCE)))
+    cases.append((chords, parse_vector_text(chords, CHORD_RAIL_LOOP)))
+    for g, vec in cases:
+        del calls[:]
+        cert = is_member(g, vec)
+        assert len(calls) == 1
+        assert isinstance(cert, Member)
+        assert verify_certificate(g, vec, cert)
+
+
+# the minimal F1 repro: on the one-ended lattice the composite of these
+# tails would shift darts below offset 0; strands close them instead
+F1_GRAPH = """\
+graph f1
+kind periodic-n
+vertex c0
+vertex c2
+edge e1 : c2 -> c0[+1]
+edge e4 : c0 -> c2
+edge e5 : c2 -> c2[+1]
+"""
+
+
+def test_one_ended_drift_repro_is_a_member():
+    g = graph_from_text(F1_GRAPH)
+    vec = parse_vector_text(
+        g, "tail+ e1 from 0 = -1\ntail+ e4 from 1 = -1\ntail+ e5 from 0 = 1")
+    cert = is_member(g, vec)
+    assert isinstance(cert, Member)
+    assert verify_certificate(g, vec, cert)
+    back = certificate_from_json(g, certificate_to_json(cert))
+    assert verify_certificate(g, vec, back)
+
+
+# drawn by the constructed-member property test: the - tails hold a
+# drifting group of flux 2 and two unit copies, so the rule picks strands,
+# and their end rays overlap from every anchor tried
+OVERLAPPING_STRANDS = """\
+graph tie
+kind periodic-z
+vertex c1
+vertex c2
+edge e1 : c1 -> c1[3]
+edge e2 : c2 -> c2[2]
+edge e3 : c2[1] -> c1[2]
+edge e4 : c1[2] -> c2[0]
+edge e5 : c1[1] -> c2[1]
+"""
+
+
+def test_overlapping_strands_fall_back_to_composites():
+    g = graph_from_text(OVERLAPPING_STRANDS)
+    vec = parse_vector_text(g, "tail+ e1 from 6 = -1\ntail+ e2 from 5 = 1\n"
+                               "tail+ e3 from 5 = 1\ntail- e3 from 4 = 2\n"
+                               "tail- e4 from 6 = 1\ntail+ e5 from 0 = 1\n"
+                               "tail- e5 from -1 = 1")
+    cert = is_member(g, vec)
+    assert isinstance(cert, Member)
+    assert verify_certificate(g, vec, cert)
+    assert not any(isinstance(p, EndCircle) for _c, p in cert.decomposition.entries)
+
+
 def test_tampered_nonmember_rejected(ladder):
     vec = parse_vector_text(ladder, RAIL_DIFFERENCE)
     zero_sum = NonMember(star_cut(parse_vertex_label("top[0]")), 0)

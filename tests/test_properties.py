@@ -5,12 +5,14 @@ import dataclasses
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from endcycle import chains as ch
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
-from endcycle.errors import FormatError, NotARay, UnknownEdge, UnknownVertex
+from endcycle.errors import (FormatError, InternalError, NotARay, UnknownEdge,
+                             UnknownVertex)
 from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
@@ -507,3 +509,112 @@ def test_values_agree_matches_dense_window(gname, seed):
     lo = 0 if g.kind == "periodic-n" else -reach
     got = dec.window_values(g, lo, reach)
     assert _values_agree(g, zero, dec) == (not any(got.values()))
+
+
+# -- members built by construction on random periodic graphs -----------------
+#
+# Random vectors are almost all non-members, so member-side coverage comes
+# from sums of shift families of closed walks: finite, one-sided and
+# two-sided, each a member by construction.
+
+def _random_periodic_z(rng):
+    """1-3 cell classes, 0-2 caps, offsets 0-3. Every cell class has an
+    edge to a shifted copy of itself, and one to three more cell edges
+    join those lines, so the graph has cycles."""
+    cells = ["c%d" % i for i in range(rng.randint(1, 3))]
+    caps = ["p%d" % i for i in range(rng.randint(0, 2))]
+    edges = ["%s -> %s[%d]" % (c, c, rng.randint(1, 3)) for c in cells]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(cells), rng.choice(cells)
+        oa, ob = rng.randint(0, 3), rng.randint(0, 3)
+        if a != b or oa != ob:
+            edges.append("%s[%d] -> %s[%d]" % (a, oa, b, ob))
+    for p in caps:
+        cell = "%s[%d]" % (rng.choice(cells), rng.randint(0, 3))
+        edges.append("%s -> %s" % ((p, cell) if rng.random() < 0.5 else (cell, p)))
+    lines = ["graph random", "kind periodic-z"]
+    lines += ["vertex %s" % c for c in cells]
+    lines += ["cap-vertex %s" % p for p in caps]
+    lines += ["edge e%d : %s" % (j, e) for j, e in enumerate(edges)]
+    return graph_from_text("\n".join(lines) + "\n")
+
+
+def _closed_walk(g, rng, start, steps, caps_ok):
+    """Walk text of `steps` random darts from start, closed by a shortest
+    path back within 12 cells of start that avoids the edges walked when
+    it can, or None when there is none."""
+    def moves(v, avoid=()):
+        return sorted(((d, u) for d, u in g.neighbors(v)
+                       if (caps_ok or u.index is not None) and d.edge not in avoid),
+                      key=lambda p: (p[0].label(), p[1].label()))
+
+    path, cur = [], start
+    for _ in range(steps):
+        options = moves(cur)
+        if not options:
+            break
+        d, cur = rng.choice(options)
+        path.append((d, cur))
+    for avoid in ({d.edge for d, _u in path}, ()):
+        prev, frontier = {cur: None}, [cur]
+        while frontier and start not in prev:
+            nxt = []
+            for v in frontier:
+                for d, u in moves(v, avoid):
+                    if u not in prev and (u.index is None or abs(u.index - start.index) <= 12):
+                        prev[u] = (v, d)
+                        nxt.append(u)
+            frontier = nxt
+        if start in prev:
+            break
+    else:
+        return None
+    back, v = [], start
+    while prev[v] is not None:
+        u, d = prev[v]
+        back.append((d, v))
+        v = u
+    labels = [start.label()]
+    for d, u in path + back[::-1]:
+        labels += [d.edge.label(), u.label()]
+    return "walk " + " ".join(labels)
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_constructed_members_decide_and_verify(seed):
+    rng = random.Random(seed)
+    g = _random_periodic_z(rng)
+    families = []
+    for _ in range(rng.randint(1, 3)):
+        shape = rng.choice(["finite", "one-sided", "two-sided"])
+        start = VertexId(rng.choice(g.spec.cell_classes), rng.randint(3, 6))
+        walk = _closed_walk(g, rng, start, rng.randint(1, 6), shape == "finite")
+        if walk is None:
+            continue
+        if shape == "finite" and " p" in walk:
+            # a static edge does not shift: a walk through a cap stands alone
+            lo = hi = "0"
+        elif shape == "finite":
+            a = rng.randint(-2, 2)
+            lo, hi = str(a), str(a + rng.randint(0, 6))
+        elif shape == "two-sided":
+            lo, hi = "-inf", "inf"
+        elif rng.random() < 0.5:
+            lo, hi = str(rng.randint(-3, 3)), "inf"
+        else:
+            lo, hi = "-inf", str(rng.randint(-3, 3))
+        families.append("coeff %d periodic %s..%s { %s }"
+                        % (rng.choice([1, 1, -1, 2]), lo, hi, walk))
+    vec = ch.edge_vector_of(ch.parse_chain_text(g, "\n".join(families)))
+    try:
+        cert = is_member(g, vec)
+    except InternalError as ex:
+        if str(ex) != "could not lay out end rays without overlap":
+            raise
+        # the open layout fault F2 of ROADMAP item 1, about 2 in 18,000 of
+        # these members with tails; drop this branch when F2 is fixed
+        pytest.xfail("known fault F2: %s" % ex)
+    assert isinstance(cert, Member)
+    back = certificate_from_json(g, certificate_to_json(cert))
+    assert verify_certificate(g, vec, back)
