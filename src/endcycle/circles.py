@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError, NotARay
-from .graph import Dart, EdgeId, Ray, VertexId
+from .graph import Dart, EdgeId, Ray, VertexId, json_list
 from .vectors import EdgeVector
 
 
@@ -309,7 +309,7 @@ def dart_to_json(d: Dart):
 
 
 def dart_from_json(obj) -> Dart:
-    if not isinstance(obj, dict) or "edge" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("edge"), str):
         raise FormatError("bad dart object %r" % (obj,))
     idx = obj.get("index")
     if idx is not None and not isinstance(idx, int):
@@ -336,14 +336,14 @@ def ray_from_json(obj) -> Ray:
     if not isinstance(obj, dict) or "start" not in obj:
         raise FormatError("bad ray object %r" % (obj,))
     st = obj["start"]
-    if not isinstance(st, dict) or "class" not in st:
+    if not isinstance(st, dict) or not isinstance(st.get("class"), str):
         raise FormatError("bad ray start %r" % (st,))
     if not isinstance(obj.get("shift"), int):
         raise FormatError("ray shift must be an integer")
     return Ray(
         VertexId(st["class"], st.get("index")),
-        tuple(dart_from_json(d) for d in obj.get("initial", [])),
-        tuple(dart_from_json(d) for d in obj.get("repeat", [])),
+        tuple(dart_from_json(d) for d in json_list(obj, "initial", "ray")),
+        tuple(dart_from_json(d) for d in json_list(obj, "repeat", "ray")),
         obj["shift"],
     )
 
@@ -364,7 +364,7 @@ def _segment_from_json(obj) -> RaySegment:
             raise FormatError("segment needs a %r ray" % key)
     return RaySegment(
         ray_from_json(obj["back"]),
-        tuple(dart_from_json(d) for d in obj.get("middle", [])),
+        tuple(dart_from_json(d) for d in json_list(obj, "middle", "segment")),
         ray_from_json(obj["forward"]),
     )
 
@@ -397,14 +397,18 @@ def piece_from_json(obj):
         raise FormatError("bad circle object %r" % (obj,))
     typ = obj.get("type")
     if typ == "circuit":
-        return FiniteCircuit(tuple(dart_from_json(d) for d in obj.get("darts", [])))
+        return FiniteCircuit(
+            tuple(dart_from_json(d) for d in json_list(obj, "darts", "circuit"))
+        )
     if typ == "family":
         lo, hi = obj.get("lo"), obj.get("hi")
         for b in (lo, hi):
             if b is not None and not isinstance(b, int):
                 raise FormatError("family bounds must be integers or null")
         return CircuitFamily(
-            FiniteCircuit(tuple(dart_from_json(d) for d in obj.get("template", []))),
+            FiniteCircuit(
+                tuple(dart_from_json(d) for d in json_list(obj, "template", "family"))
+            ),
             lo,
             hi,
         )
@@ -412,7 +416,10 @@ def piece_from_json(obj):
         return EndCircle((_segment_from_json(obj),))
     if typ == "end-circle":
         return EndCircle(
-            tuple(_segment_from_json(s) for s in obj.get("segments", []))
+            tuple(
+                _segment_from_json(s)
+                for s in json_list(obj, "segments", "end circle")
+            )
         )
     raise FormatError("unknown circle type %r" % typ)
 
@@ -430,7 +437,7 @@ def decomposition_from_json(obj) -> CircleDecomposition:
     if not isinstance(obj, dict) or "circles" not in obj:
         raise FormatError("decomposition must carry a 'circles' list")
     entries = []
-    for item in obj["circles"]:
+    for item in json_list(obj, "circles", "decomposition"):
         if not isinstance(item, dict):
             raise FormatError("bad circle entry %r" % (item,))
         coeff = item.get("coeff", 1)

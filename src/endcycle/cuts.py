@@ -25,6 +25,7 @@ from .graph import (
     VertexId,
     dart_key,
     end_key,
+    json_list,
     vertex_key,
 )
 
@@ -281,7 +282,7 @@ def vertex_to_json(v: VertexId):
 
 
 def vertex_from_json(obj):
-    if not isinstance(obj, dict) or "class" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("class"), str):
         raise FormatError("bad vertex object %r" % (obj,))
     idx = obj.get("index")
     if idx is not None and not isinstance(idx, int):
@@ -321,19 +322,22 @@ def cut_from_json(g, obj):
     kind = obj.get("kind")
     if kind == "finite-set":
         cut = FiniteSetCut(
-            frozenset(vertex_from_json(v) for v in obj.get("vertices", []))
+            frozenset(
+                vertex_from_json(v) for v in json_list(obj, "vertices", "cut")
+            )
         )
     elif kind == "half-space":
         if not isinstance(obj.get("radius"), int):
             raise FormatError("half-space cut needs an integer radius")
         cut = HalfSpaceCut(
-            tuple(EndId.parse(e) for e in obj.get("ends", [])),
+            tuple(EndId.parse(e) for e in json_list(obj, "ends", "cut", True)),
             obj["radius"],
-            frozenset(vertex_from_json(v) for v in obj.get("delta", [])),
+            frozenset(vertex_from_json(v) for v in json_list(obj, "delta", "cut")),
         )
     elif kind == "class-set":
         cut = ClassSetCut(
-            tuple(obj.get("classes", [])), tuple(obj.get("caps", []))
+            tuple(json_list(obj, "classes", "cut", True)),
+            tuple(json_list(obj, "caps", "cut", True)),
         )
     else:
         raise FormatError("unknown cut kind %r" % kind)

@@ -1051,6 +1051,17 @@ def parse_edge_label(text) -> EdgeId:
     return EdgeId(m.group(1), int(idx) if idx is not None else None)
 
 
+def json_list(obj, key, what, strings=False):
+    """obj[key] (absent: empty) when it is a list, of strings if asked;
+    anything else is a FormatError naming what holds it."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise FormatError("%s %r must be a list" % (what, key))
+    if strings and not all(isinstance(x, str) for x in items):
+        raise FormatError("%s %r must list strings" % (what, key))
+    return items
+
+
 def parse_dart_label(text) -> Dart:
     t = text.strip()
     if not t or t[-1] not in "+-":

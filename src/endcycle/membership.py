@@ -6,8 +6,10 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
   1. Every vertex star must sum to zero. A star's sum changes only where
      an incident edge's value changes or a static edge attaches, so the
      caps plus, per cell class, the first vertex of each run between such
-     indices settle every star of the window; the cost grows with the
-     description, not with the size of its indices.
+     indices settle every star of the window. The vector hands out the
+     indices where its values change (EdgeVector.breakpoints), so the cost
+     grows with the number of changes, not with the stored entries or the
+     size of the indices.
   2. The flux toward each end must vanish (a half-space cut; by step 1 its
      value does not depend on the radius).
   3. The tails form a circulation on the quotient multigraph whose nodes are
@@ -29,7 +31,8 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
 
 Steps 1 and 2 are the only obstructions: when both pass, the construction
 succeeds, and the result is compared with the input before it is returned,
-at the first indices of every run between breakpoints (_values_agree)."""
+at the first indices of every run between changes of value
+(_values_agree)."""
 
 from __future__ import annotations
 
@@ -727,14 +730,18 @@ def _cert_shape(dec: CircleDecomposition):
     """One pass over every dart of dec: (the indices where its value on a
     class may change, its extent, its period P).
 
-    The changes lie at a finite dart's index and the index after it, at
-    j + lo and j + hi + 1 for a family template dart j, and at a ray repeat
-    dart's index i0 and i0 + 1. The extent is the largest |index| of a
-    dart, a change, a family bound or a ray start; P is the least common
-    multiple of the ray shifts. Between two changes each piece's value
-    repeats with period P, and past the extent it repeats with period P
-    for good."""
+    The finite darts (circuits, segment middles, ray initial darts) are
+    summed into one signed count per (class, index), weighted by their
+    entry's coefficient; their value changes at n where count[n] differs
+    from count[n - 1]. Darts that cancel leave no change behind. The other
+    changes lie at j + lo and j + hi + 1 for a family template dart j, and
+    at a ray repeat dart's index i0 and i0 + 1. The extent is the largest
+    |index| of a change, a family bound, a ray start and of n and n + 1
+    for every finite dart n; P is the least common multiple of the ray
+    shifts. Between two changes each piece's value repeats with period P,
+    and past the extent it repeats with period P for good."""
     points = set()
+    counts = {}
     extent = 0
     period = 1
 
@@ -743,15 +750,18 @@ def _cert_shape(dec: CircleDecomposition):
         if n is not None:
             extent = max(extent, abs(n))
 
-    def darts(ds):
+    def darts(ds, c):
         for d in ds:
             n = d.edge.index
             if n is not None:
-                points.update((n, n + 1))
+                key = (d.edge.cls, n)
+                counts[key] = counts.get(key, 0) + (c if d.forward else -c)
+                bump(n)
+                bump(n + 1)
 
-    for _c, piece in dec.entries:
+    for c, piece in dec.entries:
         if isinstance(piece, FiniteCircuit):
-            darts(piece.darts)
+            darts(piece.darts, c)
         elif isinstance(piece, CircuitFamily):
             for d in piece.template.darts:
                 j = d.edge.index
@@ -766,13 +776,20 @@ def _cert_shape(dec: CircleDecomposition):
             bump(piece.hi)
         else:
             for seg in piece.segments:
-                darts(seg.middle)
-                for ray in (seg.back, seg.fwd):
+                darts(seg.middle, c)
+                for ray, rc in ((seg.back, -c), (seg.fwd, c)):
                     bump(ray.start.index)
-                    darts(ray.initial)
-                    darts(ray.repeat)
+                    darts(ray.initial, rc)
+                    for d in ray.repeat:
+                        if d.edge.index is not None:
+                            points.update((d.edge.index, d.edge.index + 1))
                     s = abs(ray.shift)
                     period = period * s // math.gcd(period, s)
+    for (cls, n), k in counts.items():
+        if counts.get((cls, n - 1), 0) != k:
+            points.add(n)
+        if counts.get((cls, n + 1), 0) != k:
+            points.add(n + 1)
     for n in points:
         bump(n)
     return points, extent, period
@@ -798,14 +815,16 @@ def _values_agree(g, vec, dec) -> bool:
     the window [-(T+P), T+P] (from 0 on a one-ended lattice), where T
     bounds the indices of both and P is dec's period.
 
-    Cut at the breakpoints of vec and of every dart of dec, the window
-    falls into runs on which vec is constant and dec repeats with period
-    P, so comparing the first min(P, run length) indices of each run
-    settles the whole window. The decomposition is evaluated over those
+    Cut at the indices where vec's value changes and where dec's value
+    can change (_cert_shape), the window falls into runs on which vec is
+    constant and dec repeats with period P, so comparing the first
+    min(P, run length) indices of each run settles the whole window.
+    Finite darts that run on or cancel add no cut, so a long circuit cuts
+    the window at its corners only. The decomposition is evaluated over those
     windows in one pass."""
     points, extent, P = _cert_shape(dec)
     for moves in vec.breakpoints().values():
-        points |= moves
+        points.update(moves)
     T = max(vec.support_bound(), extent) + g.W + 1
     lo = 0 if g.kind == KIND_PERIODIC_N else -(T + P)
     windows = _probe_windows(points, lo, T + P, P)

@@ -17,7 +17,11 @@ breakpoint, the index where the value changes; static edges hold plain
 sums. Construction from raw input, sums and thin sums fill it, and one sweep
 over each class's sorted breakpoints writes the stored form. Cost grows
 with the number of breakpoints and stored entries, not with the size of the
-indices. The one limit on the stored form is _ENTRY_CAP explicit entries
+indices. The sweep also keeps, per cell class, the indices where the value
+changes, and the largest |index| of a stored entry or threshold:
+breakpoints() and support_bound() hand those out, so the star check and
+verification pay per change of value, not per stored entry. The one limit
+on the stored form is _ENTRY_CAP explicit entries
 per class (FormatError beyond it), which a short description can still ask
 for: an explicit value far inside a one-sided tail, or a wide finite shift
 range of an untailed template.
@@ -132,7 +136,7 @@ class EdgeVector:
                     )
         acc = _Breakpoints(g)
         acc.add(self)
-        self.vals, self.tails = acc.sweep()
+        self.vals, self.tails, self._moves, self._bound = acc.sweep()
 
     def _tail_value(self, e: EdgeId):
         """Tail value covering this instance, or None if no tail covers it."""
@@ -167,27 +171,16 @@ class EdgeVector:
 
     def support_bound(self):
         """Bound b such that all explicit entries and thresholds have
-        |index| <= b."""
-        b = 0
-        for e in self.vals:
-            if e.index is not None:
-                b = max(b, abs(e.index))
-        for (t, _v) in self.tails.values():
-            b = max(b, abs(t))
-        return b
+        |index| <= b, kept from the sweep that made the stored form."""
+        return self._bound
 
     def breakpoints(self):
-        """Per cell class, the indices n where the value may differ from
-        the value at n - 1: an explicit entry and the index after it, a "+"
-        threshold, and the index after a "-" threshold. Between two of them
-        the class is constant."""
-        out = {}
-        for e in self.vals:
-            if e.index is not None:
-                out.setdefault(e.cls, set()).update((e.index, e.index + 1))
-        for (cname, direction), (t, _v) in self.tails.items():
-            out.setdefault(cname, set()).add(t if direction == "+" else t + 1)
-        return out
+        """Per cell class whose value changes somewhere, the sorted indices
+        n where the value differs from the value at n - 1 (on periodic-n,
+        where nothing lies left of 0, n = 0 when the value there is not 0).
+        Between two of them the class is constant. Kept from the sweep, so
+        the cost is one entry per class, not per stored entry."""
+        return dict(self._moves)
 
     def has_static_support(self):
         return any(e.index is None for e in self.vals)
@@ -296,11 +289,15 @@ class _Breakpoints:
             self.span(cname, None, end + k, c * v)
 
     def sweep(self):
-        """The stored form (vals, tails) of the accumulated values. A
-        periodic-n graph has nothing left of index 0, so there the value far
-        to the left is 0 and no breakpoint lies below 0."""
+        """The stored form (vals, tails) of the accumulated values, with
+        per cell class the sorted indices where the value changes and the
+        largest |index| of a stored entry or threshold. A periodic-n graph
+        has nothing left of index 0, so there the value far to the left is
+        0 and no breakpoint lies below 0."""
         vals = {e: v for e, v in self.statics.items() if v}
         tails = {}
+        moves = {}
+        bound = 0
         for cname, steps in sorted(self.steps.items()):
             value = self.left.get(cname, 0)
             points = [p for p in sorted(steps.items()) if p[1]]
@@ -308,13 +305,16 @@ class _Breakpoints:
                 if value:  # constant on the whole line: split at 0 / -1
                     tails[(cname, "+")] = (0, value)
                     tails[(cname, "-")] = (-1, value)
+                    bound = max(bound, 1)
                 continue
+            moves[cname] = tuple(i for i, _d in points)
             start = points[0][0]
             if value:
                 tails[(cname, "-")] = (start - 1, value)
+                bound = max(bound, abs(start - 1))
             stored = 0
             for i, d in points:
-                if value:
+                if value and i > start:
                     stored += i - start
                     if stored > _ENTRY_CAP:
                         raise FormatError(
@@ -323,16 +323,18 @@ class _Breakpoints:
                         )
                     for j in range(start, i):
                         vals[EdgeId(cname, j)] = value
+                    bound = max(bound, abs(start), abs(i - 1))
                 value += d
                 start = i
             if value:
                 tails[(cname, "+")] = (start, value)
-        return vals, tails
+                bound = max(bound, abs(start))
+        return vals, tails, moves, bound
 
     def vector(self):
         vec = EdgeVector.__new__(EdgeVector)
         vec.graph = self.graph
-        vec.vals, vec.tails = self.sweep()
+        vec.vals, vec.tails, vec._moves, vec._bound = self.sweep()
         return vec
 
 

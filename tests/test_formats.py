@@ -8,6 +8,7 @@ from endcycle import examples
 from endcycle.graph import graph_from_text
 from endcycle.vectors import parse_vector_text, vector_to_text
 from endcycle.errors import FormatError
+from endcycle.membership import certificate_from_json
 
 
 def test_example_names():
@@ -101,3 +102,49 @@ def test_chain_error_line(ladder):
 def test_pair_error_line(ladder):
     with pytest.raises(FormatError, match="line 2"):
         ch.parse_pair_text(ladder, "delete top[0]\nretain top[3]")
+
+
+# --- malformed certificate JSON -----------------------------------------------
+
+DART = {"edge": "rung", "forward": True, "index": 0}
+RAY = {"start": {"class": "top", "index": 0}, "initial": [], "repeat": [DART], "shift": 1}
+
+
+def _member(circle):
+    return {"verdict": "member", "decomposition": {"circles": [{"coeff": 1, **circle}]}}
+
+
+def _non_member(cut):
+    return {"verdict": "non-member", "cut": cut, "sum": 1}
+
+
+MALFORMED_CERTIFICATES = {
+    "circles not a list": {"verdict": "member", "decomposition": {"circles": 5}},
+    "circuit darts not a list": _member({"type": "circuit", "darts": 5}),
+    "dart edge not a name": _member({"type": "circuit", "darts": [{**DART, "edge": []}]}),
+    "dart without an edge": _member({"type": "circuit", "darts": [{"forward": True}]}),
+    "family template not a list": _member({"type": "family", "template": {}, "lo": 0, "hi": 1}),
+    "segments not a list": _member({"type": "end-circle", "segments": 5}),
+    "middle not a list": _member({"type": "double-ray", "back": RAY, "middle": 5, "forward": RAY}),
+    "ray repeat not a list": _member({"type": "double-ray", "back": {**RAY, "repeat": 5},
+                                      "forward": RAY}),
+    "ray initial not a list": _member({"type": "double-ray", "back": RAY,
+                                       "forward": {**RAY, "initial": "rung"}}),
+    "ray start class not a name": _member({"type": "double-ray", "back": RAY, "forward": {
+        **RAY, "start": {"class": ["top"], "index": 0}}}),
+    "finite-set vertices not a list": _non_member({"kind": "finite-set", "vertices": 5}),
+    "vertex class not a name": _non_member({"kind": "finite-set",
+                                           "vertices": [{"class": 5, "index": 0}]}),
+    "half-space ends not a list": _non_member({"kind": "half-space", "ends": 5, "radius": 3}),
+    "half-space end not a string": _non_member({"kind": "half-space", "ends": [5], "radius": 3}),
+    "half-space delta not a list": _non_member({"kind": "half-space", "ends": ["end+0"],
+                                               "radius": 3, "delta": 5}),
+    "class-set classes not a list": _non_member({"kind": "class-set", "classes": 5}),
+    "class-set caps not names": _non_member({"kind": "class-set", "classes": [], "caps": [[]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+def test_malformed_certificate_json_is_a_format_error(ladder, case):
+    with pytest.raises(FormatError):
+        certificate_from_json(ladder, MALFORMED_CERTIFICATES[case])

@@ -20,7 +20,7 @@ from endcycle.circles import (
     RaySegment,
 )
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
-from endcycle.graph import (EdgeId, Ray, graph_from_text, parse_dart_label,
+from endcycle.graph import (EdgeId, Graph, Ray, graph_from_text, parse_dart_label,
                             parse_vertex_label, vertex_key)
 from endcycle.membership import (
     Member,
@@ -528,3 +528,46 @@ def test_far_bump_is_cut_at_its_star(ladder):
     assert isinstance(cert, NonMember)
     assert (cert.cut, cert.cut_sum) == (star_cut(parse_vertex_label("top[100000]")), 1)
     assert verify_certificate(ladder, vec, cert)
+
+
+# Cost pinned by call counts: an explicit value far inside a one-sided tail
+# and rail tails closed far out cost what their description costs.
+
+def _counting(monkeypatch, owner, name):
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_far_value_inside_a_tail_costs_its_description(monkeypatch, chords):
+    calls = _counting(monkeypatch, Graph, "neighbors")
+    counts = []
+    for n in (10**3, 10**5):
+        vec = parse_vector_text(chords, CHORD_RAIL_LOOP + "set pos_step[%d] = 2\n" % n)
+        calls[0] = 0
+        cert = is_member(chords, vec)
+        counts.append(calls[0])
+        assert (cert.cut, cert.cut_sum) == (star_cut(parse_vertex_label("pos[%d]" % n)), 1)
+    assert counts[0] == counts[1]
+
+
+def test_far_rail_tails_verify_at_a_fixed_cost(monkeypatch, ladder):
+    calls = _counting(monkeypatch, EdgeVector, "value_on")
+    counts = []
+    for n in (100, 1000):
+        vec = parse_vector_text(ladder, (
+            "set rung[%d] = -1\nset rung[%d] = 1\n"
+            "tail+ rail_top from %d = 1\ntail+ rail_bot from %d = -1\n"
+            "tail- rail_top from %d = 1\ntail- rail_bot from %d = -1\n")
+            % (n, -n, n, n, -n - 1, -n - 1))
+        cert = is_member(ladder, vec)
+        calls[0] = 0
+        assert verify_certificate(ladder, vec, cert)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]

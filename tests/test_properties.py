@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endcycle import chains as ch
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
@@ -509,6 +509,103 @@ def test_values_agree_matches_dense_window(gname, seed):
     lo = 0 if g.kind == "periodic-n" else -reach
     got = dec.window_values(g, lo, reach)
     assert _values_agree(g, zero, dec) == (not any(got.values()))
+
+
+# -- finite darts that overlap and cancel -------------------------------------
+#
+# Long rail circuits and rail end circles whose rays start with initial
+# darts, summed with coefficients so that their finite darts overlap and
+# partly cancel. The certificate is compared with three vectors: zero, its
+# own sum, and its sum with the values at m..m+k-1 on every class replaced
+# by those at m - 1, for an index m where some class changes value: that
+# vector changes nowhere at m, so only a check of the certificate's own
+# changes tells the two apart.
+
+def _rectangle(a, b, forward):
+    """Along the top rail from top[a] to top[b], down rung b, back along
+    the bottom rail and up rung a; or that walk reversed."""
+    circuit = FiniteCircuit(_darts(
+        [("rail_top", i, True) for i in range(a, b)] + [("rung", b, True)]
+        + [("rail_bot", i, False) for i in range(b - 1, a - 1, -1)] + [("rung", a, False)]))
+    return circuit if forward else FiniteCircuit(tuple(d.reverse() for d in reversed(circuit.darts)))
+
+
+def _rail_circle(a, b, j):
+    """The ladder's rail difference as an end circle: from the - end along
+    the top rail through top[a]..top[b] to the + end, and back along the
+    bottom rail. Every ray starts with j initial darts."""
+    def ray(cls, rail, start, sign):
+        idx = [start + sign * i - (sign < 0) for i in range(j + 1)]
+        darts = _darts([(rail, i, sign > 0) for i in idx])
+        return Ray(VertexId(cls, start), darts[:j], darts[j:], sign)
+
+    top = RaySegment(ray("top", "rail_top", a, -1),
+                     _darts([("rail_top", i, True) for i in range(a, b)]),
+                     ray("top", "rail_top", b, 1))
+    bot = RaySegment(ray("bot", "rail_bot", b, 1),
+                     _darts([("rail_bot", i, False) for i in range(b - 1, a - 1, -1)]),
+                     ray("bot", "rail_bot", a, -1))
+    return EndCircle((top, bot))
+
+
+coeffs = st.sampled_from([-2, -1, 1, 2])
+# (coeff, kind, a, length, x, twin): x picks a rectangle's orientation or a
+# rail circle's initial darts; a twin (coeff, length change, flip) adds the
+# same piece once more, one square longer or shorter, reversed or with
+# other initial darts
+cancelling_pieces = st.lists(st.tuples(
+    coeffs, st.sampled_from(["rectangle", "rails"]), st.integers(-6, 6),
+    st.integers(0, 8), st.integers(0, 3),
+    st.one_of(st.none(), st.tuples(coeffs, st.integers(-1, 1), st.booleans()))),
+    min_size=1, max_size=3)
+
+
+@given(cancelling_pieces, st.sampled_from(["zero", "sum", "moved"]),
+       st.tuples(st.integers(0, 99), st.integers(1, 3)))
+# the shapes that a check blind to the coefficients, to the change after a
+# run of finite darts and to the class of a dart would pass
+@example([(2, "rectangle", 0, 3, 1, (1, 0, True))], "zero", (0, 1))
+@example([(1, "rectangle", 0, 4, 1, None)], "moved", (1, 2))
+@example([(1, "rectangle", 0, 4, 1, None), (1, "rectangle", 1, 4, 1, None)], "moved", (1, 1))
+@settings(max_examples=300, deadline=None)
+def test_cancelling_finite_darts_match_dense_window(pieces, mode, pick):
+    from endcycle.membership import _values_agree
+
+    g = GRAPHS["ladder"]
+    entries = []
+    vec = parse_vector_text(g, "")
+    drawn = []
+    for coeff, kind, a, length, x, twin in pieces:
+        drawn.append((coeff, kind, a, length, x))
+        if twin is not None:
+            c2, dlen, flip = twin
+            drawn.append((c2, kind, a, max(length + dlen, 0), x + flip))
+    for coeff, kind, a, length, x in drawn:
+        if kind == "rectangle":
+            piece = _rectangle(a, a + max(length, 1), x % 2 == 1)
+            part = piece.vector(g)
+        else:
+            piece = _rail_circle(a, a + length, x % 4)
+            part = parse_vector_text(g, KNOWN_MEMBERS["ladder"][1])
+        entries.append((coeff, piece))
+        vec = vec + part.scale(coeff)
+    dec = CircleDecomposition(tuple(entries))
+    if mode == "zero":
+        vec = parse_vector_text(g, "")
+    elif mode == "moved":
+        got = dec.window_values(g, -40, 40)
+        i, k = pick
+
+        def f(cls, n):
+            return got.get(EdgeId(cls, n), 0)
+
+        classes = ("rail_top", "rail_bot", "rung")
+        changes = [n for n in range(-39, 41) if any(f(c, n) != f(c, n - 1) for c in classes)]
+        if changes:
+            m = changes[i % len(changes)]
+            vec = vec + EdgeVector(g, {EdgeId(c, n): f(c, m - 1) - f(c, n)
+                                       for c in classes for n in range(m, m + k)})
+    assert _values_agree(g, vec, dec) == _dense_verdict(g, vec, dec)
 
 
 # -- members built by construction on random periodic graphs -----------------

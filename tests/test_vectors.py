@@ -22,7 +22,7 @@ from endcycle.errors import (
     UnknownEdge,
 )
 
-from conftest import LADDER, SINGLE_RAY
+from conftest import CHORDS, LADDER, SINGLE_RAY
 
 
 def test_round_trip_canonical(ladder):
@@ -195,8 +195,9 @@ def test_entry_limit(ladder):
 
 # --- stored form against a dense reference -----------------------------------
 
-DENSE = {"z": graph_from_text(LADDER), "n": graph_from_text(SINGLE_RAY)}
-CLASSES = {"z": ("rail_top", "rung"), "n": ("step",)}
+DENSE = {"z": graph_from_text(LADDER), "n": graph_from_text(SINGLE_RAY),
+         "c": graph_from_text(CHORDS)}
+CLASSES = {"z": ("rail_top", "rung"), "n": ("step",), "c": ("pos_step", "chord")}
 WINDOW = 40  # past every breakpoint the strategies below can place
 values = st.integers(-2, 2)
 
@@ -232,7 +233,7 @@ def dense(kind, raw):
     vals, tails = raw
 
     def value(cls, i):
-        if kind == "n" and i < 0:
+        if kind != "z" and i < 0:
             return 0
         if EdgeId(cls, i) in vals:
             return vals[EdgeId(cls, i)]
@@ -322,3 +323,63 @@ def test_stored_form_matches_dense_reference(kind, data):
         return out
 
     check_stored(kind, thin_sum(fam), total)
+
+
+# --- where the value changes, against a dense scan ----------------------------
+
+
+def raw_text(raw):
+    """The vector file for a raw (vals, tails) input."""
+    vals, tails = raw
+    lines = ["set %s = %d" % (e.label(), v) for e, v in vals.items()]
+    lines += ["tail%s %s from %d = %d" % (d, c, t, v) for (c, d), (t, v) in tails.items()]
+    return "\n".join(lines)
+
+
+def check_changes(kind, vec):
+    """breakpoints() is the set of n with value(n) != value(n - 1) over a
+    window past every breakpoint (from 0 on periodic-n, where nothing lies
+    left of 0), and support_bound() the largest |index| of a stored entry
+    or tail threshold."""
+    def value(cls, i):
+        if kind != "z" and i < 0:
+            return 0
+        return vec.value_on(EdgeId(cls, i))
+
+    lo = -WINDOW if kind == "z" else 0
+    want = {}
+    for cls in CLASSES[kind]:
+        moves = [n for n in range(lo, WINDOW + 1) if value(cls, n) != value(cls, n - 1)]
+        if moves:
+            want[cls] = moves
+    got = {cls: list(moves) for cls, moves in vec.breakpoints().items()}
+    assert got == want
+    bound = [abs(e.index) for e in vec.vals if e.index is not None]
+    bound += [abs(t) for t, _v in vec.tails.values()]
+    assert vec.support_bound() == max(bound, default=0)
+
+
+@given(st.sampled_from("zc"), st.data())
+@settings(max_examples=300, deadline=None)
+def test_breakpoints_and_bound_match_dense_scan(kind, data):
+    g = DENSE[kind]
+    ra, rb = data.draw(raw_inputs(kind)), data.draw(raw_inputs(kind))
+    a = parse_vector_text(g, raw_text(ra))
+    b = EdgeVector(g, *rb)
+    if kind == "c" and data.draw(st.booleans()):
+        b = b + parse_vector_text(g, "set pos_first = %d" % data.draw(values))
+    k = data.draw(st.integers(-3, 3))
+    s = data.draw(st.integers(0 if kind == "c" else -5, 5))
+    members = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        tailed = data.draw(st.booleans())
+        raw = data.draw(raw_inputs(kind, tails=tailed))
+        lo = data.draw(st.integers(0 if kind == "c" else -5, 5))
+        hi = lo + data.draw(st.integers(0, 6))
+        if not tailed:
+            lo = data.draw(st.sampled_from([lo] if kind == "c" else [lo, None]))
+            hi = data.draw(st.sampled_from([hi, None]))
+        members.append(FamilyMember(data.draw(values), EdgeVector(g, *raw), lo, hi))
+    fam = VectorFamily(g, finite=[(k, a), (data.draw(values), b)], periodic=members)
+    for vec in (a, b, a + b, a.scale(k), a.shifted(s), thin_sum(fam)):
+        check_changes(kind, vec)
