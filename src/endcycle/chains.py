@@ -11,6 +11,21 @@ The module provides admissibility checking, the boundary operator, the
 signed edge-traversal count (as an EdgeVector), subdivision into passes,
 the cycle test, homology classes and comparison, H0/Hn descriptors, and
 restriction of a chain to an admissible subgraph pair.
+
+Edge and vertex counts are written straight into vectors._Breakpoints,
+the builder behind every EdgeVector, so they cost what the chain's
+description costs, not the size of its indices. A count of stride +-1
+(a point, a family of step 1, a ray repeating with shift +-1) is one span,
+and a bounded family of step s > 1 adds one point per member. Only
+unbounded runs of stride |s| > 1 and the double runs of unbounded end-jump
+families are evaluated index by index, from their nearest anchor to two
+periods L past their farthest one. There a constant sum becomes a tail;
+a growing or non-constant periodic sum raises NotRepresentable for edges
+and InfiniteBoundarySupport for vertices. Two limits remain, both typed:
+a loop over the members of a bounded family, or over such an evaluation
+window, stops at vectors._ENTRY_CAP, the builder's own limit on stored
+entries, before it starts (NotRepresentable), and L may not exceed
+_PERIOD_CAP (NotRepresentable).
 """
 
 import math
@@ -44,11 +59,9 @@ from .graph import (
     vertex_key,
 )
 from .membership import Member, is_member
-from .vectors import EdgeVector
+from .vectors import _ENTRY_CAP, EdgeVector, _Breakpoints
 
-_WIDTH_CAP = 4096  # widest finite shift range we expand member by member
-_PERIOD_CAP = 4096
-_WINDOW_CAP = 500000
+_PERIOD_CAP = 4096  # largest period L of one class's unbounded runs
 
 
 # -- simplices ----------------------------------------------------------------
@@ -420,103 +433,133 @@ def _require_admissible(g, rep):
     return report
 
 
-# -- lattice accumulation -----------------------------------------------------
+# -- counts through the breakpoint builder ------------------------------------
 
 
-class _Lattice:
-    """Integer counts over class-indexed positions: a finite part, smears
-    {u + j*s : 0 <= j <= jhi} with jhi possibly None, and double smears
-    {u + j*s + k*t : j, k >= 0} (both directions infinite, same sign).
-    Everything is exact; evaluation is O(1) per position up to the small
-    residue search in the double-smear count."""
+class _Counts:
+    """Signed counts per cell of one chain, on their way into one
+    vectors._Breakpoints. A run of stride +-1 is one span and a bounded run
+    of stride s one point per member. Unbounded runs {u + j*s : j >= 0}
+    with |s| > 1 and double runs {u + j*s + k*t : j, k >= 0} (s and t of
+    one sign, from unbounded end-jump families) wait per class as
+    generators (u, s, t, coeff), t None for a single run, until settle()
+    writes them. Vertex counts use the same (class, index) keys."""
 
-    def __init__(self):
-        self.finite = {}  # (cls, idx or None) -> coeff
-        self.smears = {}  # (cls, u, s, jhi) -> coeff
-        self.doubles = {}  # (cls, u, s, t) -> coeff
+    def __init__(self, graph):
+        self.acc = _Breakpoints(graph)
+        self.gens = {}
 
-    def add_point(self, cls, idx, coeff):
-        if not coeff:
+    def point(self, cls, idx, c):
+        if idx is None:
+            key = EdgeId(cls, None)
+            self.acc.statics[key] = self.acc.statics.get(key, 0) + c
+        else:
+            self.acc.span(cls, idx, idx + 1, c)
+
+    def run(self, cls, u, s, n, c):
+        """Add c at u + j*s for 0 <= j < n (n None: every j >= 0)."""
+        if not c:
             return
-        key = (cls, idx)
-        self.finite[key] = self.finite.get(key, 0) + coeff
-
-    def add_smear(self, cls, u, s, jhi, coeff):
-        if not coeff:
-            return
-        if jhi is not None and jhi < 0:
-            return
-        if jhi == 0:
-            self.add_point(cls, u, coeff)
-            return
-        key = (cls, u, s, jhi)
-        self.smears[key] = self.smears.get(key, 0) + coeff
-
-    def add_double(self, cls, u, s, t, coeff):
-        if not coeff:
-            return
-        if (s > 0) != (t > 0):
-            raise InternalError("double smear directions disagree")
-        key = (cls, u, s, t)
-        self.doubles[key] = self.doubles.get(key, 0) + coeff
-
-    def prune(self):
-        self.finite = {k: v for k, v in self.finite.items() if v}
-        self.smears = {k: v for k, v in self.smears.items() if v}
-        self.doubles = {k: v for k, v in self.doubles.items() if v}
-
-    def classes(self):
-        out = set()
-        for cls, _idx in self.finite:
-            out.add(cls)
-        for cls, _u, _s, _j in self.smears:
-            out.add(cls)
-        for cls, _u, _s, _t in self.doubles:
-            out.add(cls)
-        return out
-
-    def value(self, cls, i):
-        total = self.finite.get((cls, i), 0)
-        for (c, u, s, jhi), coeff in self.smears.items():
-            if c != cls:
-                continue
-            d = i - u
-            if d % s:
-                continue
-            j = d // s
-            if j < 0 or (jhi is not None and j > jhi):
-                continue
-            total += coeff
-        for (c, u, s, t), coeff in self.doubles.items():
-            if c != cls:
-                continue
-            total += coeff * _double_count(i - u, s, t)
-        return total
-
-    def static_value(self, cls):
-        return self.finite.get((cls, None), 0)
-
-    def bounds(self, cls):
-        """(max |anchor|, lcm of periods) over this class's contributions."""
-        big = 0
-        period = 1
-        for (c, idx), _v in self.finite.items():
-            if c == cls and idx is not None:
-                big = max(big, abs(idx))
-        for (c, u, s, jhi), _v in self.smears.items():
-            if c != cls:
-                continue
-            big = max(big, abs(u))
-            if jhi is not None:
-                big = max(big, abs(u + jhi * s))
+        if s in (1, -1):
+            if s > 0:
+                self.acc.span(cls, u, None if n is None else u + n, c)
             else:
-                period = math.lcm(period, abs(s))
-        for (c, u, s, t), _v in self.doubles.items():
-            if c != cls:
-                continue
-            big = max(big, abs(u))
-            period = math.lcm(period, abs(s), abs(t))
-        return big, period
+                self.acc.span(cls, None if n is None else u - n + 1, u + 1, c)
+        elif n is None:
+            self.gens.setdefault(cls, []).append((u, s, None, c))
+        else:
+            _check_width(n)
+            for j in range(n):
+                self.acc.span(cls, u + j * s, u + j * s + 1, c)
+
+    def double(self, cls, u, s, t, c):
+        if (s > 0) != (t > 0):
+            raise InternalError("double run directions disagree")
+        if c:
+            self.gens.setdefault(cls, []).append((u, s, t, c))
+
+    def over_range(self, cls, idx, c, lo, hi, step):
+        """Add c at idx + k*step for every k in [lo, hi] (None: unbounded).
+        A pinned cell (idx None) takes c once per member."""
+        if idx is None:
+            if lo is None or hi is None:
+                raise InternalError(
+                    "pinned part survived the admissibility gate"
+                )
+            self.point(cls, None, c * (hi - lo + 1))
+        elif lo is None and hi is None:
+            self.run(cls, idx, step, None, c)
+            self.run(cls, idx - step, -step, None, c)
+        elif lo is None:
+            self.run(cls, idx + hi * step, -step, None, c)
+        else:
+            n = None if hi is None else hi - lo + 1
+            self.run(cls, idx + lo * step, step, n, c)
+
+    def settle(self):
+        """Write the generators into the builder, per class and direction
+        (the sign of s): their sum is evaluated from the nearest anchor u
+        out to two periods L past the farthest, L the lcm of their strides.
+        Past the farthest anchor each single run is L-periodic, and a
+        double run's count N(m) of j*s + k*t = m keeps
+        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu), so
+        the sum gains a fixed amount per residue each period. Two equal
+        probe periods mean it gains nothing, and a constant one is a tail.
+        Returns (class, reason) for each sum that does not settle."""
+        failures = []
+        for cls, gens in sorted(self.gens.items()):
+            for sign in (1, -1):
+                group = [gen for gen in gens if (gen[1] > 0) == (sign > 0)]
+                if group:
+                    why = self._settle_side(cls, group, sign)
+                    if why:
+                        failures.append((cls, why))
+        return failures
+
+    def _settle_side(self, cls, group, sign):
+        near = min(sign * u for u, _s, _t, _c in group)
+        far = max(sign * u for u, _s, _t, _c in group)
+        period = 1
+        for _u, s, t, _c in group:
+            period = math.lcm(period, abs(s), abs(t or 1))
+        if period > _PERIOD_CAP:
+            raise NotRepresentable(
+                "per-class period %d is too large to certify" % period
+            )
+        if far - near + 2 * period > _ENTRY_CAP:
+            raise NotRepresentable("support too large to materialize")
+        vals = []
+        for x in range(near, far + 2 * period):
+            v = 0
+            for u, s, t, c in group:
+                m = sign * x - u
+                if t is not None:
+                    v += c * _double_count(m, s, t)
+                elif m % s == 0 and m // s >= 0:
+                    v += c
+            vals.append(v)
+        w1 = vals[-2 * period : -period]
+        if w1 != vals[-period:]:
+            return "grow without bound"
+        if any(v != w1[0] for v in w1):
+            return "are periodic but not constant"
+        for x, v in zip(range(near, far), vals):
+            self.point(cls, sign * x, v)
+        if sign > 0:
+            self.acc.span(cls, far, None, w1[0])
+        else:
+            self.acc.span(cls, None, 1 - far, w1[0])
+        return None
+
+
+def _check_width(n):
+    """Loops over the members of a bounded family stop at _ENTRY_CAP, the
+    builder's own limit on stored entries, before they start."""
+    if n > _ENTRY_CAP:
+        raise NotRepresentable(
+            "family of %d members is too wide to expand" % n
+        )
+
 
 def _double_count(m, s, t):
     """Number of pairs j, k >= 0 with j*s + k*t = m (s and t same sign)."""
@@ -537,63 +580,6 @@ def _double_count(m, s, t):
     if j0 is None:
         return 0
     return (jmax - j0) // stp + 1
-
-
-def _sides(g):
-    return (1,) if g.kind == KIND_PERIODIC_N else (1, -1)
-
-
-def _window_params(g, acc, cls):
-    big, period = acc.bounds(cls)
-    if period > _PERIOD_CAP:
-        raise NotRepresentable(
-            "per-class period %d is too large to certify" % period
-        )
-    t0 = big + period * period + period + 2
-    if t0 > _WINDOW_CAP:
-        raise NotRepresentable("support too large to materialize")
-    return t0, period
-
-
-def _materialize_vector(g, acc) -> EdgeVector:
-    acc.prune()
-    vals = {}
-    tails = {}
-    for cls in sorted(acc.classes()):
-        ec = g.edge_classes[cls]
-        if ec.static:
-            v = acc.static_value(cls)
-            if v:
-                vals[EdgeId(cls, None)] = v
-            continue
-        t0, period = _window_params(g, acc, cls)
-        lo_scan = 0 if g.kind == KIND_PERIODIC_N else -t0
-        for sign in _sides(g):
-            base = t0 if sign > 0 else -t0 - period + 1
-            w1 = [acc.value(cls, base + j) for j in range(period)]
-            w2 = [
-                acc.value(cls, base + sign * period + j)
-                for j in range(period)
-            ]
-            # past the transient the per-step drift is constant per residue,
-            # so two equal windows certify the tail and unequal ones growth
-            if w1 != w2:
-                raise NotRepresentable(
-                    "traversal counts on %r grow without bound" % cls
-                )
-            if any(v != w1[0] for v in w1):
-                raise NotRepresentable(
-                    "traversal counts on %r are periodic but not constant"
-                    % cls
-                )
-            if w1[0]:
-                key = "+" if sign > 0 else "-"
-                tails[(cls, key)] = (sign * t0, w1[0])
-        for i in range(lo_scan, t0 + 1):
-            v = acc.value(cls, i)
-            if v:
-                vals[EdgeId(cls, i)] = v
-    return EdgeVector(g, vals, tails)
 
 
 # -- zero chains and the boundary ---------------------------------------------
@@ -634,95 +620,41 @@ class ZeroChain:
         return "\n".join("%s = %d" % (v.label(), c) for v, c in self.coeffs)
 
 
-def _materialize_zero_chain(g, acc) -> ZeroChain:
-    acc.prune()
-    if acc.doubles:
-        raise InternalError("vertex counts cannot carry double smears")
-    out = {}
-    for cls in sorted(acc.classes()):
-        if cls in g._cap_set:
-            v = acc.static_value(cls)
-            if v:
-                out[VertexId(cls, None)] = v
-            continue
-        t0, period = _window_params(g, acc, cls)
-        lo_scan = 0 if g.kind == KIND_PERIODIC_N else -t0
-        for sign in _sides(g):
-            base = t0 if sign > 0 else -t0 - period + 1
-            for j in range(period):
-                v = acc.value(cls, base + j)
-                if v:
-                    w = VertexId(cls, base + j)
-                    raise InfiniteBoundarySupport(
-                        "boundary support does not telescope near %s"
-                        % w.label(),
-                        witness_class=cls,
-                    )
-        for i in range(lo_scan, t0 + 1):
-            v = acc.value(cls, i)
-            if v:
-                out[VertexId(cls, i)] = v
-    return ZeroChain.from_dict(g, out)
-
-
-def _add_line(acc, cls, u, s, coeff):
-    """A smear over the whole residue line u + s*Z, as two half lines."""
-    acc.add_smear(cls, u, s, None, coeff)
-    acc.add_smear(cls, u - s, -s, None, coeff)
-
-
-def _face_contribution(acc, faces, coeff, lo, hi, step):
-    """Accumulate coeff * (head - tail) over all shifts of one member."""
-    if faces is None:
-        return
-    tail, head = faces
-    if tail == head:
-        return
-    for v, c in ((head, coeff), (tail, -coeff)):
-        if v.index is None:
-            if lo is None or hi is None:
-                raise InternalError(
-                    "pinned face survived the admissibility gate"
-                )
-            acc.add_point(v.cls, None, c * (hi - lo + 1))
-        elif lo is None and hi is None:
-            _add_line(acc, v.cls, v.index, step, c)
-        elif lo is None:
-            acc.add_smear(v.cls, v.index + hi * step, -step, None, c)
-        else:
-            jhi = None if hi is None else hi - lo
-            acc.add_smear(v.cls, v.index + lo * step, step, jhi, c)
-
-
 def boundary(rep: ChainRep) -> ZeroChain:
     """Signed endpoint count of every member. Periodic members telescope;
     a family whose endpoints march along different tracks has infinite
     boundary support, which is an error."""
     g = rep.graph
     _require_admissible(g, rep)
-    acc = _Lattice()
-    for coeff, s in rep.finite:
+    counts = _Counts(g)
+    members = [(coeff, s, 0, 0, 1) for coeff, s in rep.finite]
+    members += [
+        (m.coeff, m.template, m.lo, m.hi, m.step) for m in rep.periodic
+    ]
+    for coeff, s, lo, hi, step in members:
         faces = _simplex_faces(g, s)
         if faces is None or faces[0] == faces[1]:
             continue
         tail, head = faces
-        acc.add_point(head.cls, head.index, coeff)
-        acc.add_point(tail.cls, tail.index, -coeff)
-    for m in rep.periodic:
-        faces = _simplex_faces(g, m.template)
-        _face_contribution(acc, faces, m.coeff, m.lo, m.hi, m.step)
-    return _materialize_zero_chain(g, acc)
+        counts.over_range(head.cls, head.index, coeff, lo, hi, step)
+        counts.over_range(tail.cls, tail.index, -coeff, lo, hi, step)
+    failures = counts.settle()
+    vals, tails, _moves, _bound = counts.acc.sweep()
+    bad = sorted({cls for cls, _why in failures} | {cls for cls, _d in tails})
+    if bad:
+        raise InfiniteBoundarySupport(
+            "boundary support on %r does not telescope" % bad[0],
+            witness_class=bad[0],
+        )
+    return ZeroChain.from_dict(
+        g, {VertexId(e.cls, e.index): v for e, v in vals.items()}
+    )
 
 
 # -- the winding vector -------------------------------------------------------
 
 
-def _ray_darts_split(ray):
-    """(lead-in darts, repeat darts); both in traversal order."""
-    return tuple(ray.initial), tuple(ray.repeat)
-
-
-def _accumulate_ray(acc, ray, coeff, lo, hi, step):
+def _accumulate_ray(counts, ray, coeff, lo, hi, step):
     """Edge counts of a ray template shifted by k*step over k in [lo, hi].
     lo/hi None means unbounded; admissibility guarantees an unbounded
     range points the same way as the ray."""
@@ -730,82 +662,37 @@ def _accumulate_ray(acc, ray, coeff, lo, hi, step):
         raise InternalError(
             "a doubly unbounded jump family survived the admissibility gate"
         )
-    lead, block = _ray_darts_split(ray)
-    width = None if (lo is None or hi is None) else hi - lo + 1
-    for d in lead:
+    for d in ray.initial:
         sgn = coeff if d.forward else -coeff
-        if d.edge.index is None:
-            if width is None:
-                raise InternalError(
-                    "pinned lead-in survived the admissibility gate"
-                )
-            acc.add_point(d.edge.cls, None, sgn * width)
-        elif width is not None:
-            acc.add_smear(
-                d.edge.cls, d.edge.index + lo * step, step, width - 1, sgn
-            )
-        elif lo is None:
-            acc.add_smear(
-                d.edge.cls, d.edge.index + hi * step, -step, None, sgn
-            )
-        else:
-            acc.add_smear(
-                d.edge.cls, d.edge.index + lo * step, step, None, sgn
-            )
-    for d in block:
+        counts.over_range(d.edge.cls, d.edge.index, sgn, lo, hi, step)
+    if lo is not None and hi is not None:
+        _check_width(hi - lo + 1)
+    for d in ray.repeat:
         sgn = coeff if d.forward else -coeff
         cls, u = d.edge.cls, d.edge.index
-        if width is not None:
+        if lo is not None and hi is not None:
             for k in range(lo, hi + 1):
-                acc.add_smear(cls, u + k * step, ray.shift, None, sgn)
+                counts.run(cls, u + k * step, ray.shift, None, sgn)
         elif lo is None:
-            acc.add_double(cls, u + hi * step, ray.shift, -step, sgn)
+            counts.double(cls, u + hi * step, ray.shift, -step, sgn)
         else:
-            acc.add_double(cls, u + lo * step, ray.shift, step, sgn)
+            counts.double(cls, u + lo * step, ray.shift, step, sgn)
 
 
-def _accumulate_member(acc, g, coeff, s, lo, hi, step):
-    """One member (or one family) into the edge-count lattice."""
-    width = None if (lo is None or hi is None) else hi - lo + 1
-    if width is not None and width > _WIDTH_CAP:
-        raise NotRepresentable(
-            "family of %d members is too wide to expand" % width
-        )
+def _accumulate_member(counts, coeff, s, lo, hi, step):
+    """One member (or one family) into the edge counts."""
     if isinstance(s, Constant):
         return
     if isinstance(s, (Pass, Walk)):
         darts = (s.dart,) if isinstance(s, Pass) else s.darts
         for d in darts:
             sgn = coeff if d.forward else -coeff
-            if d.edge.index is None:
-                if width is None:
-                    raise InternalError(
-                        "pinned template survived the admissibility gate"
-                    )
-                acc.add_point(d.edge.cls, None, sgn * width)
-            elif width is not None:
-                acc.add_smear(
-                    d.edge.cls,
-                    d.edge.index + lo * step,
-                    step,
-                    width - 1,
-                    sgn,
-                )
-            elif lo is None and hi is None:
-                _add_line(acc, d.edge.cls, d.edge.index, step, sgn)
-            elif lo is None:
-                acc.add_smear(
-                    d.edge.cls, d.edge.index + hi * step, -step, None, sgn
-                )
-            else:
-                acc.add_smear(
-                    d.edge.cls, d.edge.index + lo * step, step, None, sgn
-                )
+            counts.over_range(d.edge.cls, d.edge.index, sgn, lo, hi, step)
         return
     if isinstance(s, EndJump):
-        _accumulate_ray(acc, s.out_ray, coeff, lo, hi, step)
+        _accumulate_ray(counts, s.out_ray, coeff, lo, hi, step)
         # the return leg runs its ray backwards, so every dart flips
-        _accumulate_ray(acc, s.in_ray, -coeff, lo, hi, step)
+        _accumulate_ray(counts, s.in_ray, -coeff, lo, hi, step)
         return
     raise InternalError("unknown simplex kind")
 
@@ -819,12 +706,15 @@ def edge_vector_of(rep: ChainRep) -> EdgeVector:
     that keep growing, and those raise NotRepresentable."""
     g = rep.graph
     _require_admissible(g, rep)
-    acc = _Lattice()
+    counts = _Counts(g)
     for coeff, s in rep.finite:
-        _accumulate_member(acc, g, coeff, s, 0, 0, 1)
+        _accumulate_member(counts, coeff, s, 0, 0, 1)
     for m in rep.periodic:
-        _accumulate_member(acc, g, m.coeff, m.template, m.lo, m.hi, m.step)
-    return _materialize_vector(g, acc)
+        _accumulate_member(counts, m.coeff, m.template, m.lo, m.hi, m.step)
+    failures = counts.settle()
+    if failures:
+        raise NotRepresentable("traversal counts on %r %s" % failures[0])
+    return counts.acc.vector()
 
 
 # -- subdivision --------------------------------------------------------------
@@ -838,11 +728,10 @@ def _ray_to_members(g, ray, coeff):
     """Pass members covering every edge of the ray exactly once."""
     finite = []
     periodic = []
-    lead, block = _ray_darts_split(ray)
-    for d in lead:
+    for d in ray.initial:
         finite.append((coeff, Pass(d)))
     stp = abs(ray.shift)
-    for d in block:
+    for d in ray.repeat:
         if ray.shift > 0:
             periodic.append(PeriodicMember(coeff, Pass(d), 0, None, stp))
         else:
@@ -887,10 +776,7 @@ def subdivide_to_passes(rep: ChainRep) -> ChainRep:
                     "an unbounded family of end jumps does not subdivide"
                     " into shift-periodic passes"
                 )
-            if width > _WIDTH_CAP:
-                raise NotRepresentable(
-                    "family of %d members is too wide to expand" % width
-                )
+            _check_width(width)
             for k in range(m.lo, m.hi + 1):
                 one(m.coeff, _shift_simplex(m.template, k * m.step))
             continue

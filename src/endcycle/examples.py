@@ -181,12 +181,3 @@ def example_graph(name):
     docs = example_documents(name)
     return graph_from_text(docs[name + ".graph"])
 
-
-def all_graph_documents():
-    """Every graph document in the corpus, keyed by file name."""
-    out = {}
-    for docs in EXAMPLES.values():
-        for fname, text in docs.items():
-            if fname.endswith(".graph"):
-                out[fname] = text
-    return out

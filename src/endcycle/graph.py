@@ -749,12 +749,6 @@ class Graph:
         t, h = self.endpoints(d.edge)
         return (t, h) if d.forward else (h, t)
 
-    def shift_vertex(self, v, k):
-        self.require_vertex(v)
-        if v.index is None:
-            raise UnknownVertex("cap vertex %s cannot be shifted" % v.label())
-        return self.require_vertex(VertexId(v.cls, v.index + k))
-
     def shift_edge(self, e, k):
         ec = self.require_edge(e)
         if ec.static:

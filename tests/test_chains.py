@@ -1,5 +1,7 @@
 """1-chains: admissibility, boundary, winding, homology, restriction."""
 
+import time
+
 import pytest
 
 from endcycle import chains as ch
@@ -9,6 +11,7 @@ from endcycle.membership import Member, NonMember, is_member
 from endcycle.vectors import parse_vector_text
 from endcycle.errors import (
     BadDimension,
+    EndcycleError,
     FormatError,
     InfiniteBoundarySupport,
     NonzeroBoundary,
@@ -209,6 +212,92 @@ def test_jump_family_vector_unrepresentable(chords):
     assert ch.check_admissible(chords, fam).ok
     with pytest.raises(NotRepresentable):
         ch.edge_vector_of(fam)
+
+
+def _square(n):
+    return (
+        "walk top[{0}] rail_top[{0}] top[{1}] rung[{1}] bot[{1}] "
+        "rail_bot[{0}] bot[{0}] rung[{0}] top[{0}]".format(n, n + 1)
+    )
+
+
+def _jump_pair(back, step=1):
+    # out along rail_top from top[0], back along rail_top from top[back]
+    return (
+        "periodic 0..inf step %d { endjump top[0] repeat rail_top[0]+ ; "
+        "top[%d] repeat rail_top[%d]+ }" % (step, back, back)
+    )
+
+
+def test_step_two_square_families_vector(ladder):
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..inf step 2 { %s }\nperiodic 0..inf step 2 { %s }"
+        % (_square(0), _square(1)),
+    )
+    assert ch.edge_vector_of(rep) == parse_vector_text(
+        ladder,
+        "set rung[0] = -1\ntail+ rail_top from 0 = 1\n"
+        "tail+ rail_bot from 0 = -1",
+    )
+
+
+def test_jump_families_cancel_to_tails(ladder):
+    # each family alone grows along rail_top; the difference is constant
+    for back, expect in (
+        (1, "tail+ rail_top from 0 = 1"),
+        (3, "set rail_top[0] = 1\nset rail_top[1] = 2\n"
+            "tail+ rail_top from 2 = 3"),
+    ):
+        vec = ch.edge_vector_of(ch.parse_chain_text(ladder, _jump_pair(back)))
+        assert vec == parse_vector_text(ladder, expect)
+
+
+def test_step_three_jump_family_is_periodic_not_constant(ladder):
+    rep = ch.parse_chain_text(ladder, _jump_pair(1, step=3))
+    with pytest.raises(NotRepresentable):
+        ch.edge_vector_of(rep)
+    with pytest.raises(InfiniteBoundarySupport) as exc:
+        ch.boundary(rep)
+    assert exc.value.witness_class == "top"
+
+
+def test_far_square_and_far_jump(ladder):
+    rep = ch.parse_chain_text(ladder, _square(10**6))
+    vec = ch.homology_class(ladder, rep)
+    assert len(vec.vals) == 4 and not vec.tails
+    assert vec.value_on(parse_edge_label("rung[1000001]")) == 1
+    assert isinstance(is_member(ladder, vec), Member)
+    n = 10**9
+    jump = ch.parse_chain_text(
+        ladder,
+        "endjump top[%d] repeat rail_top[%d]+ ; "
+        "top[%d] rung[%d]+ repeat rail_bot[%d]+" % (n, n, n, n, n),
+    )
+    assert ch.edge_vector_of(jump) == parse_vector_text(
+        ladder,
+        "set rung[%d] = -1\ntail+ rail_top from %d = 1\n"
+        "tail+ rail_bot from %d = -1" % (n, n, n),
+    )
+
+
+def test_wide_square_family(ladder):
+    rep = ch.parse_chain_text(ladder, "periodic 0..5000 { %s }" % _square(0))
+    vec = ch.edge_vector_of(rep)
+    assert len(vec.vals) == 10004 and not vec.tails
+
+
+def test_wide_jump_family_is_refused_before_expanding(ladder):
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..1000000000 { endjump top[0] repeat rail_top[0]+ ; "
+        "top[0] rung[0]+ repeat rail_bot[0]+ }",
+    )
+    for op in (ch.edge_vector_of, ch.subdivide_to_passes):
+        t0 = time.perf_counter()
+        with pytest.raises(EndcycleError):
+            op(rep)
+        assert time.perf_counter() - t0 < 1.0
 
 
 # --- subdivision -----------------------------------------------------------

@@ -44,12 +44,6 @@ def test_example_graph_matches_documents():
     assert g.spec.name == "double-ladder"
 
 
-def test_all_graph_documents():
-    seen = dict(examples.all_graph_documents())
-    assert "double-ladder.graph" in seen
-    assert "intro-plain.graph" in seen
-
-
 def test_vector_emit_is_stable():
     for name in examples.example_names():
         docs = examples.example_documents(name)

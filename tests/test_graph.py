@@ -42,15 +42,14 @@ def test_neighbors_and_shift(ladder):
     v = parse_vertex_label("top[0]")
     nb = {u.label() for _, u in ladder.neighbors(v)}
     assert nb == {"top[-1]", "top[1]", "bot[0]"}
-    assert ladder.shift_vertex(v, 5) == VertexId("top", 5)
     assert ladder.shift_edge(EdgeId("rail_top", 1), -3) == EdgeId("rail_top", -2)
 
 
-def test_cap_vertices_do_not_shift(chords):
+def test_static_edges_do_not_shift(chords):
     origin = parse_vertex_label("origin")
     assert origin.index is None
-    with pytest.raises(UnknownVertex):
-        chords.shift_vertex(origin, 4)
+    with pytest.raises(UnknownEdge):
+        chords.shift_edge(EdgeId("pos_first", None), 4)
 
 
 def test_truncate_counts(ladder):

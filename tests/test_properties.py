@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from endcycle import chains as ch
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
-from endcycle.errors import (FormatError, InternalError, NotARay, UnknownEdge,
-                             UnknownVertex)
+from endcycle.errors import (FormatError, InfiniteBoundarySupport,
+                             InternalError, NotARay, NotRepresentable,
+                             UnknownEdge, UnknownVertex)
 from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
@@ -159,6 +160,224 @@ def test_homologous_iff_equal_vectors(seed, i, j):
     same = ch.homologous(g, c1, c2)
     assert same == (ch.edge_vector_of(c1) == ch.edge_vector_of(c2))
     assert same == ((i, j) == (k, l))
+
+
+# -- chain counts against a dense unroll --------------------------------------
+#
+# Families of walks and of end jumps, with steps 1-3, bounded, one-sided and
+# two-sided ranges, near an anchor up to 10^6 from 0. The reference sums the
+# darts and faces of every member that reaches a window around the anchor
+# and reads each escape direction off the window's two ends.
+
+_SPREAD = 64  # half-width of the window; every run starts within 35 of
+# the anchor, so two probe periods at each end lie past all of them
+_PROBE = 12  # a multiple of every stride drawn: steps 1-3, ray shifts 1-2
+
+
+def _hop(g, rng, v, sign=None):
+    """A cell dart out of v with the vertex it reaches: along v's own class
+    by sign, or, sign None, to another class at the same index."""
+    opts = [(d, u) for d, u in g.neighbors(v)
+            if u.index is not None and d.edge.index is not None
+            and (u.cls == v.cls and u.index == v.index + sign if sign
+                 else u.cls != v.cls and u.index == v.index)]
+    return rng.choice(opts)
+
+
+def _random_walk(g, rng, v, caps_ok):
+    start, darts = v, []
+    for _ in range(rng.randint(1, 4)):
+        d, v = rng.choice([(d, u) for d, u in g.neighbors(v)
+                           if caps_ok or u.index is not None])
+        darts.append(d)
+    return ch.Walk(start, tuple(darts))
+
+
+def _random_ray(g, rng, v, sign):
+    """From v towards sign: up to two lead-in hops, then a repeat block of
+    one or two rail steps, or a zigzag over another class and back. Drawn
+    again until the ray is a path."""
+    while True:
+        u, initial = v, []
+        for _ in range(rng.randint(0, 2)):
+            d, u = _hop(g, rng, u, rng.choice([None, sign]))
+            initial.append(d)
+        anchor, repeat = u, []
+        shape = rng.choice([(sign,), (sign, sign), (None, sign, None, sign)])
+        for how in shape:
+            if how is None and repeat:  # back to the anchor's class
+                d, u = next((d, w) for d, w in g.neighbors(u)
+                            if w.cls == anchor.cls and w.index == u.index)
+            else:
+                d, u = _hop(g, rng, u, how)
+            repeat.append(d)
+        ray = Ray(v, tuple(initial), tuple(repeat), u.index - anchor.index)
+        try:
+            g.check_ray(ray)
+        except NotARay:
+            continue
+        return ray
+
+
+def _random_family_chain(g, rng):
+    """(chain, anchor): one to four walks, end jumps and families of them."""
+    one_ended = g.kind == "periodic-n"
+    far = rng.random() < 0.5
+    if one_ended:
+        base = rng.randint(0, 10**6) if far else rng.randint(0, 5)
+    else:
+        base = rng.randint(-10**6, 10**6) if far else rng.randint(-5, 5)
+
+    def vertex():
+        off = rng.randint(0, 3) if one_ended else rng.randint(-3, 3)
+        return VertexId(rng.choice(g.cell_classes), base + off)
+
+    finite, periodic = [], []
+    for _ in range(rng.randint(1, 4)):
+        coeff = rng.randint(-2, 3)
+        jump = rng.random() < 0.5
+        sign = 1 if one_ended else rng.choice([1, -1])
+        if jump:
+            s = ch.EndJump(_random_ray(g, rng, vertex(), sign),
+                           _random_ray(g, rng, vertex(), sign))
+        else:
+            s = _random_walk(g, rng, vertex(), rng.random() < 0.3)
+        if rng.random() < 0.3 or any(
+                d.edge.index is None for d in getattr(s, "darts", ())):
+            finite.append((coeff, s))
+            continue
+        step = rng.randint(1, 3)
+        lo = rng.randint(0, 4) if one_ended else rng.randint(-4, 4)
+        hi = lo + rng.randint(0, 5)
+        shape = rng.choice(["bounded", "up", "down", "both"])
+        if jump and shape != "bounded":
+            # an unbounded jump family runs the way of its rays
+            shape = "up" if sign > 0 else "down"
+        if one_ended and shape in ("down", "both"):
+            shape = "up"
+        lo = None if shape in ("down", "both") else lo
+        hi = None if shape in ("up", "both") else hi
+        periodic.append(ch.PeriodicMember(coeff, s, lo, hi, step))
+        if jump and rng.random() < 0.5:
+            # the same jumps back along another ray: the growth can cancel
+            back = ch.EndJump(s.out_ray, _random_ray(g, rng, vertex(), sign))
+            periodic.append(ch.PeriodicMember(-coeff, back, lo, hi, step))
+    return ch.ChainRep(g, tuple(finite), tuple(periodic)), base
+
+
+def _dense_counts(g, rep, wlo, whi):
+    """Signed dart counts per (class, index) and signed face counts
+    (head minus tail) per vertex, over every member that reaches
+    [wlo, whi]; static edges and caps (index None) are counted whole."""
+    edges, verts = {}, {}
+
+    def add(table, cls, idx, k, c):
+        if idx is not None:
+            idx += k
+            if not wlo <= idx <= whi:
+                return
+        table[(cls, idx)] = table.get((cls, idx), 0) + c
+
+    def darts(ds, k, c):
+        for d in ds:
+            add(edges, d.edge.cls, d.edge.index, k, c if d.forward else -c)
+
+    def ray(r, k, c):
+        darts(r.initial, k, c)
+        for p in range((whi - wlo) // abs(r.shift) + 2 * _SPREAD):
+            darts(r.repeat, k + p * r.shift, c)
+
+    def member(s, k, c):
+        if isinstance(s, ch.EndJump):
+            ray(s.out_ray, k, c)
+            ray(s.in_ray, k, -c)
+            tail, head = s.out_ray.start, s.in_ray.start
+        else:
+            darts(s.darts, k, c)
+            seq = g.walk_from(s.start, s.darts)
+            tail, head = seq[0], seq[-1]
+        add(verts, head.cls, head.index, k, c)
+        add(verts, tail.cls, tail.index, k, -c)
+
+    for c, s in rep.finite:
+        member(s, 0, c)
+    for m in rep.periodic:
+        # members past these bounds start beyond the window; rays run away
+        # from it, as admissible jump families point the way of their rays
+        reach = (whi - wlo + 4 * _SPREAD) // m.step
+        lo = -reach if m.lo is None else m.lo
+        hi = reach if m.hi is None else m.hi
+        for k in range(lo, hi + 1):
+            member(m.template, k * m.step, m.coeff)
+    return edges, verts
+
+
+def _ends(g, counts, cls, wlo, whi):
+    """(values on the window, {direction: far value}) of one cell class,
+    or a reason when some end grows or is periodic but not constant."""
+    vals = [counts.get((cls, i), 0) for i in range(wlo, whi + 1)]
+    ends = {}
+    sides = [("+", vals[::-1])]
+    if g.kind != "periodic-n":
+        sides.append(("-", vals))
+    for direction, outward in sides:
+        w1 = outward[_PROBE:2 * _PROBE]
+        w2 = outward[:_PROBE]
+        if w1 != w2:
+            return vals, "grows"
+        if any(v != w1[0] for v in w1):
+            return vals, "periodic"
+        ends[direction] = w1[0]
+    return vals, ends
+
+
+@given(st.sampled_from(["ladder", "chords", "triple"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_chain_counts_match_dense_unroll(gname, seed):
+    g = GRAPHS[gname]
+    rep, base = _random_family_chain(g, random.Random(seed))
+    wlo, whi = base - _SPREAD, base + _SPREAD
+    if g.kind == "periodic-n":
+        wlo = max(0, wlo)
+    edges, verts = _dense_counts(g, rep, wlo, whi)
+
+    vals, tails, bad = {}, {}, None
+    for ec in g.edge_classes.values():
+        if ec.static:
+            vals[EdgeId(ec.name, None)] = edges.get((ec.name, None), 0)
+            continue
+        window, ends = _ends(g, edges, ec.name, wlo, whi)
+        if isinstance(ends, str):
+            bad = ends
+            continue
+        vals.update((EdgeId(ec.name, wlo + j), v) for j, v in enumerate(window))
+        tails[(ec.name, "+")] = (whi + 1, ends["+"])
+        if "-" in ends:
+            tails[(ec.name, "-")] = (wlo - 1, ends["-"])
+        elif wlo > 0:
+            assert not any(window[:2 * _PROBE])  # nothing left of the window
+    if bad:
+        with pytest.raises(NotRepresentable):
+            ch.edge_vector_of(rep)
+    else:
+        assert ch.edge_vector_of(rep) == EdgeVector(
+            g, {e: v for e, v in vals.items() if v}, tails)
+
+    points, unsettled = {}, set()
+    for cls in g.cell_classes:
+        window, ends = _ends(g, verts, cls, wlo, whi)
+        if isinstance(ends, str) or any(ends.values()):
+            unsettled.add(cls)
+        points.update((VertexId(cls, wlo + j), v) for j, v in enumerate(window))
+    for (cls, idx), v in verts.items():
+        if idx is None:
+            points[VertexId(cls, None)] = v
+    if unsettled:
+        with pytest.raises(InfiniteBoundarySupport) as exc:
+            ch.boundary(rep)
+        assert exc.value.witness_class == min(unsettled)
+    else:
+        assert ch.boundary(rep) == ch.ZeroChain.from_dict(g, points)
 
 
 # -- window evaluation of circle pieces --------------------------------------
