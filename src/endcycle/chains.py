@@ -15,17 +15,19 @@ restriction of a chain to an admissible subgraph pair.
 Edge and vertex counts are written straight into vectors._Breakpoints,
 the builder behind every EdgeVector, so they cost what the chain's
 description costs, not the size of its indices. A count of stride +-1
-(a point, a family of step 1, a ray repeating with shift +-1) is one span,
-and a bounded family of step s > 1 adds one point per member. Only
-unbounded runs of stride |s| > 1 and the double runs of unbounded end-jump
-families are evaluated index by index, from their nearest anchor to two
-periods L past their farthest one. There a constant sum becomes a tail;
-a growing or non-constant periodic sum raises NotRepresentable for edges
-and InfiniteBoundarySupport for vertices. Two limits remain, both typed:
-a loop over the members of a bounded family, or over such an evaluation
-window, stops at vectors._ENTRY_CAP, the builder's own limit on stored
-entries, before it starts (NotRepresentable), and L may not exceed
-_PERIOD_CAP (NotRepresentable).
+(a point, a family of step 1, a single ray repeating with shift +-1) is
+one span, and a bounded family of step s > 1 adds one point per member.
+Only unbounded runs of stride |s| > 1 and the repeat darts of end-jump
+families are evaluated index by index: a family's copies of one repeat
+dart form one double run, however wide the family is, and the sum is
+evaluated from the nearest anchor to two periods L past the farthest one.
+There a constant sum becomes a tail; a growing or non-constant periodic
+sum raises NotRepresentable for edges and InfiniteBoundarySupport for
+vertices. Two limits remain, both raising NotRepresentable: the counts
+may not need more than vectors._ENTRY_CAP stored entries on one class,
+the builder's own limit, which a loop over the members of a bounded
+family or over an evaluation window checks before it starts; and L may
+not exceed _PERIOD_CAP.
 """
 
 import math
@@ -439,11 +441,12 @@ def _require_admissible(g, rep):
 class _Counts:
     """Signed counts per cell of one chain, on their way into one
     vectors._Breakpoints. A run of stride +-1 is one span and a bounded run
-    of stride s one point per member. Unbounded runs {u + j*s : j >= 0}
-    with |s| > 1 and double runs {u + j*s + k*t : j, k >= 0} (s and t of
-    one sign, from unbounded end-jump families) wait per class as
-    generators (u, s, t, coeff), t None for a single run, until settle()
-    writes them. Vertex counts use the same (class, index) keys."""
+    of stride s one point per member. Every other count is a double run
+    {u + j*s + k*t : j >= 0, 0 <= k < n} with s and t of one sign (n None:
+    every k >= 0): an unbounded run of stride |s| > 1 has n = 1, a bounded
+    end-jump family n = its width, an unbounded one n = None. Double runs
+    wait per class as generators (u, s, t, n, coeff) until settle() writes
+    them. Vertex counts use the same (class, index) keys."""
 
     def __init__(self, graph):
         self.acc = _Breakpoints(graph)
@@ -466,17 +469,19 @@ class _Counts:
             else:
                 self.acc.span(cls, None if n is None else u - n + 1, u + 1, c)
         elif n is None:
-            self.gens.setdefault(cls, []).append((u, s, None, c))
+            self.double(cls, u, s, s, 1, c)
         else:
             _check_width(n)
             for j in range(n):
                 self.acc.span(cls, u + j * s, u + j * s + 1, c)
 
-    def double(self, cls, u, s, t, c):
+    def double(self, cls, u, s, t, n, c):
         if (s > 0) != (t > 0):
             raise InternalError("double run directions disagree")
-        if c:
-            self.gens.setdefault(cls, []).append((u, s, t, c))
+        if n == 1 and s in (1, -1):
+            self.run(cls, u, s, None, c)
+        elif c:
+            self.gens.setdefault(cls, []).append((u, s, t, n, c))
 
     def over_range(self, cls, idx, c, lo, hi, step):
         """Add c at idx + k*step for every k in [lo, hi] (None: unbounded).
@@ -498,14 +503,15 @@ class _Counts:
 
     def settle(self):
         """Write the generators into the builder, per class and direction
-        (the sign of s): their sum is evaluated from the nearest anchor u
-        out to two periods L past the farthest, L the lcm of their strides.
-        Past the farthest anchor each single run is L-periodic, and a
-        double run's count N(m) of j*s + k*t = m keeps
-        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu), so
-        the sum gains a fixed amount per residue each period. Two equal
-        probe periods mean it gains nothing, and a constant one is a tail.
-        Returns (class, reason) for each sum that does not settle."""
+        (the sign of s): their sum is evaluated from the nearest anchor out
+        to two periods L past the farthest one, where a generator's farthest
+        anchor is u + (n-1)*t. Past it, a bounded double run repeats with
+        period |s|, and an unbounded one's count N(m) of j*s + k*t = m keeps
+        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu) with
+        L = lcm(s, t), so the sum gains a fixed amount per residue each
+        period. Two equal probe periods mean it gains nothing, and a
+        constant one is a tail. Returns (class, reason) for each sum that
+        does not settle."""
         failures = []
         for cls, gens in sorted(self.gens.items()):
             for sign in (1, -1):
@@ -517,27 +523,27 @@ class _Counts:
         return failures
 
     def _settle_side(self, cls, group, sign):
-        near = min(sign * u for u, _s, _t, _c in group)
-        far = max(sign * u for u, _s, _t, _c in group)
+        # x counts outward: x = sign * index, strides taken positive
+        gens = [
+            (sign * u, abs(s), abs(t), n, c) for u, s, t, n, c in group
+        ]
+        near = min(a for a, _s, _t, _n, _c in gens)
+        far = max(
+            a if n is None else a + (n - 1) * t for a, _s, t, n, _c in gens
+        )
         period = 1
-        for _u, s, t, _c in group:
-            period = math.lcm(period, abs(s), abs(t or 1))
+        for _a, s, t, n, _c in gens:
+            period = math.lcm(period, s if n is not None else math.lcm(s, t))
         if period > _PERIOD_CAP:
             raise NotRepresentable(
                 "per-class period %d is too large to certify" % period
             )
         if far - near + 2 * period > _ENTRY_CAP:
             raise NotRepresentable("support too large to materialize")
-        vals = []
-        for x in range(near, far + 2 * period):
-            v = 0
-            for u, s, t, c in group:
-                m = sign * x - u
-                if t is not None:
-                    v += c * _double_count(m, s, t)
-                elif m % s == 0 and m // s >= 0:
-                    v += c
-            vals.append(v)
+        vals = [
+            sum(c * _double_count(x - a, s, t, n) for a, s, t, n, c in gens)
+            for x in range(near, far + 2 * period)
+        ]
         w1 = vals[-2 * period : -period]
         if w1 != vals[-period:]:
             return "grow without bound"
@@ -561,25 +567,16 @@ def _check_width(n):
         )
 
 
-def _double_count(m, s, t):
-    """Number of pairs j, k >= 0 with j*s + k*t = m (s and t same sign)."""
-    if s < 0:
-        m, s, t = -m, -s, -t
-    if m < 0:
+def _double_count(m, s, t, n):
+    """Number of pairs j >= 0, 0 <= k < n (n None: k >= 0) with
+    j*s + k*t = m, for s, t > 0."""
+    g = math.gcd(s, t)
+    if m < 0 or m % g:
         return 0
-    gg = math.gcd(s, t)
-    if m % gg:
-        return 0
-    jmax = m // s
-    stp = t // gg
-    j0 = None
-    for j in range(min(stp, jmax + 1)):
-        if (m - j * s) % t == 0:
-            j0 = j
-            break
-    if j0 is None:
-        return 0
-    return (jmax - j0) // stp + 1
+    m, s, t = m // g, s // g, t // g
+    k0 = m * pow(t, -1, s) % s  # smallest k with k*t = m modulo s
+    kmax = m // t if n is None else min(m // t, n - 1)
+    return (kmax - k0) // s + 1 if kmax >= k0 else 0
 
 
 # -- zero chains and the boundary ---------------------------------------------
@@ -639,7 +636,10 @@ def boundary(rep: ChainRep) -> ZeroChain:
         counts.over_range(head.cls, head.index, coeff, lo, hi, step)
         counts.over_range(tail.cls, tail.index, -coeff, lo, hi, step)
     failures = counts.settle()
-    vals, tails, _moves, _bound = counts.acc.sweep()
+    try:
+        vals, tails, _moves, _bound = counts.acc.sweep()
+    except FormatError as ex:
+        raise NotRepresentable(str(ex))
     bad = sorted({cls for cls, _why in failures} | {cls for cls, _d in tails})
     if bad:
         raise InfiniteBoundarySupport(
@@ -657,7 +657,8 @@ def boundary(rep: ChainRep) -> ZeroChain:
 def _accumulate_ray(counts, ray, coeff, lo, hi, step):
     """Edge counts of a ray template shifted by k*step over k in [lo, hi].
     lo/hi None means unbounded; admissibility guarantees an unbounded
-    range points the same way as the ray."""
+    range points the same way as the ray. A repeat dart's copies form one
+    double run, counted from the member whose ray starts farthest back."""
     if lo is None and hi is None:
         raise InternalError(
             "a doubly unbounded jump family survived the admissibility gate"
@@ -665,18 +666,12 @@ def _accumulate_ray(counts, ray, coeff, lo, hi, step):
     for d in ray.initial:
         sgn = coeff if d.forward else -coeff
         counts.over_range(d.edge.cls, d.edge.index, sgn, lo, hi, step)
-    if lo is not None and hi is not None:
-        _check_width(hi - lo + 1)
+    n = None if lo is None or hi is None else hi - lo + 1
+    first, t = (lo, step) if ray.shift > 0 else (hi, -step)
     for d in ray.repeat:
         sgn = coeff if d.forward else -coeff
-        cls, u = d.edge.cls, d.edge.index
-        if lo is not None and hi is not None:
-            for k in range(lo, hi + 1):
-                counts.run(cls, u + k * step, ray.shift, None, sgn)
-        elif lo is None:
-            counts.double(cls, u + hi * step, ray.shift, -step, sgn)
-        else:
-            counts.double(cls, u + lo * step, ray.shift, step, sgn)
+        u = d.edge.index + first * step
+        counts.double(d.edge.cls, u, ray.shift, t, n, sgn)
 
 
 def _accumulate_member(counts, coeff, s, lo, hi, step):
@@ -714,7 +709,10 @@ def edge_vector_of(rep: ChainRep) -> EdgeVector:
     failures = counts.settle()
     if failures:
         raise NotRepresentable("traversal counts on %r %s" % failures[0])
-    return counts.acc.vector()
+    try:
+        return counts.acc.vector()
+    except FormatError as ex:
+        raise NotRepresentable(str(ex))
 
 
 # -- subdivision --------------------------------------------------------------

@@ -11,7 +11,6 @@ from endcycle.membership import Member, NonMember, is_member
 from endcycle.vectors import parse_vector_text
 from endcycle.errors import (
     BadDimension,
-    EndcycleError,
     FormatError,
     InfiniteBoundarySupport,
     NonzeroBoundary,
@@ -295,9 +294,52 @@ def test_wide_jump_family_is_refused_before_expanding(ladder):
     )
     for op in (ch.edge_vector_of, ch.subdivide_to_passes):
         t0 = time.perf_counter()
-        with pytest.raises(EndcycleError):
+        with pytest.raises(NotRepresentable):
             op(rep)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_wide_shift_two_jump_family_is_linear(ladder):
+    # each member rides both rails from index k on with repeat shift 2
+    w = 10**5
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..%d { endjump top[0] repeat rail_top[0]+ rail_top[1]+ ; "
+        "top[0] rung[0]+ repeat rail_bot[0]+ rail_bot[1]+ }" % w,
+    )
+    t0 = time.perf_counter()
+    vec = ch.edge_vector_of(rep)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(vec.vals) == 3 * w + 1
+    assert vec.tails == {
+        ("rail_top", "+"): (w, w + 1), ("rail_bot", "+"): (w, -w - 1)
+    }
+    for k in (0, 1, 2, w // 2, w - 1):
+        assert vec.value_on(parse_edge_label("rail_top[%d]" % k)) == k + 1
+        assert vec.value_on(parse_edge_label("rail_bot[%d]" % k)) == -k - 1
+        assert vec.value_on(parse_edge_label("rung[%d]" % k)) == -1
+
+
+def test_step_two_jump_family_grows(ladder):
+    # the count on rail_top[m] is m // 2 + 1: it repeats nothing per step
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..inf step 2 { endjump top[0] repeat rail_top[0]+ ; "
+        "top[0] rung[0]+ repeat rail_bot[0]+ }",
+    )
+    with pytest.raises(NotRepresentable):
+        ch.edge_vector_of(rep)
+
+
+def test_counts_past_the_entry_cap_are_not_representable(ladder):
+    rep = ch.parse_chain_text(ladder, "periodic 0..500000 { %s }" % _square(0))
+    with pytest.raises(NotRepresentable):
+        ch.edge_vector_of(rep)
+    rep = ch.parse_chain_text(
+        ladder, "periodic 0..250000 step 2 { pass rail_top[0] + }"
+    )
+    with pytest.raises(NotRepresentable):
+        ch.boundary(rep)
 
 
 # --- subdivision -----------------------------------------------------------

@@ -46,8 +46,6 @@ def test_neighbors_and_shift(ladder):
 
 
 def test_static_edges_do_not_shift(chords):
-    origin = parse_vertex_label("origin")
-    assert origin.index is None
     with pytest.raises(UnknownEdge):
         chords.shift_edge(EdgeId("pos_first", None), 4)
 
