@@ -1034,24 +1034,27 @@ def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
     ]
     periodic = []
     for m in rep.periodic:
-        ext = max((abs(i) for i in _simplex_indices(m.template)), default=0)
-        k_horizon = (region.fence + ext) // m.step + 2
-        lo_scan = -k_horizon if m.lo is None else max(m.lo, -k_horizon)
-        hi_scan = k_horizon if m.hi is None else min(m.hi, k_horizon)
+        # the members scanned are those whose indices come within two steps
+        # of [-fence, fence]; the count follows the fence, not the indices
+        idx = _simplex_indices(m.template) or [0]
+        k_lo = -((region.fence + max(idx)) // m.step) - 2
+        k_hi = (region.fence - min(idx)) // m.step + 2
+        lo_scan = k_lo if m.lo is None else max(m.lo, k_lo)
+        hi_scan = k_hi if m.hi is None else min(m.hi, k_hi)
         kept = []
         for k in range(lo_scan, hi_scan + 1):
             if region.has_simplex(_shift_simplex(m.template, k * m.step)):
                 kept.append(k)
         runs = _runs(kept)
-        # past the horizon every member lies beyond the fence, where the
-        # kept ones repeat with the deep pattern: one probe per residue of
-        # k modulo its period settles the rest of each side
+        # past the scan every member lies beyond the fence, where the kept
+        # ones repeat with the deep pattern: one probe per residue of k
+        # modulo its period settles the rest of each side
         deep = []
-        if m.hi is None or m.hi > k_horizon:
-            first = max(k_horizon + 1, lo_scan)
+        if m.hi is None or m.hi > k_hi:
+            first = max(k_hi + 1, lo_scan)
             deep += _deep_side(g, region, m, first, m.hi, 1, runs)
-        if m.lo is None or m.lo < -k_horizon:
-            last = min(-k_horizon - 1, hi_scan)
+        if m.lo is None or m.lo < k_lo:
+            last = min(k_lo - 1, hi_scan)
             deep += _deep_side(g, region, m, last, m.lo, -1, runs)
         for template, lo, hi, step in [
             (m.template, lo, hi, m.step) for lo, hi in runs

@@ -6,6 +6,9 @@ cell that repeats along the integers or the naturals, plus optional cap
 vertices that exist once. Everything downstream (ends, components, half
 spaces, ray classification) is computed from a per-direction block partition
 that is iterated to a least fixpoint and then certified by one more step.
+Past any fence the cell graph is a translate of the one past the
+stabilization radius, so that one partition answers half-space questions at
+every radius, and a graph keeps no state per radius.
 """
 
 from __future__ import annotations
@@ -538,43 +541,8 @@ class _RayStructure:
                 if roots.setdefault(self.rank[cid], root) != root:
                     raise InternalError("one end spread over two components")
         if set(roots) != set(range(self.end_count)):
-            raise InternalError("an end vanished from its own band")
+            raise InternalError("an end vanished from the closed block")
         return roots
-
-
-class _Band:
-    """Connected components of the part of the graph beyond one truncation
-    fence, in one direction, with the deep pattern closed off by the block
-    partition. Answers half-space membership at this radius."""
-
-    def __init__(self, g, ray, rho):
-        self.ray = ray
-        W = g.W
-        nb = max(1, len(g.cell_classes) * W)
-        self.top = max(rho, g.stabilization_radius) + (nb + 3) * W
-        lo, hi = rho + 1, self.top + W
-        universe = [
-            VertexId(c, ray.sign * m)
-            for m in range(lo, hi + 1)
-            for c in g.cell_classes
-        ]
-        uf = UnionFind(universe)
-        if ray.sign > 0:
-            clo, chi = lo, hi
-        else:
-            clo, chi = -hi, -lo
-        for e in g.cell_instances_within(clo, chi):
-            t, h = g.endpoints(e)
-            uf.union(t, h)
-        ray.close_deep(uf, self.top)
-        self.uf = uf
-        self.universe = set(universe)
-        self.end_root = ray.end_roots(uf, self.top)
-
-    def contains(self, v, rank):
-        if v not in self.universe:
-            v = self.ray.deep_representative(v, self.top)
-        return self.uf.find(v) == self.end_root[rank]
 
 
 class Graph:
@@ -623,7 +591,6 @@ class Graph:
                 ray.check_certificate()
                 self._rays[sign] = ray
         self._comp_cache = None
-        self._bands = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -929,15 +896,36 @@ class Graph:
 
     # -- half spaces ---------------------------------------------------------
 
-    def _band(self, sign, rho):
-        key = (sign, rho)
-        if key not in self._bands:
-            self._bands[key] = _Band(self, self._rays[sign], rho)
-        return self._bands[key]
+    def _end_past(self, v, radius):
+        """The end whose half space past the fence at radius holds the cell
+        vertex v (|v.index| > radius), or None when v's piece is finite.
+
+        Past any fence the cell graph is a translate of the one past r0:
+        cell edges repeat in every cell (on periodic-n from cell 0 on), and
+        half spaces leave the caps out. So v's piece is the translate of
+        the piece, past r0, of the stable class at v's depth, and holds the
+        class's first member moved out by radius - r0. For radius >= r0
+        that vertex lies past r0, and the stable class there names the end.
+        Below r0 it can fall inside r0, where the block partition says
+        nothing, so fence and member first move out together by a multiple
+        of the deep period: the shift maps every piece past the fence onto
+        one past the moved fence, in the half space of the same end."""
+        sign = 1 if v.index > 0 else -1
+        ray = self._rays[sign]
+        cid = ray.stable_class(v.cls, sign * v.index - radius - 1)
+        if cid not in ray.unbounded:
+            return None
+        if radius < ray.r0:
+            p = ray.period()
+            radius += -(-(ray.r0 - radius) // p) * p
+        c0, rel0 = ray.members[cid][0]
+        deep = ray.stable_class(c0, rel0 + radius - ray.r0)
+        return EndId(ray.direction, ray.rank[deep])
 
     def in_half_space(self, v, end: EndId, radius):
         """Whether v lies in the unbounded piece that the given end inhabits
-        after the radius-`radius` truncation is removed."""
+        after the radius-`radius` truncation is removed. Pieces are those of
+        the cell graph past the fence; caps never lie in a half space."""
         self.require_vertex(v)
         self.require_end(end)
         if not isinstance(radius, int) or radius < 0:
@@ -947,7 +935,7 @@ class Graph:
         sign = 1 if end.direction == "+" else -1
         if sign * v.index <= radius:
             return False
-        return self._band(sign, radius).contains(v, end.rank)
+        return self._end_past(v, radius) == end
 
     # -- rays ------------------------------------------------------------------
 
@@ -1015,13 +1003,10 @@ class Graph:
         mrel = min(sign * u.index - sign * v1.index for u in per)
         need = r0 + 1 - mrel - sign * v1.index
         j = max(0, -(-need // abs(ray.shift)))
-        u = VertexId(v1.cls, v1.index + j * ray.shift)
-        for e in self.ends():
-            if e.direction != ("+" if sign > 0 else "-"):
-                continue
-            if self.in_half_space(u, e, r0):
-                return e
-        raise InternalError("ray tail escaped every end")
+        end = self._end_past(VertexId(v1.cls, v1.index + j * ray.shift), r0)
+        if end is None:
+            raise InternalError("ray tail escaped every end")
+        return end
 
 
 def graph_from_text(text) -> Graph:

@@ -24,8 +24,8 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      strands carry) is at most sum(w) / gcd(w) (the unit cycle passes the
      composite stitches), and a composite when it is larger and one can be
      laid out. The choice reads only the tails, so one pass is built; only
-     when the strands' end rays overlap from every anchor tried is it
-     rebuilt with the composite wherever one can be laid out.
+     when the strands' end rays overlap is it rebuilt once with the
+     composite wherever one can be laid out.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles.
 
@@ -74,7 +74,6 @@ from .vectors import EdgeVector, FamilyMember, VectorFamily, thin_sum
 
 _COMPOSITE_COPY_CAP = 64
 _COMPOSITE_LEN_CAP = 2000
-_STRAND_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,9 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
     chosen per drifting group of the tail circulation (step 3 of the module
     docstring): strands when the group's flux sum(w * |d|) is at most its
     unit copy count sum(w) / gcd(w), otherwise the composite where it can
-    be laid out."""
+    be laid out. When the strands' end rays overlap, _assemble rebuilds the
+    pass with composites first, and raises InternalError when that fails
+    too."""
     if vec.graph.spec is not g.spec and vec.graph.spec != g.spec:
         raise GraphMismatch("vector belongs to a different graph")
 
@@ -125,18 +126,16 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
 
 def _assemble(g, vec, start):
     """One full pipeline pass, not yet self-checked. When the rule's strands
-    cannot be laid out without overlap, even from moved anchors, the pass
-    is rebuilt with the composite wherever one can be laid out."""
+    cannot be laid out without overlap, the pass is rebuilt once with the
+    composite wherever one can be laid out; when that fails too, no layout
+    is found."""
     for avoid_strands in (False, True):
-        for attempt in range(_STRAND_RETRIES):
-            try:
-                entries, strands, resid = _peel_tails(
-                    g, vec, start + 7 * attempt, avoid_strands
-                )
-                pieces = _finish_finite(g, resid, strands)
-            except _RetryStrands:
-                continue
-            return CircleDecomposition(tuple(entries + pieces))
+        try:
+            entries, strands, resid = _peel_tails(g, vec, start, avoid_strands)
+            pieces = _finish_finite(g, resid, strands)
+        except _RetryStrands:
+            continue
+        return CircleDecomposition(tuple(entries + pieces))
     raise InternalError("could not lay out end rays without overlap")
 
 

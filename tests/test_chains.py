@@ -503,6 +503,23 @@ def test_restrict_follows_ends_that_alternate_with_parity():
         assert ch.chain_to_text(res) == kept
 
 
+def test_restrict_scans_only_members_near_the_fence(ladder):
+    # squares anchored at N whose members reach back to index 1: the scan
+    # covers the members near the fence, so the cost does not follow N
+    pair = ch.parse_pair_text(ladder, "delete top[0]\ndelete bot[0]\nkeep top[3]")
+    for n in (10, 10**3, 10**5, 10**9):
+        square = ("{ walk top[%d] rail_top[%d] top[%d] rung[%d] bot[%d] rail_bot[%d] "
+                  "bot[%d] rung[%d] top[%d] }" % (n, n, n + 1, n + 1, n + 1, n, n, n, n))
+        kept = "periodic %d..inf %s" % (1 - n, square)
+        for lo in ("-inf", str(1 - n)):
+            rep = ch.parse_chain_text(ladder, "periodic %s..inf %s" % (lo, square))
+            t0 = time.perf_counter()
+            res = ch.restrict_chain(ladder, pair, rep)
+            spent = time.perf_counter() - t0
+            assert ch.chain_to_text(res) == kept
+            assert n < 10**5 or spent < 0.1
+
+
 def test_restrict_rejects_deleted_keep(ladder):
     pair = ch.parse_pair_text(ladder, "delete top[0]\nkeep top[0]")
     with pytest.raises(NotAdmissiblePair):

@@ -6,7 +6,9 @@ even if the verdicts stay correct.
 """
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,7 @@ from endcycle.membership import (
 )
 from endcycle.vectors import EdgeVector, parse_vector_text
 
-from conftest import CHORDS
+from conftest import CHORDS, LADDER
 
 RAIL_DIFFERENCE = """\
 tail+ rail_top from 0 = 1
@@ -520,6 +522,23 @@ def test_square_at_a_billion_is_the_square_at_ten_shifted(ladder):
     assert isinstance(far, Member)
     assert far.decomposition.entries == ((coeff, circuit.shifted(ladder, 10**9 - 10)),)
     assert verify_certificate(ladder, far_vec, far)
+
+
+def test_far_squares_leave_no_state_per_index():
+    # every half space is read off the graph's block partition, so deciding
+    # squares at 500 distinct indices keeps nothing per radius behind
+    g = graph_from_text(LADDER)
+    assert isinstance(is_member(g, _ladder_square(g, 10)), Member)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(500):
+            assert isinstance(is_member(g, _ladder_square(g, 10**6 + 7 * i)), Member)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
 
 
 def test_far_bump_is_cut_at_its_star(ladder):

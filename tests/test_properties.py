@@ -12,9 +12,10 @@ from endcycle import chains as ch
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
 from endcycle.errors import (FormatError, InfiniteBoundarySupport,
-                             InternalError, NotARay, NotRepresentable,
-                             UnknownEdge, UnknownVertex)
-from endcycle.graph import Dart, EdgeId, Ray, VertexId, graph_from_text
+                             InfiniteComponents, InternalError, NotARay,
+                             NotRepresentable, UnknownEdge, UnknownVertex)
+from endcycle.graph import (Dart, EdgeId, EndId, Ray, VertexId,
+                            graph_from_text)
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import certificate_from_json, certificate_to_json
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
@@ -896,9 +897,11 @@ def _closed_walk(g, rng, start, steps, caps_ok):
     return "walk " + " ".join(labels)
 
 
-@given(seeds)
-@settings(max_examples=150, deadline=None)
-def test_constructed_members_decide_and_verify(seed):
+def constructed_member(seed):
+    """The graph and the vector drawn for one seed: a random periodic-z
+    graph and a sum of one to three shift families of closed walks on it,
+    a member by construction. The CI step "Constructed members decide"
+    runs this same draw over a fixed range of seeds."""
     rng = random.Random(seed)
     g = _random_periodic_z(rng)
     families = []
@@ -922,7 +925,13 @@ def test_constructed_members_decide_and_verify(seed):
             lo, hi = "-inf", str(rng.randint(-3, 3))
         families.append("coeff %d periodic %s..%s { %s }"
                         % (rng.choice([1, 1, -1, 2]), lo, hi, walk))
-    vec = ch.edge_vector_of(ch.parse_chain_text(g, "\n".join(families)))
+    return g, ch.edge_vector_of(ch.parse_chain_text(g, "\n".join(families)))
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_constructed_members_decide_and_verify(seed):
+    g, vec = constructed_member(seed)
     try:
         cert = is_member(g, vec)
     except InternalError as ex:
@@ -934,3 +943,100 @@ def test_constructed_members_decide_and_verify(seed):
     assert isinstance(cert, Member)
     back = certificate_from_json(g, certificate_to_json(cert))
     assert verify_certificate(g, vec, back)
+
+
+# -- half spaces against a search over the cell edges ---------------------------
+
+def _random_lattice(rng, kind):
+    """1-4 cell classes, 0-2 caps, offsets 0-4. Every cell class i has a
+    line e<i> : c<i> -> c<i>[+k] that a ray can run along; up to four more
+    cell edges join the lines."""
+    cells = ["c%d" % i for i in range(rng.randint(1, 4))]
+    caps = ["p%d" % i for i in range(rng.randint(0, 2))]
+    edges = ["%s -> %s[%d]" % (c, c, rng.randint(1, 4)) for c in cells]
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(cells), rng.choice(cells)
+        oa, ob = rng.randint(0, 4), rng.randint(0, 4)
+        if a != b or oa != ob:
+            edges.append("%s[%d] -> %s[%d]" % (a, oa, b, ob))
+    for p in caps:
+        cell = "%s[%d]" % (rng.choice(cells), rng.randint(0, 4))
+        edges.append("%s -> %s" % ((p, cell) if rng.random() < 0.5 else (cell, p)))
+    lines = ["graph lattice", "kind " + kind]
+    lines += ["vertex %s" % c for c in cells]
+    lines += ["cap-vertex %s" % p for p in caps]
+    lines += ["edge e%d : %s" % (j, e) for j, e in enumerate(edges)]
+    return graph_from_text("\n".join(lines) + "\n")
+
+
+def _searched_ends(g, sign, radius):
+    """Per cell vertex of the window past the fence at radius, the end
+    whose anchor a search over cell edges reaches from it, or None. The
+    anchor of an end is the first member of its stable class moved out a
+    whole number of deep periods, far from both edges of the window."""
+    ray = g._rays[sign]
+    margin = (len(g.cell_classes) * g.W + 3) * g.W
+    base = max(radius, ray.r0) + margin
+    reach = -(-base // ray.period()) * ray.period()
+    anchors = {}
+    for rank in range(ray.end_count):
+        c, rel = ray.members[ray.by_rank[rank]][0]
+        v = VertexId(c, sign * (ray.r0 + 1 + rel + reach))
+        anchors[v] = EndId(ray.direction, rank)
+    far = ray.r0 + reach + g.W + margin
+    window = [VertexId(c, sign * m) for m in range(radius + 1, far + 1)
+              for c in g.cell_classes]
+    label = {}
+    for v in window:
+        if v in label:
+            continue
+        piece, frontier = {v}, [v]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for _d, w in g.neighbors(u):
+                    if (w.index is not None and radius < sign * w.index <= far
+                            and w not in piece):
+                        piece.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        found = [anchors[a] for a in piece if a in anchors]
+        assert len(found) <= 1
+        for u in piece:
+            label[u] = found[0] if found else None
+    return label
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), seeds)
+@settings(max_examples=120, deadline=None)
+def test_half_spaces_match_search(kind, seed):
+    rng = random.Random(seed)
+    try:
+        g = _random_lattice(rng, kind)
+    except InfiniteComponents:
+        return
+    if not g.ends():
+        return
+    r0, W = g.stabilization_radius, g.W
+    for sign in (1, -1) if kind == "periodic-z" else (1,):
+        direction = "+" if sign > 0 else "-"
+        ends = [e for e in g.ends() if e.direction == direction]
+        for radius in sorted({rng.randint(0, r0 + 3 * W + 10) for _ in range(4)}):
+            label = _searched_ends(g, sign, radius)
+            for m in range(radius - 1, radius + 3 * W + 8):
+                for c in g.cell_classes:
+                    v = VertexId(c, sign * m)
+                    if not g.has_vertex(v):
+                        continue
+                    want = label.get(v)
+                    got = [e for e in ends if g.in_half_space(v, e, radius)]
+                    assert got == ([want] if want else []), (v, radius)
+        # a ray along each line ends where the search puts its tail
+        label = _searched_ends(g, sign, r0)
+        for i, c in enumerate(g.cell_classes):
+            n = rng.randint(0 if kind == "periodic-n" else -r0 - 2, r0 + 2)
+            k = g.edge_classes["e%d" % i].span
+            step = Dart(EdgeId("e%d" % i, n if sign > 0 else n - k), sign > 0)
+            ray = Ray(VertexId(c, n), (), (step,), sign * k)
+            tail = n + sign * k * max(0, -(-(r0 + 1 - sign * n) // k))
+            assert g.end_of_ray(ray) == label[VertexId(c, tail)]
