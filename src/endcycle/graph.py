@@ -8,7 +8,8 @@ spaces, ray classification) is computed from a per-direction block partition
 that is iterated to a least fixpoint and then certified by one more step.
 Past any fence the cell graph is a translate of the one past the
 stabilization radius, so that one partition answers half-space questions at
-every radius, and a graph keeps no state per radius.
+every radius, and a graph keeps no state per radius. Vertex, edge, dart
+and end ids are named tuples (see VertexId).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadOffset,
@@ -44,9 +46,14 @@ _END_RE = re.compile(r"^end([+-])(\d+)$")
 _MAX_OFFSET = 10_000
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """A single vertex: class name plus cell index (None for caps)."""
+class VertexId(NamedTuple):
+    """A single vertex: class name plus cell index (None for caps).
+
+    The ids (VertexId, EdgeId, Dart, EndId) are named tuples, so hashing,
+    equality and construction run in C. Ids of different kinds with equal
+    fields compare equal, so no container mixes id kinds whose fields could
+    coincide. The finite stage mixes vertices and ends: a class name matches
+    _CLASS_RE and an end's direction is "+" or "-", so they never meet."""
 
     cls: str
     index: int | None = None
@@ -60,8 +67,7 @@ class VertexId:
         return self.label()
 
 
-@dataclass(frozen=True)
-class EdgeId:
+class EdgeId(NamedTuple):
     """A single edge instance: class name plus instance index (None if the
     class has one static instance)."""
 
@@ -77,8 +83,7 @@ class EdgeId:
         return self.label()
 
 
-@dataclass(frozen=True)
-class Dart:
+class Dart(NamedTuple):
     """An oriented edge instance. forward means tail to head."""
 
     edge: EdgeId
@@ -94,8 +99,7 @@ class Dart:
         return self.label()
 
 
-@dataclass(frozen=True)
-class EndId:
+class EndId(NamedTuple):
     """An end of the graph: escape direction plus a stable rank within it."""
 
     direction: str  # "+" or "-"
@@ -590,7 +594,13 @@ class Graph:
                     )
                 ray.check_certificate()
                 self._rays[sign] = ray
+        self._ends = tuple(EndId(ray.direction, k) for ray in self._rays.values()
+                           for k in range(ray.end_count))
         self._comp_cache = None
+        # facts membership derives from the graph alone, filled on first use:
+        # per-end crossing counts and connector paths per hub class
+        self._flux_counts = None
+        self._connector_cache = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -808,12 +818,7 @@ class Graph:
     # -- ends --------------------------------------------------------------
 
     def ends(self):
-        out = []
-        for sign in (1, -1):
-            ray = self._rays.get(sign)
-            if ray:
-                out.extend(EndId(ray.direction, k) for k in range(ray.end_count))
-        return tuple(out)
+        return self._ends
 
     def end_count(self):
         return len(self.ends())
@@ -824,8 +829,8 @@ class Graph:
         return self._rays[sign].period()
 
     def require_end(self, end: EndId):
-        if end not in self.ends():
-            raise UnknownEnd("graph has no end %s" % end)
+        if end not in self._ends:
+            raise UnknownEnd("graph has no end %s" % (end,))
         return end
 
     # -- components ---------------------------------------------------------

@@ -11,7 +11,9 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      grows with the number of changes, not with the stored entries or the
      size of the indices.
   2. The flux toward each end must vanish (a half-space cut; by step 1 its
-     value does not depend on the radius).
+     value does not depend on the radius). It is read off crossing counts
+     per edge class, taken once per graph, times the tail values; the cut
+     itself is built only when the flux is nonzero.
   3. The tails form a circulation on the quotient multigraph whose nodes are
      the vertex classes. That circulation is peeled into simple quotient
      cycles. Drift-free cycles lift to circuit templates, repeated over a
@@ -179,11 +181,31 @@ def _check_stars(g, vec, bound):
 
 
 def _check_end_flux(g, vec, radius):
-    for e in g.ends():
-        cut = cuts.HalfSpaceCut((e,), radius)
-        s = cuts.cut_sum(g, cut, vec)
-        if s != 0:
-            raise NotInCycleSpace(cut, s)
+    for e, counts in _flux_counts(g).items():
+        flux = 0
+        for name, k in counts.items():
+            tl = vec.tail_of(name, e.direction)
+            flux += k * tl[1] if tl else 0
+        if flux:
+            cut = cuts.HalfSpaceCut((e,), radius)
+            raise NotInCycleSpace(cut, cuts.cut_sum(g, cut, vec))
+
+
+def _flux_counts(g):
+    """Per end, the crossing darts of its half-space cut at R = r0 + D + 2
+    summed per edge class, +1 out of the half space and -1 into it; taken
+    once per graph. decompose cuts at radius >= R, past the data, where
+    every crossing edge carries its tail value. The tails alone have a zero
+    star at every vertex past r0 (step 1), so their cut sum is the same at
+    R and at radius: the flux is these counts times the tails."""
+    if g._flux_counts is None:
+        R = g.stabilization_radius + g.D + 2
+        g._flux_counts = {}
+        for e in g.ends():
+            row = g._flux_counts[e] = {}
+            for d in cuts.cut_edges(g, cuts.HalfSpaceCut((e,), R)):
+                row[d.edge.cls] = row.get(d.edge.cls, 0) + (1 if d.forward else -1)
+    return g._flux_counts
 
 
 # -- quotient circulation ----------------------------------------------------
@@ -210,27 +232,27 @@ def _flow_cycles(nodes, arcs, weight, order=None):
         by_tail.setdefault(t, []).append(key)
         by_head.setdefault(h, []).append(key)
 
-    def step_from(node, pend):
-        # a node-simple walk never revisits an arc, so `pend` holds at most
-        # one unit per key; the effective weight decides usability
+    # an arc keeps the sign of its weight until it empties, and the arcs on
+    # a node-simple walk never leave its current node, so the remaining
+    # weight alone decides which arc is usable
+    def step_from(node):
         for key in by_tail.get(node, ()):
-            if w.get(key, 0) - pend.get(key, 0) > 0:
+            if w.get(key, 0) > 0:
                 return key, True
         for key in by_head.get(node, ()):
-            if w.get(key, 0) - pend.get(key, 0) < 0:
+            if w.get(key, 0) < 0:
                 return key, False
         return None
 
     out = []
     for start in nodes:
-        if step_from(start, {}) is None:
+        if step_from(start) is None:
             continue
         path = []
-        pend = {}
         seen = {start: 0}
         node = start
         while True:
-            nxt = step_from(node, pend)
+            nxt = step_from(node)
             if nxt is None:
                 if node == start and not path:
                     break
@@ -239,7 +261,6 @@ def _flow_cycles(nodes, arcs, weight, order=None):
                 )
             key, fwd = nxt
             t, h = arcs[key]
-            pend[key] = pend.get(key, 0) + (1 if fwd else -1)
             node = h if fwd else t
             path.append((key, fwd))
             if node in seen:
@@ -248,7 +269,6 @@ def _flow_cycles(nodes, arcs, weight, order=None):
                 m = min(w[k] if f else -w[k] for k, f in cyc)
                 for k, f in cyc:
                     w[k] -= m if f else -m
-                    pend.pop(k, None)
                 out.append((m, tuple(cyc)))
                 del path[i:]
                 for n in list(seen):
@@ -319,10 +339,13 @@ def _class_components(g):
     return {c: min(grp) for grp in uf.groups().values() for c in grp}
 
 
-def _connector_paths(g, comp_of, hub):
+def _connector_paths(g, hub):
     """For every class in hub's component, a dart path from (class, 0) to
     the hub class at some offset, by breadth-first search over
-    (class, offset) states."""
+    (class, offset) states. Found once per graph and hub; a search that
+    raises stores nothing."""
+    if hub in g._connector_cache:
+        return g._connector_cache[hub]
     limit = (len(g.spec.cell_classes) + 2) * (g.D + 1) + g.W
     paths = {hub: ((), 0)}
     frontier = [(hub, 0, ())]
@@ -358,6 +381,7 @@ def _connector_paths(g, comp_of, hub):
                         )
                     nxt.append((ncls, noff, ntrail))
         frontier = nxt
+    g._connector_cache[hub] = paths
     return paths
 
 
@@ -414,7 +438,7 @@ def _build_composite(g, copies, comp_of):
         for c in g.spec.cell_classes
         if comp_of[c] == comp_of[_cycle_class(g, copies[0][1])]
     )
-    paths = _connector_paths(g, comp_of, hub)
+    paths = _connector_paths(g, hub)
     for ordering in (_balanced_order, _stacked_order):
         order, acc = ordering(copies)
         if acc != 0:
@@ -647,7 +671,7 @@ def _finish_finite(g, resid, strands):
                             % bad[0].label())
     bad = [n for n, f in flux.items() if f and isinstance(n, EndId)]
     if bad:
-        raise InternalError("ray stubs into %s do not balance" % bad[0])
+        raise InternalError("ray stubs into %s do not balance" % (bad[0],))
 
     def sort_key(n):
         if isinstance(n, EndId):

@@ -415,7 +415,8 @@ def thin_sum(family: VectorFamily) -> EdgeVector:
 
     Raises NotThin when some edge is hit infinitely often, and
     NotRepresentable when the sum exists but is not eventually constant
-    (a tailed template dragged over an unbounded range)."""
+    (a tailed template dragged over an unbounded range) or when a tailed
+    template is shifted over more than _EXPAND_CAP shifts."""
     g = family.graph
     bad = family._offender()
     if bad is not None:
@@ -438,7 +439,7 @@ def thin_sum(family: VectorFamily) -> EdgeVector:
                     "gives linearly growing values"
                 )
             if w > _EXPAND_CAP:
-                raise FormatError("shift range too wide to expand")
+                raise NotRepresentable("shift range too wide to expand")
             for k in range(m.lo, m.hi + 1):
                 acc.add(m.base, m.coeff, k)
             continue

@@ -8,6 +8,7 @@ from endcycle.graph import (
     KIND_PERIODIC_Z,
     Dart,
     EdgeId,
+    EndId,
     Ray,
     VertexId,
     graph_from_text,
@@ -19,12 +20,15 @@ from endcycle.errors import (
     BadOffset,
     FormatError,
     InfiniteComponents,
+    InternalError,
     LoopEdge,
     NotARay,
     UnknownEdge,
+    UnknownEnd,
     UnknownVertex,
     UnknownVertexClass,
 )
+from endcycle.membership import _flow_cycles
 
 
 def test_ladder_basics(ladder):
@@ -150,6 +154,32 @@ def test_label_round_trips():
     assert parse_edge_label("rail_top[-2]").label() == "rail_top[-2]"
     d = parse_dart_label("rung[4]-")
     assert d.edge == EdgeId("rung", 4) and not d.forward
+
+
+def test_ids_are_immutable_values(ladder):
+    v = VertexId("a", 1)
+    assert repr(v) == "VertexId(cls='a', index=1)"
+    assert repr(Dart(EdgeId("rung", 4))) == (
+        "Dart(edge=EdgeId(cls='rung', index=4), forward=True)")
+    assert repr(EndId("+", 0)) == "EndId(direction='+', rank=0)"
+    assert str(v) == "a[1]" and str(VertexId("origin")) == "origin"
+    for a, b in ((v, VertexId("a", 1)), (Dart(EdgeId("e", 2), False),
+                                         Dart(EdgeId("e", 2), False)),
+                 (EndId("-", 3), EndId.parse("end-3"))):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for obj, field in ((v, "index"), (EdgeId("e", 0), "cls"),
+                       (Dart(EdgeId("e", 0)), "forward"), (EndId("+", 0), "rank")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    d = parse_dart_label("rung[4]-")
+    assert d.reverse().reverse() == d and d.reverse().label() == "rung[4]+"
+    for text in ("end+0", "end-12"):
+        assert str(EndId.parse(text)) == text
+    # messages that name an id format it as one value, not as its fields
+    with pytest.raises(UnknownEnd, match=r"^graph has no end end\+5$"):
+        ladder.require_end(EndId("+", 5))
+    with pytest.raises(InternalError, match=r"flow stalled at VertexId\(cls='b', index=1\)"):
+        _flow_cycles([v], {"x": (v, VertexId("b", 1))}, {"x": 1})
 
 
 # --- parse failures -------------------------------------------------------

@@ -153,6 +153,16 @@ def test_thin_sum_growing_values(ladder):
         thin_sum(fam)
 
 
+def test_thin_sum_too_many_shifts_is_a_resource_limit(ladder):
+    # a tailed template is added once per shift, so a wide finite range is
+    # refused as a resource limit, not as a malformed input
+    tailed = parse_vector_text(ladder, "tail+ rung from 0 = 1")
+    fam = VectorFamily(ladder, periodic=[FamilyMember(1, tailed, 0, 5000)])
+    assert is_thin(fam)
+    with pytest.raises(NotRepresentable, match="too wide to expand"):
+        thin_sum(fam)
+
+
 def test_family_rejects_static_periodic_member(chords):
     base = parse_vector_text(chords, "set pos_first = 1")
     with pytest.raises(FormatError, match="static"):
