@@ -21,13 +21,18 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      tail side. Each group is either stitched into a drift-free composite
      circuit via connector paths to a hub class, or handed to the end stage
      as explicit rays (strands), one per residue class of the drift. Equal
-     + and - groups first try one two-sided composite family. Otherwise a
-     group becomes strands when its flux sum(w * |d|) (the unit ray stubs
-     strands carry) is at most sum(w) / gcd(w) (the unit cycle passes the
-     composite stitches), and a composite when it is larger and one can be
-     laid out. The choice reads only the tails, so one pass is built; only
-     when the strands' end rays overlap is it rebuilt once with the
-     composite wherever one can be laid out.
+     + and - groups first try one two-sided composite family when it is no
+     longer than their strands. Otherwise a group becomes strands when its
+     flux sum(w * |d|) (the unit ray stubs strands carry) is at most
+     sum(w) / gcd(w) (the unit cycle passes the composite stitches), and a
+     composite when it is larger and one can be laid out. The choice reads
+     only the tails, so one pass is built; only when the strands' end rays
+     overlap is it rebuilt once with the composite wherever one can be laid
+     out. Then the residue's long runs are peeled alike: on a run between
+     two changes of the input, longer than the margin before the tails'
+     anchors, the values form a quotient circulation; its flat cycles and
+     its drifting groups of total drift zero become families bounded to the
+     run. All of it is taken off one breakpoint accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles.
 
@@ -72,9 +77,9 @@ from .graph import (
     edge_key,
     vertex_key,
 )
-from .vectors import EdgeVector, FamilyMember, VectorFamily, thin_sum
+# thin_sum is not called here; perfbench/harness.py traces it by this name
+from .vectors import EdgeVector, _Breakpoints, thin_sum  # noqa: F401
 
-_COMPOSITE_COPY_CAP = 64
 _COMPOSITE_LEN_CAP = 2000
 
 
@@ -118,7 +123,7 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
     _check_stars(g, vec, deep)
     _check_end_flux(g, vec, deep + 1)
 
-    start = deep + nb * max(g.D, 1) + W + 5
+    start = deep + _anchor_margin(g)
     dec = _assemble(g, vec, start)
     dec.check(g)
     if not _values_agree(g, vec, dec):
@@ -339,17 +344,17 @@ def _class_components(g):
     return {c: min(grp) for grp in uf.groups().values() for c in grp}
 
 
-def _connector_paths(g, hub):
-    """For every class in hub's component, a dart path from (class, 0) to
-    the hub class at some offset, by breadth-first search over
-    (class, offset) states. Found once per graph and hub; a search that
-    raises stores nothing."""
-    if hub in g._connector_cache:
-        return g._connector_cache[hub]
+def _connector_paths(g, hub, base=0):
+    """For every class in hub's component, a dart path from (class, base)
+    to the hub class at base + road_off, by breadth-first search over
+    (class, offset) states near (hub, base). Found once per graph, hub and
+    base; a search that raises stores nothing."""
+    if (hub, base) in g._connector_cache:
+        return g._connector_cache[(hub, base)]
     limit = (len(g.spec.cell_classes) + 2) * (g.D + 1) + g.W
     paths = {hub: ((), 0)}
-    frontier = [(hub, 0, ())]
-    seen = {(hub, 0)}
+    frontier = [(hub, base, ())]
+    seen = {(hub, base)}
     # search backwards from the hub so stored paths run class -> hub
     while frontier:
         nxt = []
@@ -357,32 +362,47 @@ def _connector_paths(g, hub):
             for ec in g.cell_edge_classes:
                 moves = []
                 if ec.head_cls == cls:
-                    base = off - ec.head_pos
+                    at = off - ec.head_pos
                     moves.append(
-                        (ec.tail_cls, base + ec.tail_pos,
-                         Dart(EdgeId(ec.name, base), True))
+                        (ec.tail_cls, at + ec.tail_pos,
+                         Dart(EdgeId(ec.name, at), True))
                     )
                 if ec.tail_cls == cls:
-                    base = off - ec.tail_pos
+                    at = off - ec.tail_pos
                     moves.append(
-                        (ec.head_cls, base + ec.head_pos,
-                         Dart(EdgeId(ec.name, base), False))
+                        (ec.head_cls, at + ec.head_pos,
+                         Dart(EdgeId(ec.name, at), False))
                     )
                 for ncls, noff, dart in moves:
-                    if abs(noff) > limit or (ncls, noff) in seen:
+                    if abs(noff - base) > limit or (ncls, noff) in seen:
                         continue
                     seen.add((ncls, noff))
                     ntrail = (dart,) + trail
                     if ncls not in paths:
-                        # ntrail runs from (ncls, noff) to (hub, 0); rebase
+                        # ntrail runs from (ncls, noff) to (hub, base); rebase
                         paths[ncls] = (
-                            tuple(g.shift_dart(d, -noff) for d in ntrail),
-                            -noff,
+                            tuple(g.shift_dart(d, base - noff) for d in ntrail),
+                            base - noff,
                         )
                     nxt.append((ncls, noff, ntrail))
         frontier = nxt
-    g._connector_cache[hub] = paths
+    g._connector_cache[(hub, base)] = paths
     return paths
+
+
+def _anchor_margin(g):
+    """How far past the data the tails' families and strands start."""
+    return (len(g.spec.cell_classes) + 1) * g.W + 5
+
+
+def _run_base(g):
+    """The offset at which a run's cycles are lifted and stitched: 0, as
+    for the tails, except on a one-ended lattice. There it lies past the
+    connector search limit plus _COMPOSITE_LEN_CAP unit passes of quotient
+    cycles, each of at most one step per class, so every dart met exists."""
+    if g.kind != KIND_PERIODIC_N:
+        return 0
+    return (_COMPOSITE_LEN_CAP + 6) * (len(g.spec.cell_classes) + 1) * g.W
 
 
 def _shift_darts(g, darts, k):
@@ -427,42 +447,42 @@ def _stacked_order(copies):
     return order, sum(d for d, _s in order)
 
 
-def _build_composite(g, copies, comp_of):
+def _build_composite(g, copies, comp_of, base):
     """Stitch unit-weight drifting cycles (total drift zero) into one closed
-    drift-free circuit via connector paths to the component's hub class.
-    Returns the dart list or None when no edge-injective layout exists."""
-    if len(copies) > _COMPOSITE_COPY_CAP:
-        return None
+    drift-free circuit via connector paths to the component's hub class,
+    laid out from the hub at offset base. Returns the dart list or None
+    when no edge-injective layout exists."""
     hub = min(
         c
         for c in g.spec.cell_classes
         if comp_of[c] == comp_of[_cycle_class(g, copies[0][1])]
     )
-    paths = _connector_paths(g, hub)
+    paths = _connector_paths(g, hub, base)
     for ordering in (_balanced_order, _stacked_order):
         order, acc = ordering(copies)
         if acc != 0:
             raise InternalError("drifting cycles do not balance")
-        darts = _assemble_composite(g, order, paths)
+        darts = _assemble_composite(g, order, paths, base)
         if darts is not None:
             return darts
     return None
 
 
-def _assemble_composite(g, order, paths):
+def _assemble_composite(g, order, paths, base):
     darts = []
-    off = 0
+    off = base
     for delta, steps in order:
         cls = _cycle_class(g, steps)
         if cls not in paths:
             return None
         road, road_off = paths[cls]
-        # hub at `off` down to the cycle class, one pass, and back up
+        # hub at `off` down to the cycle class at `at`, one pass, and back up
+        at = off - road_off
         inbound = [d.reverse() for d in reversed(road)]
-        darts.extend(_shift_darts(g, inbound, off - road_off))
-        lifted, _s, _e = _lift_cycle(g, steps, off - road_off)
+        darts.extend(_shift_darts(g, inbound, at - base))
+        lifted, _s, _e = _lift_cycle(g, steps, at)
         darts.extend(lifted)
-        darts.extend(_shift_darts(g, road, off - road_off + delta))
+        darts.extend(_shift_darts(g, road, at - base + delta))
         off += delta
     darts = _reduce_backtracks(darts)
     if not darts or len(darts) > _COMPOSITE_LEN_CAP:
@@ -479,55 +499,62 @@ def _cycle_class(g, steps):
     return ec.tail_cls if fwd else ec.head_cls
 
 
-def _peel_family(g, entries, resid, coeff, template, lo, hi):
-    """Record coeff times the template shifted over [lo, hi]; return the
-    residue with that family's thin sum taken off."""
+def _peel(acc, entries, coeff, template, lo, hi):
+    """Record coeff times the template over [lo, hi]; take it off acc."""
     entries.append((coeff, CircuitFamily(template, lo, hi)))
-    fam = VectorFamily(
-        g, periodic=(FamilyMember(coeff, template.vector(g), lo, hi),)
-    )
-    return resid - thin_sum(fam)
+    _take_off(acc, coeff, template.darts, lo, hi)
+
+
+def _take_off(acc, coeff, darts, lo, hi):
+    """Subtract from acc coeff times the darts shifted over [lo, hi]."""
+    acc.family(((d.edge.cls, d.edge.index, 1 if d.forward else -1) for d in darts),
+               -coeff, lo, hi)
+
+
+def _quotient_cycles(g, tau, comp_of):
+    """A quotient circulation's simple cycles: the flat ones as (weight,
+    steps), the drifting ones per component as (weight, drift, steps)."""
+    arcs = {ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes}
+    flat, drifting = [], {}
+    for wgt, steps in _flow_cycles(sorted(g.spec.cell_classes), arcs, tau):
+        d = _cycle_drift(g, steps)
+        if d == 0:
+            flat.append((wgt, _canonical(list(steps))))
+        else:
+            group = drifting.setdefault(comp_of[_cycle_class(g, steps)], [])
+            group.append((wgt, d, _canonical(list(steps))))
+    return flat, drifting
 
 
 def _peel_tails(g, vec, start, avoid_strands=False):
-    """Emit circuit families reproducing the tails; return (entries, strand
-    list, finite residue). With avoid_strands every drifting group takes
-    the composite when one can be laid out."""
+    """Emit circuit families reproducing the tails, then the long constant
+    runs of the residue; return (entries, strand list, finite residue).
+    Every family and strand path family is taken off one accumulator that
+    starts from the input. With avoid_strands every drifting group of the
+    tails takes the composite when one can be laid out."""
+    # the runs between consecutive changes of the input that are longer than
+    # the margin the tails leave to the finite stage
+    cuts = sorted({i for points in vec.breakpoints().values() for i in points})
+    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > _anchor_margin(g)]
+    if not vec.tails and not runs:
+        return [], [], vec
     entries = []
     strands = []  # (weight, Ray, start VertexId, EndId)
-    resid = vec
+    acc = _Breakpoints(g)
+    acc.add(vec)
     comp_of = _class_components(g) if g.spec.cell_classes else {}
 
     per_dir = {}
     for direction in g.directions():
-        sign = 1 if direction == "+" else -1
         tau = _tail_circulation(g, vec, direction)
-        if not tau:
-            per_dir[sign] = ([], {})
-            continue
-        arcs = {
-            ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes
-        }
-        cycles = _flow_cycles(sorted(g.spec.cell_classes), arcs, tau)
-        flat, drifting = [], {}
-        for wgt, steps in cycles:
-            d = _cycle_drift(g, steps)
-            if d == 0:
-                flat.append((wgt, _canonical(list(steps))))
-            else:
-                comp = comp_of[_cycle_class(g, steps)]
-                drifting.setdefault(comp, []).append(
-                    (wgt, d, _canonical(list(steps)))
-                )
-        per_dir[sign] = (flat, drifting)
+        per_dir[1 if direction == "+" else -1] = _quotient_cycles(g, tau, comp_of)
 
     # drift-free cycles: merge mirrored pairs into full-lattice families
     plus_flat = _merge_weights(per_dir.get(1, ([], {}))[0])
     minus_flat = _merge_weights(per_dir.get(-1, ([], {}))[0])
     for key in sorted(set(plus_flat) | set(minus_flat)):
         wp, wm = plus_flat.get(key, 0), minus_flat.get(key, 0)
-        steps = list(key)
-        lifted, _s, _e = _lift_cycle(g, steps)
+        lifted, _s, _e = _lift_cycle(g, list(key))
         template, _sh = _normalized_template(g, lifted)
         both = min(wp, wm) if (wp > 0 and wm > 0) else 0
         for wgt, lo, hi in (
@@ -536,7 +563,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
             (wm - both, None, -start),
         ):
             if wgt:
-                resid = _peel_family(g, entries, resid, wgt, template, lo, hi)
+                _peel(acc, entries, wgt, template, lo, hi)
 
     # drifting cycles: a two-sided composite for mirrored groups, then per
     # sign group whichever of composite and strands is the smaller
@@ -545,13 +572,10 @@ def _peel_tails(g, vec, start, avoid_strands=False):
     for comp in sorted(set(plus_drift) | set(minus_drift)):
         cp = sorted(plus_drift.get(comp, []))
         cm = sorted(minus_drift.get(comp, []))
-        if cp and cp == cm:
+        if cp and cp == cm and _fits_between_anchors(cp, start):
             built = _try_composite(g, cp, comp_of)
             if built is not None:
-                wgt, template = built
-                resid = _peel_family(
-                    g, entries, resid, wgt, template, None, None
-                )
+                _peel(acc, entries, *built, None, None)
                 continue
         for sign, group in ((1, cp), (-1, cm)):
             if not group:
@@ -560,15 +584,59 @@ def _peel_tails(g, vec, start, avoid_strands=False):
             if avoid_strands or _composite_is_smaller(group):
                 built = _try_composite(g, group, comp_of)
             if built is not None:
-                wgt, template = built
                 lo, hi = (start, None) if sign > 0 else (None, -start)
-                resid = _peel_family(g, entries, resid, wgt, template, lo, hi)
+                _peel(acc, entries, *built, lo, hi)
             else:
-                ent, resid = _emit_strands(g, group, sign, start, resid)
-                strands.extend(ent)
+                strands.extend(_emit_strands(g, group, sign, start, acc))
+    _peel_runs(g, acc, entries, comp_of, runs)
+    resid = acc.vector()
     if resid.tails:
         raise InternalError("tails survived the peeling stage")
     return entries, strands, resid
+
+
+def _peel_runs(g, acc, entries, comp_of, runs):
+    """Take the residue in acc off as bounded families on each run [a, b)
+    between two changes of the input, longer than the anchor margin. The
+    tails' families and strands are constant there, so the residue is too,
+    and as b - a > 2W the stars W inside both ends lie in the run: unless
+    static edges attach to all of them, its values form a quotient
+    circulation. Its flat cycles, and its drifting groups of total drift
+    zero that a composite can be laid out for, become families of members
+    wholly inside the run, kept if they span at least a member's length."""
+    changes = acc.changes()
+    moves = sorted((i, c, d) for c, (_v, points) in changes.items() for i, d in points)
+    value = {c: v for c, (v, _p) in changes.items()}
+    base = _run_base(g)
+    k = 0
+    for a, b in runs:
+        while k < len(moves) and moves[k][0] <= a:
+            value[moves[k][1]] += moves[k][2]
+            k += 1
+        tau = {c: v for c, v in value.items() if v}
+        if not tau or not _conserves(g, tau):
+            continue
+        flat, drifting = _quotient_cycles(g, tau, comp_of)
+        built = [
+            (wgt, _normalized_template(g, _lift_cycle(g, list(key), base)[0])[0])
+            for key, wgt in sorted(_merge_weights(flat).items())
+        ]
+        for _comp, group in sorted(drifting.items()):
+            if sum(wgt * delta for wgt, delta, _s in group) == 0:
+                built.append(_try_composite(g, group, comp_of, base))
+        for coeff, template in filter(None, built):
+            L = max(d.edge.index for d in template.darts)
+            if b - 1 - L - a >= L:
+                _peel(acc, entries, coeff, template, a, b - 1 - L)
+
+
+def _conserves(g, tau):
+    """Whether quotient values sum to zero at every vertex class."""
+    net = dict.fromkeys(g.cell_classes, 0)
+    for name, v in tau.items():
+        net[g.edge_classes[name].tail_cls] += v
+        net[g.edge_classes[name].head_cls] -= v
+    return not any(net.values())
 
 
 def _composite_is_smaller(group):
@@ -580,6 +648,16 @@ def _composite_is_smaller(group):
     return flux > sum(weights) // math.gcd(*weights)
 
 
+def _fits_between_anchors(group, start):
+    """Whether a mirrored group's two-sided composite, sum(w) / gcd(w) unit
+    passes of its shortest cycle, is no longer than its strands: sum(|d|)
+    rays per side, each joined to its mirror across the 2 * start cells."""
+    weights = [wgt for wgt, _d, _s in group]
+    passes = sum(weights) // math.gcd(*weights)
+    rays = sum(abs(delta) for _w, delta, _s in group)
+    return passes * min(len(s) for _w, _d, s in group) <= rays * 2 * start
+
+
 def _merge_weights(pairs):
     out = {}
     for wgt, key in pairs:
@@ -587,33 +665,27 @@ def _merge_weights(pairs):
     return out
 
 
-def _unit_copies(group):
-    copies = []
-    for wgt, delta, steps in group:
-        copies.extend([(delta, tuple(steps))] * wgt)
-        if len(copies) > _COMPOSITE_COPY_CAP:
-            return None
-    return copies
-
-
-def _try_composite(g, group, comp_of):
-    """Common weight times one stitched drift-free template, or None."""
+def _try_composite(g, group, comp_of, base=0):
+    """Common weight times one stitched drift-free template, or None. A
+    group whose sum(w) / gcd(w) unit passes of its shortest cycle already
+    exceed _COMPOSITE_LEN_CAP is refused before any copy is made."""
     shared = math.gcd(*(wgt for wgt, _d, _s in group))
-    reduced = [(wgt // shared, delta, steps) for wgt, delta, steps in group]
-    copies = _unit_copies(reduced)
-    if copies is None:
+    reduced = [(wgt // shared, delta, tuple(steps)) for wgt, delta, steps in group]
+    passes = sum(wgt for wgt, _d, _s in reduced)
+    if passes * min(len(s) for _w, _d, s in reduced) > _COMPOSITE_LEN_CAP:
         return None
-    darts = _build_composite(g, copies, comp_of)
+    copies = [(delta, steps) for wgt, delta, steps in reduced for _ in range(wgt)]
+    darts = _build_composite(g, copies, comp_of, base)
     if darts is None:
         return None
     template, _sh = _normalized_template(g, darts)
     return shared, template
 
 
-def _emit_strands(g, group, sign, start, resid):
+def _emit_strands(g, group, sign, start, acc):
     """Turn each drifting quotient cycle into |drift| outward rays starting
-    at consecutive shifts; subtract each cycle's group sum (a one-period
-    path family) from the residue."""
+    at consecutive shifts; take each cycle's group sum (a one-period path
+    family) off the residue in acc."""
     out = []
     for wgt, delta, steps in sorted(group):
         if (delta > 0) != (sign > 0):
@@ -622,11 +694,8 @@ def _emit_strands(g, group, sign, start, resid):
             wgt = -wgt
         anchor = start if sign > 0 else -start
         lifted, s_v, _e = _lift_cycle(g, steps, anchor)
-        base = EdgeVector.from_darts(g, lifted)
         lo, hi = (0, None) if sign > 0 else (None, 0)
-        resid = resid - thin_sum(
-            VectorFamily(g, periodic=(FamilyMember(wgt, base, lo, hi),))
-        )
+        _take_off(acc, wgt, lifted, lo, hi)
         for r in range(abs(delta)):
             k = r if sign > 0 else -r
             ray = Ray(
@@ -637,7 +706,7 @@ def _emit_strands(g, group, sign, start, resid):
             )
             end = g.end_of_ray(ray)
             out.append((wgt, ray, ray.start, end))
-    return out, resid
+    return out
 
 
 # -- the finite stage --------------------------------------------------------

@@ -267,6 +267,14 @@ class _Breakpoints:
         if hi is not None:
             steps[hi] = steps.get(hi, 0) - d
 
+    def family(self, entries, c, lo, hi):
+        """Add c times an untailed template shifted by every k in [lo, hi]
+        (None unbounded); entries are its (class, index, value) triples,
+        and each covers one interval of indices."""
+        for cname, n, v in entries:
+            self.span(cname, None if lo is None else lo + n,
+                      None if hi is None else hi + n + 1, c * v)
+
     def add(self, vec, c=1, k=0):
         """Add c times vec shifted by k cells. An explicit entry replaces
         the tail value under it, and where the two tails of a class overlap
@@ -288,6 +296,14 @@ class _Breakpoints:
                 end = min(end, pt[0])
             self.span(cname, None, end + k, c * v)
 
+    def changes(self):
+        """Per cell class, the value far to the left and the sorted
+        (index, change of value) pairs with a nonzero change."""
+        return {
+            cname: (self.left.get(cname, 0), [p for p in sorted(steps.items()) if p[1]])
+            for cname, steps in sorted(self.steps.items())
+        }
+
     def sweep(self):
         """The stored form (vals, tails) of the accumulated values, with
         per cell class the sorted indices where the value changes and the
@@ -298,9 +314,7 @@ class _Breakpoints:
         tails = {}
         moves = {}
         bound = 0
-        for cname, steps in sorted(self.steps.items()):
-            value = self.left.get(cname, 0)
-            points = [p for p in sorted(steps.items()) if p[1]]
+        for cname, (value, points) in self.changes().items():
             if not points:
                 if value:  # constant on the whole line: split at 0 / -1
                     tails[(cname, "+")] = (0, value)
@@ -443,14 +457,8 @@ def thin_sum(family: VectorFamily) -> EdgeVector:
             for k in range(m.lo, m.hi + 1):
                 acc.add(m.base, m.coeff, k)
             continue
-        # each entry of an untailed template covers one interval of shifts
-        for e, val in m.base.vals.items():
-            acc.span(
-                e.cls,
-                None if m.lo is None else m.lo + e.index,
-                None if m.hi is None else m.hi + e.index + 1,
-                m.coeff * val,
-            )
+        acc.family(((e.cls, e.index, v) for e, v in m.base.vals.items()),
+                   m.coeff, m.lo, m.hi)
     return acc.vector()
 
 
