@@ -23,11 +23,12 @@ dart form one double run, however wide the family is, and the sum is
 evaluated from the nearest anchor to two periods L past the farthest one.
 There a constant sum becomes a tail; a growing or non-constant periodic
 sum raises NotRepresentable for edges and InfiniteBoundarySupport for
-vertices. Two limits remain, both raising NotRepresentable: the counts
-may not need more than vectors._ENTRY_CAP stored entries on one class,
-the builder's own limit, which a loop over the members of a bounded
-family or over an evaluation window checks before it starts; and L may
-not exceed _PERIOD_CAP.
+vertices. Two limits remain, both raising NotRepresentable before a loop
+starts: a loop over the members of a bounded family or over an evaluation
+window may not pass vectors._ENTRY_CAP steps, and L may not exceed
+_PERIOD_CAP. The counts themselves are runs; only listing them entry by
+entry, as EdgeVector.vals and a boundary's vertices do, stops at
+_ENTRY_CAP on one class.
 """
 
 import math
@@ -560,7 +561,7 @@ class _Counts:
 
 def _check_width(n):
     """Loops over the members of a bounded family stop at _ENTRY_CAP, the
-    builder's own limit on stored entries, before they start."""
+    limit on the explicit entries a vector lists, before they start."""
     if n > _ENTRY_CAP:
         raise NotRepresentable(
             "family of %d members is too wide to expand" % n
@@ -636,18 +637,15 @@ def boundary(rep: ChainRep) -> ZeroChain:
         counts.over_range(head.cls, head.index, coeff, lo, hi, step)
         counts.over_range(tail.cls, tail.index, -coeff, lo, hi, step)
     failures = counts.settle()
-    try:
-        vals, tails, _moves, _bound = counts.acc.sweep()
-    except FormatError as ex:
-        raise NotRepresentable(str(ex))
-    bad = sorted({cls for cls, _why in failures} | {cls for cls, _d in tails})
+    counted = counts.acc.vector()
+    bad = sorted({cls for cls, _why in failures} | {cls for cls, _d in counted.tails})
     if bad:
         raise InfiniteBoundarySupport(
             "boundary support on %r does not telescope" % bad[0],
             witness_class=bad[0],
         )
     return ZeroChain.from_dict(
-        g, {VertexId(e.cls, e.index): v for e, v in vals.items()}
+        g, {VertexId(e.cls, e.index): v for e, v in counted.vals.items()}
     )
 
 
@@ -709,10 +707,7 @@ def edge_vector_of(rep: ChainRep) -> EdgeVector:
     failures = counts.settle()
     if failures:
         raise NotRepresentable("traversal counts on %r %s" % failures[0])
-    try:
-        return counts.acc.vector()
-    except FormatError as ex:
-        raise NotRepresentable(str(ex))
+    return counts.acc.vector()
 
 
 # -- subdivision --------------------------------------------------------------
@@ -960,10 +955,10 @@ class _Region:
         return uf, ends
 
     def _end_beyond(self, v):
-        for e in self.g.ends():
-            if self.g.in_half_space(v, e, self.rho):
-                return e
-        raise InternalError("deep vertex %s escaped every end" % v.label())
+        end = self.g._end_past(v, self.rho)
+        if end is None:
+            raise InternalError("deep vertex %s escaped every end" % v.label())
+        return end
 
     def _node_of(self, v):
         if v.index is not None and abs(v.index) > self.fence:

@@ -1,30 +1,32 @@
 """Integer edge vectors with eventually constant tails, and thin families.
 
-An EdgeVector stores finitely many explicit instance values plus, per edge
-class and direction, an optional constant tail (threshold, value): every
-instance at index >= threshold (direction "+") or <= threshold ("-") carries
-the value unless an explicit entry overrides it. Values are attached to the
-forward orientation; evaluating a reversed dart negates.
+An EdgeVector stores its value runs: per cell class, the sorted indices
+where the value changes, and the value far to the left followed by the
+value from each of them on; per static edge, its value. Values are
+attached to the forward orientation; evaluating a reversed dart negates.
+No change of value is zero, so the runs are canonical and equal vectors
+compare equal. Queries read the runs: value_on is a bisect, and
+breakpoints() and support_bound() cost one step per class, not per index.
 
-The stored form is canonical, so equal vectors compare equal: no explicit
-entry is zero or lies at or past a tail threshold, thresholds lie as far in
-as the values allow, and a class that is constant on the whole line keeps
-the split "+" from 0 / "-" from -1 (just "+" from 0 on a periodic-n graph).
+The classical form is derived from the runs: vals, finitely many explicit
+instance values, and tails, per edge class and direction an optional
+constant tail (threshold, value): every instance at index >= threshold
+(direction "+") or <= threshold ("-") carries the value unless an explicit
+entry overrides it. It is canonical too: no explicit entry is zero or lies
+at or past a tail threshold, thresholds lie as far in as the values allow,
+and a class that is constant on the whole line keeps the split "+" from 0
+/ "-" from -1 (just "+" from 0 on a periodic-n graph). EdgeVector(graph,
+vals, tails) reads raw input in that form. vals lists every index of each
+bounded run of nonzero value, which a short description can make long (an
+explicit value far inside a one-sided tail), so past _ENTRY_CAP entries on
+one class it raises NotRepresentable.
 
 Every vector is made by one breakpoint builder, _Breakpoints. Per cell
 class it holds the value far to the left and the change of value at each
 breakpoint, the index where the value changes; static edges hold plain
-sums. Construction from raw input, sums and thin sums fill it, and one sweep
-over each class's sorted breakpoints writes the stored form. Cost grows
-with the number of breakpoints and stored entries, not with the size of the
-indices. The sweep also keeps, per cell class, the indices where the value
-changes, and the largest |index| of a stored entry or threshold:
-breakpoints() and support_bound() hand those out, so the star check and
-verification pay per change of value, not per stored entry. The one limit
-on the stored form is _ENTRY_CAP explicit entries
-per class (FormatError beyond it), which a short description can still ask
-for: an explicit value far inside a one-sided tail, or a wide finite shift
-range of an untailed template.
+sums. Construction from raw input, sums, scaling, shifts and thin sums fill
+it, and its sorted breakpoints are the runs. Cost grows with the number of
+breakpoints, not with the size of the indices.
 
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
@@ -33,7 +35,11 @@ exactly or refuses with NotThin / NotRepresentable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from types import MappingProxyType
 
 from .errors import (
     FormatError,
@@ -53,9 +59,11 @@ from .graph import (
 
 # widest finite shift range over which a tailed template is expanded
 _EXPAND_CAP = 4096
-# most explicit entries one edge class may store: every class within
-# |index| <= 200,000 fits
+# most explicit entries the vals of one edge class may list: every class
+# within |index| <= 200,000 fits
 _ENTRY_CAP = 400_001
+# the runs of a class that is 0 everywhere
+_ZERO_RUN = ((), (0,))
 
 
 def _check_same_graph(a, b):
@@ -66,16 +74,71 @@ def _check_same_graph(a, b):
 
 
 class EdgeVector:
-    """Finitely many explicit values plus constant tails. Immutable by
+    """Value runs per cell class plus values on static edges. Immutable by
     convention; all operations return new vectors in canonical form."""
 
     __hash__ = None
 
     def __init__(self, graph, vals=None, tails=None):
-        self.graph = graph
-        self.vals = dict(vals or {})
-        self.tails = dict(tails or {})
-        self._normalize()
+        """Read raw input: explicit values plus constant tails. An explicit
+        entry replaces the tail value under it, and where the two tails of
+        a class overlap the "+" tail wins."""
+        g = self.graph = graph
+        vals = dict(vals or {})
+        for e, v in vals.items():
+            g.require_edge(e)
+            if not isinstance(v, int):
+                raise FormatError("vector values must be integers")
+        raw = {}
+        for (cname, direction), (t, v) in (tails or {}).items():
+            if not isinstance(v, int) or not isinstance(t, int):
+                raise FormatError("tail thresholds and values must be integers")
+            if v == 0:
+                continue
+            ec = g.edge_classes.get(cname)
+            if ec is None:
+                raise UnknownEdge("unknown edge class %r" % cname)
+            if ec.static:
+                raise FormatError("static edge %r cannot carry a tail" % cname)
+            if direction not in ("+", "-"):
+                raise FormatError("tail direction must be + or -")
+            if g.kind == KIND_FINITE:
+                raise FormatError("finite graphs have no tails")
+            if direction == "-" and g.kind == KIND_PERIODIC_N:
+                raise FormatError("periodic-n graphs have no - tails")
+            if direction == "+" and g.kind == KIND_PERIODIC_N and t < 0:
+                t = 0
+            raw[(cname, direction)] = (t, v)
+        for cname in {c for c, _ in raw}:
+            pt = raw.get((cname, "+"))
+            mt = raw.get((cname, "-"))
+            if pt and mt and mt[0] >= pt[0] and pt[1] != mt[1]:
+                if any(
+                    EdgeId(cname, i) not in vals
+                    for i in range(pt[0], mt[0] + 1)
+                ):
+                    raise FormatError(
+                        "tails of %r overlap with different values" % cname
+                    )
+        acc = _Breakpoints(g)
+        for e, w in vals.items():
+            if e.index is None:
+                acc.statics[e] = w
+                continue
+            pt = raw.get((e.cls, "+"))
+            mt = raw.get((e.cls, "-"))
+            if pt and e.index >= pt[0]:
+                w -= pt[1]
+            elif mt and e.index <= mt[0]:
+                w -= mt[1]
+            acc.span(e.cls, e.index, e.index + 1, w)
+        for (cname, direction), (t, v) in raw.items():
+            if direction == "+":
+                acc.span(cname, t, None, v)
+                continue
+            pt = raw.get((cname, "+"))
+            acc.span(cname, None, t + 1 if pt is None else min(t + 1, pt[0]), v)
+        self._statics, self._runs = acc.runs()
 
     # construction ---------------------------------------------------------
 
@@ -96,109 +159,103 @@ class EdgeVector:
             vals[d.edge] = vals.get(d.edge, 0) + (1 if d.forward else -1)
         return cls(graph, vals)
 
-    def _normalize(self):
-        g = self.graph
-        for e, v in list(self.vals.items()):
-            g.require_edge(e)
-            if not isinstance(v, int):
-                raise FormatError("vector values must be integers")
-        tails = {}
-        for (cname, direction), (t, v) in self.tails.items():
-            if not isinstance(v, int) or not isinstance(t, int):
-                raise FormatError("tail thresholds and values must be integers")
-            if v == 0:
-                continue
-            ec = g.edge_classes.get(cname)
-            if ec is None:
-                raise UnknownEdge("unknown edge class %r" % cname)
-            if ec.static:
-                raise FormatError("static edge %r cannot carry a tail" % cname)
-            if direction not in ("+", "-"):
-                raise FormatError("tail direction must be + or -")
-            if g.kind == KIND_FINITE:
-                raise FormatError("finite graphs have no tails")
-            if direction == "-" and g.kind == KIND_PERIODIC_N:
-                raise FormatError("periodic-n graphs have no - tails")
-            if direction == "+" and g.kind == KIND_PERIODIC_N and t < 0:
-                t = 0
-            tails[(cname, direction)] = (t, v)
-        self.tails = tails
-        for cname in {c for c, _ in tails}:
-            pt = tails.get((cname, "+"))
-            mt = tails.get((cname, "-"))
-            if pt and mt and mt[0] >= pt[0] and pt[1] != mt[1]:
-                if any(
-                    EdgeId(cname, i) not in self.vals
-                    for i in range(pt[0], mt[0] + 1)
-                ):
-                    raise FormatError(
-                        "tails of %r overlap with different values" % cname
-                    )
-        acc = _Breakpoints(g)
-        acc.add(self)
-        self.vals, self.tails, self._moves, self._bound = acc.sweep()
+    # the classical form -------------------------------------------------------
 
-    def _tail_value(self, e: EdgeId):
-        """Tail value covering this instance, or None if no tail covers it."""
-        if e.index is None:
-            return None
-        pt = self.tails.get((e.cls, "+"))
-        if pt and e.index >= pt[0]:
-            return pt[1]
-        mt = self.tails.get((e.cls, "-"))
-        if mt and e.index <= mt[0]:
-            return mt[1]
-        return None
+    @cached_property
+    def vals(self):
+        """Explicit instance values: every static edge with a value, and per
+        cell class every index of a bounded run of nonzero value. Raises
+        NotRepresentable past _ENTRY_CAP entries on one class."""
+        vals = dict(self._statics)
+        for cname, (idx, values) in self._runs.items():
+            inner = [(a, b, v) for a, b, v in zip(idx, idx[1:], values[1:]) if v]
+            if sum(b - a for a, b, _v in inner) > _ENTRY_CAP:
+                raise NotRepresentable(
+                    "vector needs more than %d explicit entries on %r"
+                    % (_ENTRY_CAP, cname)
+                )
+            for a, b, v in inner:
+                for i in range(a, b):
+                    vals[EdgeId(cname, i)] = v
+        return MappingProxyType(vals)
+
+    @cached_property
+    def tails(self):
+        """(class, direction) -> (threshold, value) of each constant tail."""
+        tails = {}
+        for cname, (idx, values) in self._runs.items():
+            left, right = values[0], values[-1]
+            if not idx:  # constant on the whole line: split at 0 / -1
+                tails[(cname, "+")] = (0, left)
+                tails[(cname, "-")] = (-1, left)
+                continue
+            if left:
+                tails[(cname, "-")] = (idx[0] - 1, left)
+            if right:
+                tails[(cname, "+")] = (idx[-1], right)
+        return MappingProxyType(tails)
 
     # queries ----------------------------------------------------------------
 
     def value_on(self, e: EdgeId) -> int:
         self.graph.require_edge(e)
-        if e in self.vals:
-            return self.vals[e]
-        cov = self._tail_value(e)
-        return cov if cov is not None else 0
+        if e.index is None:
+            return self._statics.get(e, 0)
+        idx, values = self._runs.get(e.cls, _ZERO_RUN)
+        return values[bisect_right(idx, e.index)]
 
     def evaluate(self, dart: Dart) -> int:
         v = self.value_on(dart.edge)
         return v if dart.forward else -v
 
     def is_zero(self):
-        return not self.vals and not self.tails
+        return not self._statics and not self._runs
 
     def tail_of(self, cname, direction):
         return self.tails.get((cname, direction))
 
     def support_bound(self):
         """Bound b such that all explicit entries and thresholds have
-        |index| <= b, kept from the sweep that made the stored form."""
-        return self._bound
+        |index| <= b, read off the runs."""
+        bound = 0
+        for idx, values in self._runs.values():
+            if not idx:  # the split at 0 / -1
+                bound = max(bound, 1)
+                continue
+            # the "-" threshold or else the first entry or "+" threshold,
+            # and the "+" threshold or else the last entry or "-" threshold
+            first = idx[0] - 1 if values[0] else idx[0]
+            last = idx[-1] if values[-1] else idx[-1] - 1
+            bound = max(bound, abs(first), abs(last))
+        return bound
 
     def breakpoints(self):
         """Per cell class whose value changes somewhere, the sorted indices
         n where the value differs from the value at n - 1 (on periodic-n,
         where nothing lies left of 0, n = 0 when the value there is not 0).
-        Between two of them the class is constant. Kept from the sweep, so
-        the cost is one entry per class, not per stored entry."""
-        return dict(self._moves)
+        Between two of them the class is constant."""
+        return {c: idx for c, (idx, _values) in self._runs.items() if idx}
 
     def has_static_support(self):
-        return any(e.index is None for e in self.vals)
+        return bool(self._statics)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeVector):
             return NotImplemented
         return (
             self.graph.spec == other.graph.spec
-            and self.vals == other.vals
-            and self.tails == other.tails
+            and self._statics == other._statics
+            and self._runs == other._runs
         )
 
     def __repr__(self):
-        items = ["%s=%d" % (e.label(), v) for e, v in sorted(self.vals.items(), key=lambda p: edge_key(p[0]))]
+        """The runs, as `class[..] = value far left, [n..] = value from n`."""
+        items = ["%s=%d" % (e.label(), v)
+                 for e, v in sorted(self._statics.items(), key=lambda p: edge_key(p[0]))]
         items += [
-            "tail%s %s from %d = %d" % (d, c, t, v)
-            for (c, d), (t, v) in sorted(self.tails.items())
+            "%s[..] = %d" % (c, values[0])
+            + "".join(", [%d..] = %d" % p for p in zip(idx, values[1:]))
+            for c, (idx, values) in self._runs.items()
         ]
         return "<EdgeVector %s>" % ("; ".join(items) if items else "0")
 
@@ -222,9 +279,9 @@ class EdgeVector:
     def scale(self, c: int):
         if not isinstance(c, int):
             raise FormatError("scalars must be integers")
-        vals = {e: c * v for e, v in self.vals.items()}
-        tails = {k: (t, c * v) for k, (t, v) in self.tails.items()}
-        return EdgeVector(self.graph, vals, tails)
+        acc = _Breakpoints(self.graph)
+        acc.add(self, c)
+        return acc.vector()
 
     def __mul__(self, c):
         return self.scale(c)
@@ -235,16 +292,13 @@ class EdgeVector:
         """Translate every index by k. Cell support only."""
         if self.has_static_support():
             raise FormatError("cannot shift a vector with static support")
-        if self.graph.kind == KIND_PERIODIC_N:
-            for e in self.vals:
-                if e.index + k < 0:
-                    raise FormatError("shift slides support off the graph")
-            for (t, _v) in self.tails.values():
-                if t + k < 0:
-                    raise FormatError("shift slides a tail off the graph")
-        vals = {EdgeId(e.cls, e.index + k): v for e, v in self.vals.items()}
-        tails = {key: (t + k, v) for key, (t, v) in self.tails.items()}
-        return EdgeVector(self.graph, vals, tails)
+        if self.graph.kind == KIND_PERIODIC_N and any(
+            idx[0] + k < 0 for idx in self.breakpoints().values()
+        ):
+            raise FormatError("shift slides support off the graph")
+        acc = _Breakpoints(self.graph)
+        acc.add(self, 1, k)
+        return acc.vector()
 
 
 class _Breakpoints:
@@ -276,25 +330,13 @@ class _Breakpoints:
                       None if hi is None else hi + n + 1, c * v)
 
     def add(self, vec, c=1, k=0):
-        """Add c times vec shifted by k cells. An explicit entry replaces
-        the tail value under it, and where the two tails of a class overlap
-        the "+" tail wins, so raw validated input reads as it is meant."""
-        for e, w in vec.vals.items():
-            if e.index is None:
-                self.statics[e] = self.statics.get(e, 0) + c * w
-                continue
-            d = c * (w - (vec._tail_value(e) or 0))
-            if d:
-                self.span(e.cls, e.index + k, e.index + k + 1, d)
-        for (cname, direction), (t, v) in vec.tails.items():
-            if direction == "+":
-                self.span(cname, t + k, None, c * v)
-                continue
-            end = t + 1
-            pt = vec.tails.get((cname, "+"))
-            if pt:
-                end = min(end, pt[0])
-            self.span(cname, None, end + k, c * v)
+        """Add c times vec shifted by k cells: its runs' changes of value."""
+        for e, w in vec._statics.items():
+            self.statics[e] = self.statics.get(e, 0) + c * w
+        for cname, (idx, values) in vec._runs.items():
+            self.span(cname, None, None, c * values[0])
+            for i, before, after in zip(idx, values, values[1:]):
+                self.span(cname, i + k, None, c * (after - before))
 
     def changes(self):
         """Per cell class, the value far to the left and the sorted
@@ -304,51 +346,26 @@ class _Breakpoints:
             for cname, steps in sorted(self.steps.items())
         }
 
-    def sweep(self):
-        """The stored form (vals, tails) of the accumulated values, with
-        per cell class the sorted indices where the value changes and the
-        largest |index| of a stored entry or threshold. A periodic-n graph
-        has nothing left of index 0, so there the value far to the left is
-        0 and no breakpoint lies below 0."""
-        vals = {e: v for e, v in self.statics.items() if v}
-        tails = {}
-        moves = {}
-        bound = 0
-        for cname, (value, points) in self.changes().items():
-            if not points:
-                if value:  # constant on the whole line: split at 0 / -1
-                    tails[(cname, "+")] = (0, value)
-                    tails[(cname, "-")] = (-1, value)
-                    bound = max(bound, 1)
-                continue
-            moves[cname] = tuple(i for i, _d in points)
-            start = points[0][0]
-            if value:
-                tails[(cname, "-")] = (start - 1, value)
-                bound = max(bound, abs(start - 1))
-            stored = 0
-            for i, d in points:
-                if value and i > start:
-                    stored += i - start
-                    if stored > _ENTRY_CAP:
-                        raise FormatError(
-                            "vector needs more than %d explicit entries on %r"
-                            % (_ENTRY_CAP, cname)
-                        )
-                    for j in range(start, i):
-                        vals[EdgeId(cname, j)] = value
-                    bound = max(bound, abs(start), abs(i - 1))
-                value += d
-                start = i
-            if value:
-                tails[(cname, "+")] = (start, value)
-                bound = max(bound, abs(start))
-        return vals, tails, moves, bound
+    def runs(self):
+        """The stored form of the accumulated values: the nonzero static
+        values, and per cell class not 0 everywhere the sorted indices where
+        the value changes and the value far to the left, then from each of
+        them on. A periodic-n graph has nothing left of index 0, so there
+        the value far to the left is 0 and no breakpoint lies below 0."""
+        statics = {e: v for e, v in self.statics.items() if v}
+        runs = {}
+        for cname, (left, points) in self.changes().items():
+            if left or points:
+                runs[cname] = (
+                    tuple(i for i, _d in points),
+                    tuple(accumulate((d for _i, d in points), initial=left)),
+                )
+        return statics, runs
 
     def vector(self):
         vec = EdgeVector.__new__(EdgeVector)
         vec.graph = self.graph
-        vec.vals, vec.tails, vec._moves, vec._bound = self.sweep()
+        vec._statics, vec._runs = self.runs()
         return vec
 
 
@@ -391,12 +408,8 @@ class VectorFamily:
             if graph.kind == KIND_PERIODIC_N:
                 if m.lo is None:
                     raise FormatError("shift range must be bounded below here")
-                anchor = None
-                for e in m.base.vals:
-                    anchor = e.index if anchor is None else min(anchor, e.index)
-                for (t, _v) in m.base.tails.values():
-                    anchor = t if anchor is None else min(anchor, t)
-                if anchor is not None and m.lo + anchor < 0:
+                firsts = [idx[0] for idx in m.base.breakpoints().values()]
+                if firsts and m.lo + min(firsts) < 0:
                     raise FormatError("shift range slides off the graph")
             members.append(m)
         self.periodic = tuple(members)
@@ -523,22 +536,3 @@ def vector_to_text(vec: EdgeVector) -> str:
         lines.append("set %s = %d" % (e.label(), v))
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def vector_to_json(vec: EdgeVector) -> dict:
-    return {
-        "edges": [
-            {"edge": _edge_json(e), "value": v}
-            for e, v in sorted(vec.vals.items(), key=lambda p: edge_key(p[0]))
-        ],
-        "tails": [
-            {"class": c, "direction": d, "from": t, "value": v}
-            for (c, d), (t, v) in sorted(vec.tails.items())
-        ],
-    }
-
-
-def _edge_json(e: EdgeId):
-    out = {"edge": e.cls}
-    if e.index is not None:
-        out["index"] = e.index
-    return out

@@ -8,7 +8,7 @@ from endcycle import chains as ch
 from endcycle.cuts import cut_sum
 from endcycle.graph import graph_from_text, parse_edge_label, parse_vertex_label
 from endcycle.membership import Member, NonMember, is_member
-from endcycle.vectors import parse_vector_text
+from endcycle.vectors import parse_vector_text, vector_to_text
 from endcycle.errors import (
     BadDimension,
     FormatError,
@@ -332,9 +332,13 @@ def test_step_two_jump_family_grows(ladder):
 
 
 def test_counts_past_the_entry_cap_are_not_representable(ladder):
+    # the square family's winding vector is a handful of runs, but its
+    # explicit entries list rail_top[0..500000] one by one
     rep = ch.parse_chain_text(ladder, "periodic 0..500000 { %s }" % _square(0))
+    vec = ch.edge_vector_of(rep)
+    assert vec.breakpoints()["rail_top"] == (0, 500001)
     with pytest.raises(NotRepresentable):
-        ch.edge_vector_of(rep)
+        vector_to_text(vec)
     rep = ch.parse_chain_text(
         ladder, "periodic 0..250000 step 2 { pass rail_top[0] + }"
     )

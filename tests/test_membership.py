@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -641,6 +642,19 @@ def test_long_constant_runs_cost_their_description(ladder, make):
     # only the printed indices get longer
     assert abs(len(far) - len(near)) <= 64
     assert took < 0.5
+
+
+def test_square_inside_one_sided_tails_answers_small(ladder):
+    # the tails' runs hold the square as a few changes of value, so parsing
+    # and deciding cost the same at every n, and the certificate differs
+    # from the one at n = 10^3 only in the digits of its indices
+    near, _took = _decided_certificate(ladder, _rail_tails_and_far_square(ladder, 10**3))
+    t0 = time.perf_counter()
+    vec = _rail_tails_and_far_square(ladder, 10**5)
+    parsed = time.perf_counter() - t0
+    far, took = _decided_certificate(ladder, vec)
+    assert parsed + took < 0.05
+    assert re.sub(r"\d+", "0", far) == re.sub(r"\d+", "0", near)
 
 
 # the graph of the F1 fault: a composite lifted at offset 0 meets e1[-1],

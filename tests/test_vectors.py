@@ -1,5 +1,7 @@
 """Edge vector text format, arithmetic, and thin sums."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from endcycle.vectors import (
     is_thin,
     parse_vector_text,
     thin_sum,
-    vector_to_json,
     vector_to_text,
 )
 from endcycle.errors import (
@@ -103,15 +104,6 @@ def test_support_bound(ladder):
     assert EdgeVector.zero(ladder).support_bound() == 0
 
 
-def test_json_shape(ladder):
-    v = parse_vector_text(ladder, "tail+ rail_top from 2 = 3\nset rung[-4] = 1")
-    obj = vector_to_json(v)
-    assert obj["edges"] == [{"edge": {"edge": "rung", "index": -4}, "value": 1}]
-    assert obj["tails"] == [
-        {"class": "rail_top", "direction": "+", "from": 2, "value": 3}
-    ]
-
-
 def test_thin_sum_finite_part(ladder):
     a = parse_vector_text(ladder, "set rung[0] = 1")
     b = parse_vector_text(ladder, "set rung[1] = 1")
@@ -186,6 +178,17 @@ def test_far_entry_on_constant_rails(ladder):
     assert parse_vector_text(ladder, vector_to_text(v)) == v
 
 
+def test_far_entry_inside_a_one_sided_tail_is_three_changes(ladder):
+    # the runs store the value changes at 0, n and n + 1, not the n entries
+    # under the tail that vals lists
+    n = 10**9
+    t0 = time.perf_counter()
+    v = parse_vector_text(ladder, "tail+ rail_top from 0 = 1\nset rail_top[%d] = 2\n" % n)
+    assert time.perf_counter() - t0 < 0.05
+    assert [v.value_on(EdgeId("rail_top", i)) for i in (n - 1, n, n + 1)] == [1, 2, 1]
+    assert v.breakpoints()["rail_top"] == (0, n, n + 1)
+
+
 def test_thin_sum_far_half_line(ladder):
     base = parse_vector_text(ladder, "set rung[0] = 1")
     fam = VectorFamily(ladder, periodic=[(1, base, 300000, None)])
@@ -198,9 +201,12 @@ def test_far_tail_minus_itself(ladder):
 
 
 def test_entry_limit(ladder):
-    # the stored form would hold rail_top[0..500000] one by one
-    with pytest.raises(FormatError, match="explicit entries"):
-        parse_vector_text(ladder, "tail+ rail_top from 0 = 1\nset rail_top[500000] = 2")
+    # the runs hold a far entry inside a tail as three changes of value,
+    # but the explicit entries list rail_top[0..500000] one by one
+    v = parse_vector_text(ladder, "tail+ rail_top from 0 = 1\nset rail_top[500000] = 2")
+    assert v.value_on(EdgeId("rail_top", 500000)) == 2
+    with pytest.raises(NotRepresentable, match="explicit entries"):
+        vector_to_text(v)
 
 
 # --- stored form against a dense reference -----------------------------------
