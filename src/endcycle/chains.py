@@ -54,7 +54,6 @@ from .graph import (
     EdgeId,
     EndId,
     Ray,
-    UnionFind,
     VertexId,
     parse_dart_label,
     parse_edge_label,
@@ -212,26 +211,6 @@ def _simplex_indices(s):
             for d in r.initial + r.repeat:
                 dart_idx(d)
     return out
-
-
-def _simplex_touches_static(s):
-    """True if any part of the simplex is pinned (cap vertex or static
-    edge), i.e. does not move under shifting."""
-    if isinstance(s, Pass):
-        return s.dart.edge.index is None
-    if isinstance(s, Walk):
-        return s.start.index is None or any(
-            d.edge.index is None for d in s.darts
-        )
-    if isinstance(s, Constant):
-        return isinstance(s.point, VertexId) and s.point.index is None
-    if isinstance(s, EndJump):
-        return any(
-            r.start.index is None
-            or any(d.edge.index is None for d in r.initial + r.repeat)
-            for r in (s.out_ray, s.in_ray)
-        )
-    return False
 
 
 def _static_vertices(g, s):
@@ -405,11 +384,10 @@ def check_admissible(g, rep: ChainRep) -> AdmissibilityReport:
             continue
         if _member_width(m) is not None:
             continue
-        if _simplex_touches_static(s):
-            pinned = _static_vertices(g, s)
-            if pinned:
-                witnesses.append(min(pinned, key=vertex_key))
-                continue
+        pinned = _static_vertices(g, s)
+        if pinned:
+            witnesses.append(min(pinned, key=vertex_key))
+            continue
         if isinstance(s, EndJump):
             for ray in (s.out_ray, s.in_ray):
                 against = (
@@ -886,9 +864,11 @@ class AdmissiblePairSpec:
 
 
 class _Region:
-    """The kept region: an explicit vertex window plus a set of kept ends.
-    Membership of arbitrary vertices, edges, and rays is decidable against
-    the window because deletions cannot reach past it."""
+    """The kept region of G - D: the components of the kept
+    representatives, read off one window of the graph around D that the
+    stable partition closes off past its fence (`Graph._window`). Any
+    vertex beyond the fence is answered by the vertex of the closed block
+    it is glued to, and the kept ends are those whose roots are kept."""
 
     def __init__(self, g, pair):
         for v in pair.deleted:
@@ -905,10 +885,9 @@ class _Region:
         )
         nb = (len(g.spec.cell_classes) + 3) * w
         self.fence = g.stabilization_radius + r_del + nb + g.D + 2
-        self.rho = self.fence - w
 
-        uf, ends = self._connectivity()
-        roots = set()
+        self.uf, roots = g._window(self.deleted, self.fence)
+        self.kept_roots = set()
         for r in pair.kept:
             try:
                 g.require_vertex(r)
@@ -918,62 +897,13 @@ class _Region:
                 raise NotAdmissiblePair(
                     "kept representative %s was deleted" % r.label()
                 )
-            roots.add(uf.find(self._node_of(r)))
-        self.kept_vertices = set()
-        self.kept_ends = set()
-        for x in uf.parent:
-            if uf.find(x) not in roots:
-                continue
-            if isinstance(x, EndId):
-                self.kept_ends.add(x)
-            else:
-                self.kept_vertices.add(x)
-
-    def _connectivity(self):
-        g = self.g
-        window = [v for v in g.cap_vertices() if v not in self.deleted]
-        lo = 0 if g.kind == KIND_PERIODIC_N else -self.fence
-        window.extend(
-            v
-            for v in g.cell_vertices_within(lo, self.fence)
-            if v not in self.deleted
-        )
-        ends = tuple(g.ends())
-        uf = UnionFind(window)
-        for e in ends:
-            uf.add(e)
-        for v in window:
-            for d, u in g.neighbors(v):
-                if u in self.deleted:
-                    continue
-                if u.index is not None and abs(u.index) > self.fence:
-                    uf.union(v, self._end_beyond(u))
-                elif g.kind == KIND_PERIODIC_N and u.index is not None and u.index < 0:
-                    continue
-                else:
-                    uf.union(v, u)
-        return uf, ends
-
-    def _end_beyond(self, v):
-        end = self.g._end_past(v, self.rho)
-        if end is None:
-            raise InternalError("deep vertex %s escaped every end" % v.label())
-        return end
-
-    def _node_of(self, v):
-        if v.index is not None and abs(v.index) > self.fence:
-            return self._end_beyond(v)
-        return v
+            self.kept_roots.add(self.uf.find(g._window_node(r, self.fence)))
+        self.kept_ends = {e for e, root in roots.items() if root in self.kept_roots}
 
     def has_vertex(self, v):
         if v in self.deleted:
             return False
-        if v.index is not None and abs(v.index) > self.fence:
-            return self._end_beyond(v) in self.kept_ends
-        return v in self.kept_vertices
-
-    def has_end(self, e):
-        return e in self.kept_ends
+        return self.uf.find(self.g._window_node(v, self.fence)) in self.kept_roots
 
     def has_ray(self, ray):
         g = self.g
@@ -1001,8 +931,10 @@ class _Region:
     def has_simplex(self, s):
         g = self.g
         if isinstance(s, Constant):
+            # admissibility refuses a constant at an end unless its
+            # coefficient is zero
             if isinstance(s.point, EndId):
-                return self.has_end(s.point)
+                return s.point in self.kept_ends
             return self.has_vertex(s.point)
         if isinstance(s, Pass):
             t, h = g.dart_ends(s.dart)

@@ -262,9 +262,6 @@ class EndCircle:
         for seg in self.segments:
             seg.tally(g, windows, coeff, out)
 
-    def ends(self, g):
-        return tuple(g.end_of_ray(seg.fwd) for seg in self.segments)
-
 
 PIECE_TYPES = (FiniteCircuit, CircuitFamily, EndCircle)
 

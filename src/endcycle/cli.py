@@ -15,10 +15,7 @@ import sys
 from . import chains, circles, cuts
 from .errors import EndcycleError, InternalError
 from .examples import example_documents, example_names
-from .graph import (
-    KIND_PERIODIC_N,
-    graph_from_text,
-)
+from .graph import graph_from_text
 from .membership import (
     Member,
     certificate_to_json,
@@ -342,34 +339,21 @@ def _cmd_examples(args):
 
 def export_dot(g, r: int) -> str:
     """DOT text for the radius-r truncation, rim vertices drawn as boxes."""
-    lo = 0 if g.kind == KIND_PERIODIC_N else -r
-    verts = list(g.cap_vertices()) + list(g.cell_vertices_within(lo, r))
-    present = set(verts)
+    trunc = g.truncate(r)
+    boundary = set(trunc.boundary)
     lines = [
         "// graph %s kind %s truncated at radius %d" % (g.spec.name, g.kind, r)
     ]
     for e in g.ends():
         lines.append("// end %s" % e.label())
     lines.append("digraph truncation {")
-    boundary = set()
-    edges = []
-    for e in g.static_instances():
-        t, h = g.endpoints(e)
-        edges.append((t, h, e))
-    for e in g.cell_instances_within(lo - g.D - 1, r + g.D + 1):
-        t, h = g.endpoints(e)
-        if t in present and h in present:
-            edges.append((t, h, e))
-        elif t in present:
-            boundary.add(t)
-        elif h in present:
-            boundary.add(h)
-    for v in verts:
+    for v in trunc.vertices:
         mark = ' [shape=box, label="%s (boundary)"]' % v.label()
         lines.append(
             '  "%s"%s;' % (v.label(), mark if v in boundary else "")
         )
-    for t, h, e in edges:
+    for e in trunc.edges:
+        t, h = g.endpoints(e)
         lines.append(
             '  "%s" -> "%s" [label="%s"];' % (t.label(), h.label(), e.label())
         )
@@ -490,7 +474,6 @@ def main(argv=None) -> int:
     except _CliError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except _CliError as ex:

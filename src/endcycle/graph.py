@@ -230,9 +230,6 @@ class UnionFind:
             self.parent[rb] = ra
         return ra
 
-    def same(self, a, b):
-        return self.find(a) == self.find(b)
-
     def groups(self):
         out = {}
         for x in self.parent:
@@ -331,7 +328,9 @@ class _RayStructure:
     distance d+1 beyond the stabilization radius."""
 
     def __init__(self, g, sign):
-        self.g = g
+        # no reference back to g, so a dropped graph is freed at once
+        self.kind = g.kind
+        self.cell_classes = g.cell_classes
         self.sign = sign
         self.direction = "+" if sign > 0 else "-"
         self.W = g.W
@@ -361,7 +360,7 @@ class _RayStructure:
         for ec, toff, hoff, s in self.klass:
             for t in range(lo, hi - s):
                 n = self._base_index(s, t)
-                if self.g.kind == KIND_PERIODIC_N and n < 0:
+                if self.kind == KIND_PERIODIC_N and n < 0:
                     continue
                 out.append(
                     (
@@ -383,7 +382,7 @@ class _RayStructure:
 
     def _fixpoint(self):
         W = self.W
-        verts2 = [(c, d) for c in self.g.cell_classes for d in range(2 * W)]
+        verts2 = [(c, d) for c in self.cell_classes for d in range(2 * W)]
         edges2 = self._instances(0, 2 * W)
         uf = UnionFind(self.block)
         for a, b, _ in self._instances(0, W):
@@ -462,7 +461,7 @@ class _RayStructure:
         for ec, toff, hoff, s in self.klass:
             for t in range(-s, 0):
                 n = self._base_index(s, t)
-                if self.g.kind == KIND_PERIODIC_N and n < 0:
+                if self.kind == KIND_PERIODIC_N and n < 0:
                     continue
                 d1, d2 = t + toff, t + hoff
                 if (d1 < 0) != (d2 < 0):
@@ -519,7 +518,7 @@ class _RayStructure:
         """Close off the deep pattern past the fence: glue the block by the
         stable partition."""
         for rel in range(self.W):
-            for c in self.g.cell_classes:
+            for c in self.cell_classes:
                 first = self.members[self.cls_id[(c, rel)]][0]
                 uf.union(
                     VertexId(first[0], self.sign * (fence + 1 + first[1])),
@@ -537,7 +536,7 @@ class _RayStructure:
         """Root in uf of each end, by rank, read off the closed block."""
         roots = {}
         for rel in range(self.W):
-            for c in self.g.cell_classes:
+            for c in self.cell_classes:
                 cid = self.stable_class(c, fence - self.r0 + rel)
                 if cid not in self.unbounded:
                     continue
@@ -820,9 +819,6 @@ class Graph:
     def ends(self):
         return self._ends
 
-    def end_count(self):
-        return len(self.ends())
-
     def deep_period(self, sign):
         """Shift, in cells, that maps every deep vertex in direction sign
         (+1 or -1) into the half-spaces of the same ends."""
@@ -835,38 +831,57 @@ class Graph:
 
     # -- components ---------------------------------------------------------
 
-    def _components_info(self):
-        if self._comp_cache is not None:
-            return self._comp_cache
-        W = self.W
-        nb = max(1, len(self.cell_classes) * W)
-        M = self.stabilization_radius + (nb + 3) * W
-        universe = set(self.cap_vertices())
+    def _window(self, deleted, fence):
+        """Connectivity of G - deleted through the window of caps and cells
+        with |index| <= fence, closed off past fence - W by the stable
+        partition: (uf, {EndId: root}). Every deleted vertex lies inside
+        fence - W, and fence - W >= r0."""
+        # both cell enumerations stop at cell 0 on a periodic-n graph
+        verts = list(self.cap_vertices())
+        verts.extend(self.cell_vertices_within(-fence, fence))
         edges = list(self.static_instances())
-        if self._rays:
-            # both enumerations stop at cell 0 on a periodic-n graph
-            universe.update(self.cell_vertices_within(-M - W, M + W))
-            edges.extend(self.cell_instances_within(-M - W, M + W))
-        uf = UnionFind(universe)
+        edges.extend(self.cell_instances_within(-fence, fence))
+        uf = UnionFind(v for v in verts if v not in deleted)
         for e in edges:
             t, h = self.endpoints(e)
-            uf.union(t, h)
+            if t in uf.parent and h in uf.parent:
+                uf.union(t, h)
+        # close every side before reading any roots: a later closure can
+        # merge the roots read off an earlier side
         for ray in self._rays.values():
-            ray.close_deep(uf, M)
+            ray.close_deep(uf, fence - self.W)
+        roots = {}
+        for ray in self._rays.values():
+            for rk, root in ray.end_roots(uf, fence - self.W).items():
+                roots[EndId(ray.direction, rk)] = root
+        return uf, roots
+
+    def _window_node(self, v, fence):
+        """v inside the window of `_window(..., fence)`; beyond it, the
+        vertex of the closed block that v is glued to."""
+        if v.index is None or abs(v.index) <= fence:
+            return v
+        ray = self._rays[1 if v.index > 0 else -1]
+        return ray.deep_representative(v, fence - self.W)
+
+    def _components_info(self):
+        """Components of the window of caps and cells within M + W, closed
+        off past M by the stable partition (`_window`)."""
+        if self._comp_cache is not None:
+            return self._comp_cache
+        nb = max(1, len(self.cell_classes) * self.W)
+        M = self.stabilization_radius + (nb + 3) * self.W
+        uf, roots = self._window(frozenset(), M + self.W)
         raw = sorted(
             uf.groups().values(),
             key=lambda ms: min(vertex_key(u) for u in ms),
         )
-        end_roots = {}
-        for ray in self._rays.values():
-            for rk, root in ray.end_roots(uf, M).items():
-                end_roots.setdefault(root, []).append(EndId(ray.direction, rk))
         comps = []
         root_index = {}
         for i, ms in enumerate(raw):
             root = uf.find(ms[0])
             root_index[root] = i
-            ends = tuple(sorted(end_roots.get(root, []), key=end_key))
+            ends = tuple(e for e in self._ends if roots[e] == root)
             finite = not ends
             if finite and any(
                 u.index is not None and abs(u.index) > M for u in ms
@@ -885,19 +900,16 @@ class Graph:
                     size=len(ms) if finite else None,
                 )
             )
-        self._comp_cache = (uf, universe, tuple(comps), root_index, M)
+        self._comp_cache = (uf, tuple(comps), root_index, M + self.W)
         return self._comp_cache
 
     def components(self):
-        return self._components_info()[2]
+        return self._components_info()[1]
 
     def component_of(self, v):
         self.require_vertex(v)
-        uf, universe, comps, root_index, M = self._components_info()
-        if v not in universe:
-            ray = self._rays[1 if v.index > 0 else -1]
-            v = ray.deep_representative(v, self.stabilization_radius)
-        return root_index[uf.find(v)]
+        uf, comps, root_index, fence = self._components_info()
+        return root_index[uf.find(self._window_node(v, fence))]
 
     # -- half spaces ---------------------------------------------------------
 

@@ -147,11 +147,6 @@ class EdgeVector:
         return cls(graph)
 
     @classmethod
-    def from_dart(cls, graph, dart: Dart):
-        graph.require_edge(dart.edge)
-        return cls(graph, {dart.edge: 1 if dart.forward else -1})
-
-    @classmethod
     def from_darts(cls, graph, darts):
         vals = {}
         for d in darts:

@@ -107,6 +107,20 @@ edge side_c : t2 -> t0
 edge bridge : p0 -> p1
 """
 
+# a line a with a bounded piece q[n] - s[n+1] - t[n+2] hanging off each a[n-1]
+PENDANT = """\
+graph pendant
+kind periodic-z
+vertex a
+vertex q
+vertex s
+vertex t
+edge aa : a -> a[+1]
+edge qa : q -> a[-1]
+edge qs : q -> s[+1]
+edge st : s -> t[+1]
+"""
+
 
 def random_vector(g, rng, bound=3, coeff=3):
     """Seeded eventually-periodic vector with support inside [-bound, bound].

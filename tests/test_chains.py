@@ -9,6 +9,7 @@ from endcycle.cuts import cut_sum
 from endcycle.graph import graph_from_text, parse_edge_label, parse_vertex_label
 from endcycle.membership import Member, NonMember, is_member
 from endcycle.vectors import parse_vector_text, vector_to_text
+from conftest import PENDANT
 from endcycle.errors import (
     BadDimension,
     FormatError,
@@ -528,3 +529,56 @@ def test_restrict_rejects_deleted_keep(ladder):
     pair = ch.parse_pair_text(ladder, "delete top[0]\nkeep top[0]")
     with pytest.raises(NotAdmissiblePair):
         ch.restrict_chain(ladder, pair, ch.parse_chain_text(ladder, SQUARES_Z))
+
+
+def test_restrict_past_a_bounded_piece_beyond_the_fence():
+    # the pieces q[n] - s[n+1] - t[n+2] are finite, so the window meets
+    # pieces past its fence that belong to no end
+    g = graph_from_text(PENDANT)
+    pair = ch.parse_pair_text(g, "delete a[5]\nkeep a[0]")
+    rep = ch.parse_chain_text(
+        g, "walk a[0] aa[0] a[1]\nperiodic -inf..inf { pass st[0] + }"
+    )
+    assert ch.chain_to_text(ch.restrict_chain(g, pair, rep)) == (
+        "walk a[0] aa[0] a[1]\nperiodic -inf..6 { pass st[0] + }"
+    )
+
+
+def test_restrict_end_jumps_and_constants(ladder):
+    plus = "endjump top[0] repeat rail_top[0]+ ; top[0] rung[0]+ repeat rail_bot[0]+"
+    minus = ("endjump top[0] repeat rail_top[-1]- ; "
+             "top[0] rung[0]+ repeat rail_bot[-1]-")
+    rep = ch.parse_chain_text(ladder, "\n".join([
+        plus,
+        minus,
+        "endjump top[7] repeat rail_top[7]+ ; top[7] rung[7]+ repeat rail_bot[7]+",
+        "const top[2]",
+        "const top[9]",
+        "periodic -20..-10 { %s }" % minus,
+        "periodic 0..inf { %s }" % plus,
+        "periodic 0..3 { const bot[0] }",
+        # a constant at an end is admissible only with coefficient zero
+        "coeff 0 const end-0",
+        "coeff 0 const end+0",
+    ]))
+    kept = {
+        "top[0]": [
+            minus,
+            "const top[2]",
+            "coeff 0 const end-0",
+            "periodic -20..-10 { %s }" % minus,
+            "periodic 0..3 { const bot[0] }",
+        ],
+        "top[9]": [
+            "endjump top[7] repeat rail_top[7]+ ; top[7] rung[7]+ repeat rail_bot[7]+",
+            "const top[9]",
+            "coeff 0 const end+0",
+            "periodic 6..inf { %s }" % plus,
+        ],
+    }
+    for keep, lines in kept.items():
+        pair = ch.parse_pair_text(
+            ladder, "delete top[5]\ndelete bot[5]\nkeep " + keep
+        )
+        res = ch.restrict_chain(ladder, pair, rep)
+        assert ch.chain_to_text(res).splitlines() == lines

@@ -1,7 +1,10 @@
 """Graph text format and the periodic graph model."""
 
+import gc
+
 import pytest
 
+from endcycle import examples
 from endcycle.graph import (
     KIND_FINITE,
     KIND_PERIODIC_N,
@@ -114,6 +117,18 @@ def test_component_ends_match_half_spaces():
         inside = [e for e in g.ends() if g.in_half_space(v, e, 5)]
         assert len(inside) == 1
         assert inside[0] in comps[g.component_of(v)].ends
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        g = examples.example_graph("double-ladder")
+        g.component_of(VertexId("top", 10**6))
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ray_end_and_half_space(double_ray):

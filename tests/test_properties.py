@@ -21,7 +21,7 @@ from endcycle.membership import certificate_from_json, certificate_to_json
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
                               parse_vector_text, thin_sum)
 
-from conftest import (CHORDS, DOUBLE_RAY, LADDER, THETA, TRIPLE, merged,
+from conftest import (CHORDS, DOUBLE_RAY, LADDER, PENDANT, THETA, TRIPLE, merged,
                       random_chain, random_vector, random_walk_text)
 
 GRAPHS = {name: graph_from_text(text) for name, text in
@@ -976,13 +976,16 @@ def test_wide_bounded_families_decide_and_verify(kind, seed, widths):
 
 # -- half spaces against a search over the cell edges ---------------------------
 
-def _random_lattice(rng, kind):
+def _lattice_text(rng, kind, own_lines=True):
     """1-4 cell classes, 0-2 caps, offsets 0-4. Every cell class i has a
-    line e<i> : c<i> -> c<i>[+k] that a ray can run along; up to four more
-    cell edges join the lines."""
+    line e<i> : c<i> -> c<i>[+k] that a ray can run along (without
+    own_lines, each class has one with odds one half, and the lines are
+    numbered in turn); up to four more cell edges join the classes.
+    Returns the text, the cell classes and the caps."""
     cells = ["c%d" % i for i in range(rng.randint(1, 4))]
     caps = ["p%d" % i for i in range(rng.randint(0, 2))]
-    edges = ["%s -> %s[%d]" % (c, c, rng.randint(1, 4)) for c in cells]
+    edges = ["%s -> %s[%d]" % (c, c, rng.randint(1, 4)) for c in cells
+             if own_lines or rng.random() < 0.5]
     for _ in range(rng.randint(0, 4)):
         a, b = rng.choice(cells), rng.choice(cells)
         oa, ob = rng.randint(0, 4), rng.randint(0, 4)
@@ -995,7 +998,11 @@ def _random_lattice(rng, kind):
     lines += ["vertex %s" % c for c in cells]
     lines += ["cap-vertex %s" % p for p in caps]
     lines += ["edge e%d : %s" % (j, e) for j, e in enumerate(edges)]
-    return graph_from_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n", cells, caps
+
+
+def _random_lattice(rng, kind):
+    return graph_from_text(_lattice_text(rng, kind)[0])
 
 
 def _searched_ends(g, sign, radius):
@@ -1069,6 +1076,60 @@ def test_half_spaces_match_search(kind, seed):
             ray = Ray(VertexId(c, n), (), (step,), sign * k)
             tail = n + sign * k * max(0, -(-(r0 + 1 - sign * n) // k))
             assert g.end_of_ray(ray) == label[VertexId(c, tail)]
+
+
+# -- restriction's kept region against a search over G - D ---------------------
+
+@st.composite
+def _pair_draws(draw):
+    """(graph text, deleted, kept): a lattice where a class may lack its
+    own line, 1-3 deleted cells within +-30 and 1-2 other kept vertices."""
+    kind = draw(st.sampled_from(["periodic-z", "periodic-n"]))
+    rng = random.Random(draw(seeds))
+    text, cells, caps = _lattice_text(rng, kind, own_lines=False)
+    lo = 0 if kind == "periodic-n" else -30
+    deleted = {"%s[%d]" % (rng.choice(cells), rng.randint(lo, 30))
+               for _ in range(rng.randint(1, 3))}
+    pool = caps + ["%s[%d]" % (c, n) for c in cells for n in range(lo, 31)]
+    kept = rng.sample([v for v in pool if v not in deleted], rng.randint(1, 2))
+    return text, sorted(deleted), kept
+
+
+@given(_pair_draws())
+@example((PENDANT, ["a[5]"], ["a[0]"]))
+@settings(max_examples=60, deadline=None)
+def test_kept_region_matches_search(draw):
+    # vertices: a search from the kept vertices over G - D, far past the
+    # fence; ends: those whose half space past the fence holds a vertex
+    # the search reaches 10W-20W out
+    text, deleted, kept = draw
+    try:
+        g = graph_from_text(text)
+    except InfiniteComponents:
+        return
+    pair = ch.parse_pair_text(
+        g, "\n".join(["delete " + v for v in deleted] + ["keep " + v for v in kept])
+    )
+    region = ch._Region(g, pair)
+    fence, W = region.fence, g.W
+    far = fence + 40 * W * (len(g.cell_classes) + 1)
+    reached = set(pair.kept)
+    frontier = list(reached)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for _d, w in g.neighbors(u):
+                if (w not in reached and w not in pair.deleted
+                        and (w.index is None or abs(w.index) <= far)):
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    near = fence + 2 * W
+    for v in g.cap_vertices() + tuple(g.cell_vertices_within(-near, near)):
+        assert region.has_vertex(v) == (v in reached), v
+    ends = {g._end_past(v, fence) for v in reached
+            if v.index is not None and fence + 10 * W < abs(v.index) <= fence + 20 * W}
+    assert region.kept_ends == ends - {None}
 
 
 # -- end flux from per-graph crossing counts ------------------------------------
