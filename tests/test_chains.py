@@ -397,6 +397,32 @@ def test_rails_are_not_a_cycle(ladder):
     assert cut_sum(ladder, exc.value.cut, vec) == exc.value.cut_sum != 0
 
 
+def test_verdicts_build_no_decomposition(monkeypatch, ladder, chords):
+    # homology_class decides by the cut criterion alone, and a chain that
+    # is no cycle carries the cut and sum that is_member reports
+    from endcycle import membership
+
+    rails = ch.parse_chain_text(ladder, RAILS)
+    cert = is_member(ladder, ch.edge_vector_of(rails))
+
+    def refuse(*args):
+        raise AssertionError("a verdict-only call assembled a decomposition")
+
+    monkeypatch.setattr(membership, "_assemble", refuse)
+    sq = ch.parse_chain_text(ladder, SQUARES_Z)
+    loop = ch.parse_chain_text(chords, ENDJUMP_LOOP)
+    assert ch.homology_class(ladder, sq) == ch.edge_vector_of(sq)
+    assert ch.homology_class(chords, loop) == ch.edge_vector_of(loop)
+    assert ch.homologous(ladder, sq, ch.subdivide_to_passes(sq))
+    assert ch.homologous(chords, loop, ch.parse_chain_text(chords, PASS_FAMILIES))
+    assert ch.is_cycle_adhoc(ladder, sq) and ch.is_cycle_adhoc(chords, loop)
+    assert not ch.is_cycle_adhoc(ladder, rails)
+    with pytest.raises(NotACycle) as exc:
+        ch.homology_class(ladder, rails)
+    assert isinstance(cert, NonMember)
+    assert (exc.value.cut, exc.value.cut_sum) == (cert.cut, cert.cut_sum)
+
+
 def test_homologous(ladder, chords):
     sq = ch.parse_chain_text(ladder, SQUARES_Z)
     assert ch.homologous(ladder, sq, sq)

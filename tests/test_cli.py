@@ -184,6 +184,36 @@ def test_winding(work, capsys):
     assert parse_vector_text(g, out) == expect
 
 
+def test_winding_builds_no_decomposition(work, capsys, monkeypatch):
+    from endcycle import membership
+
+    def refuse(*args):
+        raise AssertionError("a verdict-only command assembled a decomposition")
+
+    monkeypatch.setattr(membership, "_assemble", refuse)
+    code, out, _ = run(capsys, "winding", str(work / "ladder.graph"),
+                       str(work / "squares.chain"))
+    assert code == 0
+    g = graph_from_text(LADDER)
+    assert parse_vector_text(g, out) == parse_vector_text(g, RAIL_DIFFERENCE)
+
+
+def test_failed_self_check_exits_2(work, capsys, monkeypatch):
+    # a malformed decomposition of a valid input is an internal error,
+    # not an input error, even when the check raises a FormatError
+    from endcycle.circles import CircleDecomposition
+    from endcycle.errors import FormatError
+
+    def malformed(self, g):
+        raise FormatError("malformed piece")
+
+    monkeypatch.setattr(CircleDecomposition, "check", malformed)
+    code, _, err = run(capsys, "member", str(work / "ladder.graph"),
+                       str(work / "raildiff.vec"))
+    assert code == 2
+    assert err.startswith("internal error [member]")
+
+
 def test_homologous(work, capsys):
     code, out, _ = run(capsys, "homologous", str(work / "theta.graph"),
                        str(work / "leftmid.chain"), str(work / "leftmid.chain"))

@@ -25,6 +25,7 @@ from endcycle.circles import (
     RaySegment,
 )
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
+from endcycle.errors import FormatError, InternalError, NotARay, UnknownEdge, UnknownVertex
 from endcycle.graph import (EdgeId, Graph, Ray, graph_from_text, parse_dart_label,
                             parse_vertex_label, vertex_key)
 from endcycle.membership import (
@@ -200,6 +201,18 @@ def test_malformed_member_rejected(ladder):
         circle = EndCircle((RaySegment(ray, (), ray),))
         cert = Member(CircleDecomposition(((1, circle),)))
         assert not verify_certificate(ladder, vec, cert)
+
+
+@pytest.mark.parametrize("error", [FormatError, UnknownEdge, UnknownVertex, NotARay])
+def test_failed_self_check_is_an_internal_error(monkeypatch, ladder, error):
+    # the self-check rejecting the solver's own decomposition of a valid
+    # input is a solver failure, whatever error class the check raised
+    def malformed(self, g):
+        raise error("malformed piece")
+
+    monkeypatch.setattr(CircleDecomposition, "check", malformed)
+    with pytest.raises(InternalError):
+        membership.decompose(ladder, parse_vector_text(ladder, RAIL_DIFFERENCE))
 
 
 DRIFT_16 = """\
