@@ -16,23 +16,25 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      itself is built only when the flux is nonzero.
   3. The tails form a circulation on the quotient multigraph whose nodes are
      the vertex classes. That circulation is peeled into simple quotient
-     cycles. Drift-free cycles lift to circuit templates, repeated over a
-     shift range. Drifting cycles are grouped per quotient component and
-     tail side. Each group is either stitched into a drift-free composite
-     circuit via connector paths to a hub class, or handed to the end stage
-     as explicit rays (strands), one per residue class of the drift. Equal
-     + and - groups first try one two-sided composite family when it is no
-     longer than their strands. Otherwise a group becomes strands when its
-     flux sum(w * |d|) (the unit ray stubs strands carry) is at most
-     sum(w) / gcd(w) (the unit cycle passes the composite stitches), and a
-     composite when it is larger and one can be laid out. The choice reads
-     only the tails, so one pass is built; only when the strands' end rays
-     overlap is it rebuilt once with the composite wherever one can be laid
-     out. Then the residue's long runs are peeled alike: on a run between
-     two changes of the input, longer than the margin before the tails'
-     anchors, the values form a quotient circulation; its flat cycles and
-     its drifting groups of total drift zero become families bounded to the
-     run. All of it is taken off one breakpoint accumulator of the input.
+     cycles. Drift-free cycles lift to circuit templates, repeated over a shift
+     range; a one-sided family is whole past the input's changes: a - family
+     ends at the first, a + family starts the template's length before the last
+     but not before the first. Drifting cycles are grouped per quotient
+     component and tail side. Each group is either stitched into a drift-free
+     composite circuit via connector paths to a hub class, or handed to the end
+     stage as explicit rays (strands) past the anchor margin, one per residue
+     class of the drift. Equal + and - groups first try one two-sided composite
+     family when it is no longer than their strands. Otherwise a group becomes
+     strands when its flux sum(w * |d|) (the unit ray stubs strands carry) is
+     at most sum(w) / gcd(w) (the unit cycle passes the composite stitches),
+     and a composite when it is larger and one can be laid out. The choice
+     reads only the tails, so one pass is built; only when the strands' end
+     rays overlap is it rebuilt once with the composite wherever one can be
+     laid out. Then the residue's long runs are peeled alike: on a run between
+     two changes of the input, longer than the anchor margin, the values form a
+     quotient circulation; its flat cycles and its drifting groups of total
+     drift zero become families bounded to the run. All of it is taken off one
+     breakpoint accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles.
 
@@ -387,7 +389,7 @@ def _connector_paths(g, hub, base=0):
 
 
 def _anchor_margin(g):
-    """How far past the data the tails' families and strands start."""
+    """How far past the data strands start; also _peel_runs' shortest run."""
     return (len(g.spec.cell_classes) + 1) * g.W + 5
 
 
@@ -525,12 +527,11 @@ def _quotient_cycles(g, tau, comp_of):
 def _peel_tails(g, vec, start, avoid_strands=False):
     """Emit circuit families reproducing the tails, then the long constant
     runs of the residue; return (entries, strand list, finite residue).
-    Every family and strand path family is taken off one accumulator that
-    starts from the input. With avoid_strands every drifting group of the
-    tails takes the composite when one can be laid out."""
-    # the runs between consecutive changes of the input that are longer than
-    # the margin the tails leave to the finite stage
-    cuts = sorted({i for points in vec.breakpoints().values() for i in points})
+    One-sided families are bounded by the input's changes (_one_sided) and
+    strands start at start; all are taken off one accumulator of the input.
+    With avoid_strands a drifting group takes a composite if one lays out."""
+    # the input's changes (or 0 alone) and runs longer than the anchor margin
+    cuts = sorted({i for points in vec.breakpoints().values() for i in points}) or [0]
     runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > _anchor_margin(g)]
     if not vec.tails and not runs:
         return [], [], vec
@@ -553,13 +554,13 @@ def _peel_tails(g, vec, start, avoid_strands=False):
         lifted, _s, _e = _lift_cycle(g, list(key))
         template, _sh = _normalized_template(g, lifted)
         both = min(wp, wm) if (wp > 0 and wm > 0) else 0
-        for wgt, lo, hi in (
-            (both, None, None),
-            (wp - both, start, None),
-            (wm - both, None, -start),
+        for wgt, bounds in (
+            (both, (None, None)),
+            (wp - both, _one_sided(cuts, template, 1)),
+            (wm - both, _one_sided(cuts, template, -1)),
         ):
             if wgt:
-                _peel(acc, entries, wgt, template, lo, hi)
+                _peel(acc, entries, wgt, template, *bounds)
 
     # drifting cycles: a two-sided composite for mirrored groups, then per
     # sign group whichever of composite and strands is the smaller
@@ -580,8 +581,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
             if avoid_strands or _composite_is_smaller(group):
                 built = _try_composite(g, group, comp_of)
             if built is not None:
-                lo, hi = (start, None) if sign > 0 else (None, -start)
-                _peel(acc, entries, *built, lo, hi)
+                _peel(acc, entries, *built, *_one_sided(cuts, built[1], sign))
             else:
                 strands.extend(_emit_strands(g, group, sign, start, acc))
     _peel_runs(g, acc, entries, comp_of, runs)
@@ -589,6 +589,15 @@ def _peel_tails(g, vec, start, avoid_strands=False):
     if resid.tails:
         raise InternalError("tails survived the peeling stage")
     return entries, strands, resid
+
+
+def _one_sided(cuts, template, sign):
+    """(lo, hi) of a one-sided family, whole past the input's changes. A +
+    family starts at the first change or later, so it meets no - family and,
+    on periodic-n, no index below 0."""
+    if sign < 0:
+        return None, cuts[0] - 1
+    return max(cuts[-1] - max(d.edge.index for d in template.darts), cuts[0]), None
 
 
 def _peel_runs(g, acc, entries, comp_of, runs):

@@ -721,11 +721,48 @@ def test_heavy_mirrored_group_is_refused_before_any_copy():
 
 
 def test_two_sided_drift_walk_is_one_family():
-    g = graph_from_text(DRIFT_16.replace("[+16]", "[+64]"))
-    walk = " ".join("a[%d] s[%d]" % (i, i) for i in range(64)) + " a[64] l[0] a[0]"
-    vec = chains.edge_vector_of(chains.parse_chain_text(g, "periodic -inf..inf { walk %s }" % walk))
+    # over all shifts and over each half, the walk of W short steps and one
+    # long step back is one family: a one-sided family starts at the
+    # input's last change, so no stretch is left to the finite stage
+    for W in (16, 64, 128):
+        g = graph_from_text(DRIFT_16.replace("[+16]", "[+%d]" % W))
+        walk = " ".join("a[%d] s[%d]" % (i, i) for i in range(W)) + " a[%d] l[0] a[0]" % W
+        for shifts in ("-inf..inf", "0..inf", "-inf..0"):
+            rep = chains.parse_chain_text(g, "periodic %s { walk %s }" % (shifts, walk))
+            text, _took = _decided_certificate(g, chains.edge_vector_of(rep))
+            dec = certificate_from_json(g, json.loads(text)).decomposition
+            assert [type(piece) for _c, piece in dec.entries] == [CircuitFamily]
+            assert len(text) < 8000
+
+
+LOOPS = """\
+graph loops
+kind periodic-z
+vertex a
+edge x : a -> a[+2]
+edge y : a -> a[+2]
+edge z : a -> a[+2]
+"""
+
+
+@pytest.mark.parametrize("data", ["", "set x[0] = 101\nset y[0] = -100\n"],
+                         ids=["no data", "data at 0"])
+def test_one_sided_copies_of_a_mirrored_composite_tile(data):
+    # tails x = 100, y = -99 and z = -1 on both sides: the two-sided
+    # composite, 200 passes, is longer than the group's strands, so each
+    # side peels its own one-sided copy of it. The + copy starts where the
+    # - copy ends, so together they hold every shift once, with or without
+    # data in between
+    g = graph_from_text(LOOPS)
+    vec = parse_vector_text(g, data + "".join(
+        "tail%s %s from %d = %d\n" % (d, e, 0 if d == "+" else -1, v)
+        for d in "+-" for e, v in (("x", 100), ("y", -99), ("z", -1))))
     text, _took = _decided_certificate(g, vec)
-    assert len(text) < 8000
+    dec = certificate_from_json(g, json.loads(text)).decomposition
+    families = {p.lo is None: p for _c, p in dec.entries if isinstance(p, CircuitFamily)}
+    plus, minus = families[False], families[True]
+    assert plus.template == minus.template and plus.lo == minus.hi + 1
+    assert len(text) < 25000
 
 
 def test_run_fanned_out_to_a_cap_is_left_to_the_finite_stage():

@@ -70,6 +70,7 @@ def test_certificates_verify_and_round_trip(gname, seed):
 
 
 @given(member_graph_names, seeds, small, small)
+@example(gname='chords', seed=0, k1=2, k2=2)
 def test_adding_a_member_never_changes_membership(gname, seed, k1, k2):
     g = GRAPHS[gname]
     m = known_member(gname, random.Random(seed), k1, k2)
