@@ -16,21 +16,24 @@ A CircleDecomposition is a finite list of integer-weighted pieces. It is
 evaluated over windows, a sorted tuple of disjoint index ranges (lo, hi):
 every piece's tally(g, windows, coeff, out) makes one pass over its darts
 and adds coeff times its signed count to out for each edge with index in a
-window and each static edge. A family walks each template dart over its
-shift range, a ray each repeat dart along its progression, both clipped to
-each window, so the cost grows with the description and the windows, not
-with their product. A finite dart is added when its index lies between the
-first and the last window, so out may also hold edges in the gaps; callers
-read only edges inside the windows. CircleDecomposition.values_in sums the
-pieces' tallies; window_values is its one-window case, and ray_hits and
-CircleDecomposition.value_on are the one-edge case. Families keep each
-edge's total finite because a template meets a fixed edge at finitely many
-shifts.
+window and each static edge. A family collects, per class, where the copies
+of its template darts start and stop, and adds each run of nonzero value
+where it meets the windows; a ray walks each repeat dart along its
+progression, clipped to each window, and meets each edge at most once. So
+the cost grows with the description and the windows, not with their
+product. A finite dart is added when its index lies between the first and
+the last window, so out may also hold edges in the gaps; callers read only
+edges inside the windows.
+CircleDecomposition.values_in sums the pieces' tallies; window_values is
+its one-window case, and ray_hits and CircleDecomposition.value_on are the
+one-edge case. Families keep each edge's total finite because a template
+meets a fixed edge at finitely many shifts.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import FormatError, NotARay
@@ -103,17 +106,35 @@ class CircuitFamily:
                                   % self.lo)
 
     def tally(self, g, windows, coeff, out):
+        # per class, where the copies of each template dart j start (j + lo,
+        # or the first window for an unbounded lo) and stop (j + hi + 1);
+        # each run of nonzero value is added where it meets the windows
+        events = []
         for d in self.template.darts:
             j = d.edge.index
             if j is None:
                 continue  # check() refuses static template darts
             s = coeff if d.forward else -coeff
-            for lo, hi in windows:
-                first = lo if self.lo is None else max(lo, j + self.lo)
-                last = hi if self.hi is None else min(hi, j + self.hi)
-                for n in range(first, last + 1):
-                    e = EdgeId(d.edge.cls, n)
-                    out[e] = out.get(e, 0) + s
+            events.append((d.edge.cls, windows[0][0] if self.lo is None else j + self.lo, s))
+            if self.hi is not None:
+                events.append((d.edge.cls, j + self.hi + 1, -s))
+        events.sort()
+        events.append((None, None, 0))
+        end = windows[-1][1] + 1
+        value = 0
+        for (cname, a, s), (nxt, b, _s) in zip(events, events[1:]):
+            value += s
+            if nxt != cname:
+                b = end
+            if value:
+                i = max(bisect_right(windows, (a, math.inf)) - 1, 0)
+                while i < len(windows) and windows[i][0] < b:
+                    for m in range(max(windows[i][0], a), min(windows[i][1] + 1, b)):
+                        e = EdgeId(cname, m)
+                        out[e] = out.get(e, 0) + value
+                    i += 1
+            if nxt != cname:
+                value = 0
 
 
 def _tally_darts(darts, windows, coeff, out):

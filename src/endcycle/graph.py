@@ -661,6 +661,18 @@ class Graph:
         self._ec = {ec.name: ec for ec in classes}
         self.cell_edge_classes = tuple(ec for ec in classes if not ec.static)
         self.static_edge_classes = tuple(ec for ec in classes if ec.static)
+        # the incidence table, +1 out / -1 in: per cell class, (edge class,
+        # offset, sign) for each end of a cell edge class at that class, so
+        # vertex c[i] meets instance i - offset; per vertex a static edge
+        # meets, (edge class, sign)
+        self.cell_incidence = {c: [] for c in spec.cell_classes}
+        self.static_incidence = {}
+        for ec in self.cell_edge_classes:
+            self.cell_incidence[ec.tail_cls].append((ec.name, ec.tail_pos, 1))
+            self.cell_incidence[ec.head_cls].append((ec.name, ec.head_pos, -1))
+        for ec in self.static_edge_classes:
+            for cls, pos, sign in ((ec.tail_cls, ec.tail_pos, 1), (ec.head_cls, ec.head_pos, -1)):
+                self.static_incidence.setdefault(VertexId(cls, pos), []).append((ec.name, sign))
 
     # -- basic queries ---------------------------------------------------
 
@@ -735,33 +747,22 @@ class Graph:
         return Dart(self.shift_edge(d.edge, k), d.forward)
 
     def neighbors(self, v: VertexId):
-        """Darts leaving v, with the vertex each one reaches."""
+        """Darts leaving v, with the vertex each one reaches, in dart_key
+        order; read off the incidence table."""
         self.require_vertex(v)
         out = []
-        for ec in self.static_edge_classes:
-            t = VertexId(ec.tail_cls, ec.tail_pos)
-            h = VertexId(ec.head_cls, ec.head_pos)
-            e = EdgeId(ec.name, None)
-            if v == t:
-                out.append((Dart(e, True), h))
-            if v == h:
-                out.append((Dart(e, False), t))
-        if v.index is not None:
-            for ec in self.cell_edge_classes:
-                if ec.tail_cls == v.cls:
-                    n = v.index - ec.tail_pos
-                    if self.kind != KIND_PERIODIC_N or n >= 0:
-                        e = EdgeId(ec.name, n)
-                        out.append(
-                            (Dart(e, True), VertexId(ec.head_cls, n + ec.head_pos))
-                        )
-                if ec.head_cls == v.cls:
-                    n = v.index - ec.head_pos
-                    if self.kind != KIND_PERIODIC_N or n >= 0:
-                        e = EdgeId(ec.name, n)
-                        out.append(
-                            (Dart(e, False), VertexId(ec.tail_cls, n + ec.tail_pos))
-                        )
+        for name, sign in self.static_incidence.get(v, ()):
+            ec = self._ec[name]
+            out.append((Dart(EdgeId(name, None), sign > 0),
+                        VertexId(ec.head_cls, ec.head_pos) if sign > 0
+                        else VertexId(ec.tail_cls, ec.tail_pos)))
+        for name, pos, sign in self.cell_incidence[v.cls] if v.index is not None else ():
+            n = v.index - pos
+            if self.kind != KIND_PERIODIC_N or n >= 0:
+                ec = self._ec[name]
+                out.append((Dart(EdgeId(name, n), sign > 0),
+                            VertexId(ec.head_cls, n + ec.head_pos) if sign > 0
+                            else VertexId(ec.tail_cls, n + ec.tail_pos)))
         out.sort(key=lambda p: dart_key(p[0]))
         return tuple(out)
 

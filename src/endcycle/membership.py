@@ -7,9 +7,13 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      an incident edge's value changes or a static edge attaches, so the
      caps plus, per cell class, the first vertex of each run between such
      indices settle every star of the window. The vector hands out the
-     indices where its values change (EdgeVector.breakpoints), so the cost
-     grows with the number of changes, not with the stored entries or the
-     size of the indices.
+     indices where its values change (EdgeVector.breakpoints), and the
+     graph's incidence table lists, per cell class, the incident cell edge
+     classes with their offsets and, per vertex a static edge meets, those
+     edges. A probed star is summed off the table with one lookup in the
+     vector's value runs per incident class, so the cost grows with the
+     number of changes, not with the stored entries or the size of the
+     indices.
   2. The flux toward each end must vanish (a half-space cut; by step 1 its
      value does not depend on the radius). It is read off crossing counts
      per edge class, taken once per graph, times the tail values; the cut
@@ -160,27 +164,41 @@ def _check_stars(g, vec, bound):
     lattice, where incident edges begin. Per cell class those indices and
     the window start cut the window into runs of equal star sums; probing
     the first vertex of each run finds the same first vertex and sum as
-    probing every vertex."""
+    probing every vertex. Both the probes and the sums are read off the
+    graph's incidence table (_star_sum)."""
     lo = 0 if g.kind == KIND_PERIODIC_N else -bound - 1
     hi = bound + 1
     moves = vec.breakpoints()
     probes = {c: {lo} for c in g.cell_classes}
-    for ec in g.cell_edge_classes:
-        for cls, pos in ((ec.tail_cls, ec.tail_pos), (ec.head_cls, ec.head_pos)):
-            probes[cls].update(n + pos for n in moves.get(ec.name, ()))
+    for c, rows in g.cell_incidence.items():
+        for name, pos, _sign in rows:
+            probes[c].update(n + pos for n in moves.get(name, ()))
             if g.kind == KIND_PERIODIC_N:
-                probes[cls].add(pos)
-    for ec in g.static_edge_classes:
-        for cls, pos in ((ec.tail_cls, ec.tail_pos), (ec.head_cls, ec.head_pos)):
-            if pos is not None:
-                probes[cls].update((pos, pos + 1))
+                probes[c].add(pos)
+    for v in g.static_incidence:
+        if v.index is not None:
+            probes[v.cls].update((v.index, v.index + 1))
     verts = list(g.cap_vertices())
     for c, points in probes.items():
         verts.extend(VertexId(c, n) for n in points if lo <= n <= hi)
     for v in sorted(verts, key=vertex_key):
-        s = sum(vec.evaluate(d) for d, _w in g.neighbors(v))
+        s = _star_sum(g, vec, v)
         if s != 0:
             raise NotInCycleSpace(cuts.star_cut(v), s)
+
+
+def _star_sum(g, vec, v):
+    """vec summed over the darts leaving the vertex v, read off the graph's
+    incidence table: one run lookup per incident cell edge class, plus the
+    values of the static edges at v. On a one-ended lattice the runs read 0
+    below index 0, where the instances a cell would meet do not exist."""
+    s = 0
+    for name, sign in g.static_incidence.get(v, ()):
+        s += sign * vec.value_at(name, None)
+    if v.index is not None:
+        for name, pos, sign in g.cell_incidence[v.cls]:
+            s += sign * vec.value_at(name, v.index - pos)
+    return s
 
 
 def _check_end_flux(g, vec, radius):
@@ -566,11 +584,18 @@ def _peel_tails(g, vec, start, avoid_strands=False):
     # sign group whichever of composite and strands is the smaller
     plus_drift = per_dir.get(1, ([], {}))[1]
     minus_drift = per_dir.get(-1, ([], {}))[1]
+    last = []  # (group, composite) of the last build: a mirrored pair shares it
+
+    def composite(group):
+        if not last or last[0][0] != group:
+            last[:] = [(group, _try_composite(g, group, comp_of))]
+        return last[0][1]
+
     for comp in sorted(set(plus_drift) | set(minus_drift)):
         cp = sorted(plus_drift.get(comp, []))
         cm = sorted(minus_drift.get(comp, []))
         if cp and cp == cm and _fits_between_anchors(cp, start):
-            built = _try_composite(g, cp, comp_of)
+            built = composite(cp)
             if built is not None:
                 _peel(acc, entries, *built, None, None)
                 continue
@@ -579,7 +604,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
                 continue
             built = None
             if avoid_strands or _composite_is_smaller(group):
-                built = _try_composite(g, group, comp_of)
+                built = composite(group)
             if built is not None:
                 _peel(acc, entries, *built, *_one_sided(cuts, built[1], sign))
             else:

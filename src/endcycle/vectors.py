@@ -5,7 +5,7 @@ where the value changes, and the value far to the left followed by the
 value from each of them on; per static edge, its value. Values are
 attached to the forward orientation; evaluating a reversed dart negates.
 No change of value is zero, so the runs are canonical and equal vectors
-compare equal. Queries read the runs: value_on is a bisect, and
+compare equal. Queries read the runs: value_on and value_at are a bisect, and
 breakpoints() and support_bound() cost one step per class, not per index.
 
 The classical form is derived from the runs: vals, finitely many explicit
@@ -198,6 +198,15 @@ class EdgeVector:
             return self._statics.get(e, 0)
         idx, values = self._runs.get(e.cls, _ZERO_RUN)
         return values[bisect_right(idx, e.index)]
+
+    def value_at(self, cname, n) -> int:
+        """The value on instance n of class cname (n None on a static
+        edge): one bisect on the class's runs, with no check that the edge
+        exists, for callers that take it from the graph's own tables."""
+        if n is None:
+            return self._statics.get(EdgeId(cname, None), 0)
+        idx, values = self._runs.get(cname, _ZERO_RUN)
+        return values[bisect_right(idx, n)]
 
     def evaluate(self, dart: Dart) -> int:
         v = self.value_on(dart.edge)

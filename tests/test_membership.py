@@ -592,6 +592,20 @@ def test_far_value_inside_a_tail_costs_its_description(monkeypatch, chords):
     assert counts[0] == counts[1]
 
 
+def test_far_value_inside_a_tail_sums_a_fixed_number_of_stars(monkeypatch, chords):
+    # the star check sums probed stars off the incidence table, never
+    # through Graph.neighbors: it sums as many stars at N = 10^5 as at 10^3
+    calls = _counting(monkeypatch, membership, "_star_sum")
+    counts = []
+    for n in (10**3, 10**5):
+        vec = parse_vector_text(chords, CHORD_RAIL_LOOP + "set pos_step[%d] = 2\n" % n)
+        calls[0] = 0
+        cert = is_member(chords, vec)
+        counts.append(calls[0])
+        assert (cert.cut, cert.cut_sum) == (star_cut(parse_vertex_label("pos[%d]" % n)), 1)
+    assert counts[0] == counts[1] > 0
+
+
 def test_far_rail_tails_verify_at_a_fixed_cost(monkeypatch, ladder):
     calls = _counting(monkeypatch, EdgeVector, "value_on")
     counts = []
@@ -763,6 +777,37 @@ def test_one_sided_copies_of_a_mirrored_composite_tile(data):
     plus, minus = families[False], families[True]
     assert plus.template == minus.template and plus.lo == minus.hi + 1
     assert len(text) < 25000
+
+
+def test_mirrored_group_builds_its_composite_once(monkeypatch):
+    # on the tails above the two-sided composite does not fit between the
+    # anchors, and each side takes a one-sided copy of the same composite:
+    # it is built once for both signs
+    calls = _counting(monkeypatch, membership, "_try_composite")
+    g = graph_from_text(LOOPS)
+    vec = parse_vector_text(g, "".join(
+        "tail%s %s from %d = %d\n" % (d, e, 0 if d == "+" else -1, v)
+        for d in "+-" for e, v in (("x", 100), ("y", -99), ("z", -1))))
+    assert isinstance(is_member(g, vec), Member)
+    assert calls[0] == 1
+
+
+def test_heavy_loop_tails_tally_by_sweep():
+    # tails x = 1000, y = -999, z = -1 give one-sided families of a
+    # composite with 2,000 darts; evaluating them adds each class's runs
+    # where they meet the windows instead of walking every dart over them
+    g = graph_from_text(LOOPS)
+    vec = parse_vector_text(g, "".join(
+        "tail%s %s from %d = %d\n" % (d, e, 0 if d == "+" else -1, v)
+        for d in "+-" for e, v in (("x", 1000), ("y", -999), ("z", -1))))
+    t0 = time.perf_counter()
+    cert = is_member(g, vec)
+    decided = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    assert verify_certificate(g, vec, cert)
+    verified = time.perf_counter() - t0
+    assert isinstance(cert, Member)
+    assert decided < 1.0 and verified < 1.0
 
 
 def test_run_fanned_out_to_a_cap_is_left_to_the_finite_stage():

@@ -14,10 +14,10 @@ from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
 from endcycle.errors import (FormatError, InfiniteBoundarySupport,
                              InfiniteComponents, InternalError, NotARay,
                              NotRepresentable, UnknownEdge, UnknownVertex)
-from endcycle.graph import (Dart, EdgeId, EndId, Ray, VertexId,
+from endcycle.graph import (Dart, EdgeId, EndId, Ray, VertexId, dart_key,
                             graph_from_text)
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
-from endcycle.membership import certificate_from_json, certificate_to_json
+from endcycle.membership import _star_sum, certificate_from_json, certificate_to_json
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
                               parse_vector_text, thin_sum)
 
@@ -1077,6 +1077,57 @@ def test_half_spaces_match_search(kind, seed):
             ray = Ray(VertexId(c, n), (), (step,), sign * k)
             tail = n + sign * k * max(0, -(-(r0 + 1 - sign * n) // k))
             assert g.end_of_ray(ray) == label[VertexId(c, tail)]
+
+
+
+# -- the incidence table against a scan over every edge class -----------------
+
+def _scanned_neighbors(g, v):
+    """Graph.neighbors by a scan over every edge class, without the table."""
+    g.require_vertex(v)
+    out = []
+    for ec in g.static_edge_classes:
+        t = VertexId(ec.tail_cls, ec.tail_pos)
+        h = VertexId(ec.head_cls, ec.head_pos)
+        e = EdgeId(ec.name, None)
+        if v == t:
+            out.append((Dart(e, True), h))
+        if v == h:
+            out.append((Dart(e, False), t))
+    if v.index is not None:
+        for ec in g.cell_edge_classes:
+            if ec.tail_cls == v.cls:
+                n = v.index - ec.tail_pos
+                if g.kind != "periodic-n" or n >= 0:
+                    out.append((Dart(EdgeId(ec.name, n), True),
+                                VertexId(ec.head_cls, n + ec.head_pos)))
+            if ec.head_cls == v.cls:
+                n = v.index - ec.head_pos
+                if g.kind != "periodic-n" or n >= 0:
+                    out.append((Dart(EdgeId(ec.name, n), False),
+                                VertexId(ec.tail_cls, n + ec.tail_pos)))
+    out.sort(key=lambda p: dart_key(p[0]))
+    return tuple(out)
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), seeds)
+@settings(max_examples=120, deadline=None)
+def test_incidence_table_matches_edge_scan(kind, seed):
+    # at every cap and every cell of a window around 0, neighbors matches
+    # the scan, and the table's star sum of a random vector with static
+    # values matches the vector summed over the darts neighbors lists
+    rng = random.Random(seed)
+    try:
+        g = _random_lattice(rng, kind)
+    except InfiniteComponents:
+        return
+    vec = random_vector(g, rng, bound=6)
+    reach = 6 + g.W + 2
+    verts = list(g.cap_vertices()) + list(g.cell_vertices_within(-reach, reach))
+    for v in verts:
+        darts = g.neighbors(v)
+        assert darts == _scanned_neighbors(g, v), v
+        assert _star_sum(g, vec, v) == sum(vec.evaluate(d) for d, _w in darts), v
 
 
 # -- restriction's kept region against a search over G - D ---------------------
