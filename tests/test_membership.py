@@ -792,7 +792,7 @@ def test_mirrored_group_builds_its_composite_once(monkeypatch):
     assert calls[0] == 1
 
 
-def test_heavy_loop_tails_tally_by_sweep():
+def test_heavy_loop_tails_decide_and_verify_in_a_second():
     # tails x = 1000, y = -999, z = -1 give one-sided families of a
     # composite with 2,000 darts; evaluating them adds each class's runs
     # where they meet the windows instead of walking every dart over them
