@@ -12,23 +12,11 @@ signed edge-traversal count (as an EdgeVector), subdivision into passes,
 the cycle test, homology classes and comparison, H0/Hn descriptors, and
 restriction of a chain to an admissible subgraph pair.
 
-Edge and vertex counts are written straight into vectors._Breakpoints,
-the builder behind every EdgeVector, so they cost what the chain's
-description costs, not the size of its indices. A count of stride +-1
-(a point, a family of step 1, a single ray repeating with shift +-1) is
-one span, and a bounded family of step s > 1 adds one point per member.
-Only unbounded runs of stride |s| > 1 and the repeat darts of end-jump
-families are evaluated index by index: a family's copies of one repeat
-dart form one double run, however wide the family is, and the sum is
-evaluated from the nearest anchor to two periods L past the farthest one.
-There a constant sum becomes a tail; a growing or non-constant periodic
-sum raises NotRepresentable for edges and InfiniteBoundarySupport for
-vertices. Two limits remain, both raising NotRepresentable before a loop
-starts: a loop over the members of a bounded family or over an evaluation
-window may not pass vectors._ENTRY_CAP steps, and L may not exceed
-_PERIOD_CAP. The counts themselves are runs; only listing them entry by
-entry, as EdgeVector.vals and a boundary's vertices do, stops at
-_ENTRY_CAP on one class.
+Edge and vertex counts go through vectors._Counts, the counter that also
+re-sums circle decompositions, so they cost what the chain's description
+costs, not the size of its indices. A sum that grows or is periodic but
+not constant raises NotRepresentable for edges and InfiniteBoundarySupport
+for vertices.
 """
 
 import math
@@ -63,9 +51,7 @@ from .graph import (
 )
 # is_member is not called here; perfbench/harness.py traces it by this name
 from .membership import _obstruct, is_member  # noqa: F401
-from .vectors import _ENTRY_CAP, EdgeVector, _Breakpoints
-
-_PERIOD_CAP = 4096  # largest period L of one class's unbounded runs
+from .vectors import EdgeVector, _check_width, _Counts
 
 
 # -- simplices ----------------------------------------------------------------
@@ -416,150 +402,6 @@ def _require_admissible(g, rep):
     return report
 
 
-# -- counts through the breakpoint builder ------------------------------------
-
-
-class _Counts:
-    """Signed counts per cell of one chain, on their way into one
-    vectors._Breakpoints. A run of stride +-1 is one span and a bounded run
-    of stride s one point per member. Every other count is a double run
-    {u + j*s + k*t : j >= 0, 0 <= k < n} with s and t of one sign (n None:
-    every k >= 0): an unbounded run of stride |s| > 1 has n = 1, a bounded
-    end-jump family n = its width, an unbounded one n = None. Double runs
-    wait per class as generators (u, s, t, n, coeff) until settle() writes
-    them. Vertex counts use the same (class, index) keys."""
-
-    def __init__(self, graph):
-        self.acc = _Breakpoints(graph)
-        self.gens = {}
-
-    def point(self, cls, idx, c):
-        if idx is None:
-            key = EdgeId(cls, None)
-            self.acc.statics[key] = self.acc.statics.get(key, 0) + c
-        else:
-            self.acc.span(cls, idx, idx + 1, c)
-
-    def run(self, cls, u, s, n, c):
-        """Add c at u + j*s for 0 <= j < n (n None: every j >= 0)."""
-        if not c:
-            return
-        if s in (1, -1):
-            if s > 0:
-                self.acc.span(cls, u, None if n is None else u + n, c)
-            else:
-                self.acc.span(cls, None if n is None else u - n + 1, u + 1, c)
-        elif n is None:
-            self.double(cls, u, s, s, 1, c)
-        else:
-            _check_width(n)
-            for j in range(n):
-                self.acc.span(cls, u + j * s, u + j * s + 1, c)
-
-    def double(self, cls, u, s, t, n, c):
-        if (s > 0) != (t > 0):
-            raise InternalError("double run directions disagree")
-        if n == 1 and s in (1, -1):
-            self.run(cls, u, s, None, c)
-        elif c:
-            self.gens.setdefault(cls, []).append((u, s, t, n, c))
-
-    def over_range(self, cls, idx, c, lo, hi, step):
-        """Add c at idx + k*step for every k in [lo, hi] (None: unbounded).
-        A pinned cell (idx None) takes c once per member."""
-        if idx is None:
-            if lo is None or hi is None:
-                raise InternalError(
-                    "pinned part survived the admissibility gate"
-                )
-            self.point(cls, None, c * (hi - lo + 1))
-        elif lo is None and hi is None:
-            self.run(cls, idx, step, None, c)
-            self.run(cls, idx - step, -step, None, c)
-        elif lo is None:
-            self.run(cls, idx + hi * step, -step, None, c)
-        else:
-            n = None if hi is None else hi - lo + 1
-            self.run(cls, idx + lo * step, step, n, c)
-
-    def settle(self):
-        """Write the generators into the builder, per class and direction
-        (the sign of s): their sum is evaluated from the nearest anchor out
-        to two periods L past the farthest one, where a generator's farthest
-        anchor is u + (n-1)*t. Past it, a bounded double run repeats with
-        period |s|, and an unbounded one's count N(m) of j*s + k*t = m keeps
-        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu) with
-        L = lcm(s, t), so the sum gains a fixed amount per residue each
-        period. Two equal probe periods mean it gains nothing, and a
-        constant one is a tail. Returns (class, reason) for each sum that
-        does not settle."""
-        failures = []
-        for cls, gens in sorted(self.gens.items()):
-            for sign in (1, -1):
-                group = [gen for gen in gens if (gen[1] > 0) == (sign > 0)]
-                if group:
-                    why = self._settle_side(cls, group, sign)
-                    if why:
-                        failures.append((cls, why))
-        return failures
-
-    def _settle_side(self, cls, group, sign):
-        # x counts outward: x = sign * index, strides taken positive
-        gens = [
-            (sign * u, abs(s), abs(t), n, c) for u, s, t, n, c in group
-        ]
-        near = min(a for a, _s, _t, _n, _c in gens)
-        far = max(
-            a if n is None else a + (n - 1) * t for a, _s, t, n, _c in gens
-        )
-        period = 1
-        for _a, s, t, n, _c in gens:
-            period = math.lcm(period, s if n is not None else math.lcm(s, t))
-        if period > _PERIOD_CAP:
-            raise NotRepresentable(
-                "per-class period %d is too large to certify" % period
-            )
-        if far - near + 2 * period > _ENTRY_CAP:
-            raise NotRepresentable("support too large to materialize")
-        vals = [
-            sum(c * _double_count(x - a, s, t, n) for a, s, t, n, c in gens)
-            for x in range(near, far + 2 * period)
-        ]
-        w1 = vals[-2 * period : -period]
-        if w1 != vals[-period:]:
-            return "grow without bound"
-        if any(v != w1[0] for v in w1):
-            return "are periodic but not constant"
-        for x, v in zip(range(near, far), vals):
-            self.point(cls, sign * x, v)
-        if sign > 0:
-            self.acc.span(cls, far, None, w1[0])
-        else:
-            self.acc.span(cls, None, 1 - far, w1[0])
-        return None
-
-
-def _check_width(n):
-    """Loops over the members of a bounded family stop at _ENTRY_CAP, the
-    limit on the explicit entries a vector lists, before they start."""
-    if n > _ENTRY_CAP:
-        raise NotRepresentable(
-            "family of %d members is too wide to expand" % n
-        )
-
-
-def _double_count(m, s, t, n):
-    """Number of pairs j >= 0, 0 <= k < n (n None: k >= 0) with
-    j*s + k*t = m, for s, t > 0."""
-    g = math.gcd(s, t)
-    if m < 0 or m % g:
-        return 0
-    m, s, t = m // g, s // g, t // g
-    k0 = m * pow(t, -1, s) % s  # smallest k with k*t = m modulo s
-    kmax = m // t if n is None else min(m // t, n - 1)
-    return (kmax - k0) // s + 1 if kmax >= k0 else 0
-
-
 # -- zero chains and the boundary ---------------------------------------------
 
 
@@ -632,40 +474,18 @@ def boundary(rep: ChainRep) -> ZeroChain:
 # -- the winding vector -------------------------------------------------------
 
 
-def _accumulate_ray(counts, ray, coeff, lo, hi, step):
-    """Edge counts of a ray template shifted by k*step over k in [lo, hi].
-    lo/hi None means unbounded; admissibility guarantees an unbounded
-    range points the same way as the ray. A repeat dart's copies form one
-    double run, counted from the member whose ray starts farthest back."""
-    if lo is None and hi is None:
-        raise InternalError(
-            "a doubly unbounded jump family survived the admissibility gate"
-        )
-    for d in ray.initial:
-        sgn = coeff if d.forward else -coeff
-        counts.over_range(d.edge.cls, d.edge.index, sgn, lo, hi, step)
-    n = None if lo is None or hi is None else hi - lo + 1
-    first, t = (lo, step) if ray.shift > 0 else (hi, -step)
-    for d in ray.repeat:
-        sgn = coeff if d.forward else -coeff
-        u = d.edge.index + first * step
-        counts.double(d.edge.cls, u, ray.shift, t, n, sgn)
-
-
 def _accumulate_member(counts, coeff, s, lo, hi, step):
     """One member (or one family) into the edge counts."""
     if isinstance(s, Constant):
         return
     if isinstance(s, (Pass, Walk)):
-        darts = (s.dart,) if isinstance(s, Pass) else s.darts
-        for d in darts:
-            sgn = coeff if d.forward else -coeff
-            counts.over_range(d.edge.cls, d.edge.index, sgn, lo, hi, step)
+        counts.darts((s.dart,) if isinstance(s, Pass) else s.darts,
+                     coeff, lo, hi, step)
         return
     if isinstance(s, EndJump):
-        _accumulate_ray(counts, s.out_ray, coeff, lo, hi, step)
+        counts.ray(s.out_ray, coeff, lo, hi, step)
         # the return leg runs its ray backwards, so every dart flips
-        _accumulate_ray(counts, s.in_ray, -coeff, lo, hi, step)
+        counts.ray(s.in_ray, -coeff, lo, hi, step)
         return
     raise InternalError("unknown simplex kind")
 

@@ -12,39 +12,26 @@ descriptions cover the ones this package produces and checks:
                   meet at a common end. One segment whose two rays share an
                   end is a plain double ray.
 
-A CircleDecomposition is a finite list of integer-weighted pieces. It is
-evaluated over windows, a sorted tuple of disjoint index ranges (lo, hi):
-every piece's tally(g, windows, coeff, out) makes one pass over its darts
-and adds coeff times its signed count to out for each edge with index in a
-window and each static edge. A family collects, per class, where the copies
-of its template darts start and stop, and adds each run of nonzero value
-where it meets the windows; a ray walks each repeat dart along its
-progression, clipped to each window, and meets each edge at most once. So
-the cost grows with the description and the windows, not with their
-product. A finite dart is added when its index lies between the first and
-the last window, so out may also hold edges in the gaps; callers read only
-edges inside the windows.
-CircleDecomposition.values_in sums the pieces' tallies; window_values is
-its one-window case, and ray_hits and CircleDecomposition.value_on are the
-one-edge case. Families keep each edge's total finite because a template
-meets a fixed edge at finitely many shifts.
+A CircleDecomposition is a finite list of integer-weighted pieces. Each
+piece's count(counts, coeff) writes coeff times its signed dart counts into
+one vectors._Counts, the counter behind chain counts too: a circuit counts
+its darts, a family its template darts over its shift range, and a segment
+its forward ray, its back ray negated and its middle darts. Families keep
+each edge's total finite because a template meets a fixed edge at finitely
+many shifts. Settled, the counts are the decomposition's exact sum as an
+EdgeVector, which is how a certificate is verified. A single piece need not
+settle (a lone ray of shift 3 is not eventually constant), so value_on and
+window_values read the counts before settling.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import FormatError, NotARay
 from .graph import Dart, EdgeId, Ray, VertexId, json_list
-from .vectors import EdgeVector
-
-
-def _one_edge(e: EdgeId):
-    """The windows that hold the cell edge e alone; static edges are in
-    every window."""
-    return ((0, 0),) if e.index is None else ((e.index, e.index),)
+from .vectors import EdgeVector, _Counts
 
 
 @dataclass(frozen=True)
@@ -66,8 +53,8 @@ class FiniteCircuit:
             dup = next(e for e in edges if edges.count(e) > 1)
             raise FormatError("circuit repeats edge %s" % dup.label())
 
-    def tally(self, g, windows, coeff, out):
-        _tally_darts(self.darts, windows, coeff, out)
+    def count(self, counts, coeff):
+        counts.darts(self.darts, coeff)
 
     def vector(self, g) -> EdgeVector:
         return EdgeVector.from_darts(g, self.darts)
@@ -105,74 +92,19 @@ class CircuitFamily:
                 raise FormatError("shift %d slides the template off the graph"
                                   % self.lo)
 
-    def tally(self, g, windows, coeff, out):
-        # per class, where the copies of each template dart j start (j + lo,
-        # or the first window for an unbounded lo) and stop (j + hi + 1);
-        # each run of nonzero value is added where it meets the windows
-        events = []
-        for d in self.template.darts:
-            j = d.edge.index
-            if j is None:
-                continue  # check() refuses static template darts
-            s = coeff if d.forward else -coeff
-            events.append((d.edge.cls, windows[0][0] if self.lo is None else j + self.lo, s))
-            if self.hi is not None:
-                events.append((d.edge.cls, j + self.hi + 1, -s))
-        events.sort()
-        events.append((None, None, 0))
-        end = windows[-1][1] + 1
-        value = 0
-        for (cname, a, s), (nxt, b, _s) in zip(events, events[1:]):
-            value += s
-            if nxt != cname:
-                b = end
-            if value:
-                i = max(bisect_right(windows, (a, math.inf)) - 1, 0)
-                while i < len(windows) and windows[i][0] < b:
-                    for m in range(max(windows[i][0], a), min(windows[i][1] + 1, b)):
-                        e = EdgeId(cname, m)
-                        out[e] = out.get(e, 0) + value
-                    i += 1
-            if nxt != cname:
-                value = 0
-
-
-def _tally_darts(darts, windows, coeff, out):
-    """Add coeff for each forward and -coeff for each backward dart on a
-    static edge or on an edge with index between the first and the last
-    window."""
-    lo, hi = windows[0][0], windows[-1][1]
-    for d in darts:
-        n = d.edge.index
-        if n is None or lo <= n <= hi:
-            out[d.edge] = out.get(d.edge, 0) + (coeff if d.forward else -coeff)
-
-
-def _tally_ray(ray: Ray, windows, coeff, out):
-    """The window tally of a ray: its initial darts, then every repeat dart
-    at i0 + p * shift for p >= 0, clipped to each window."""
-    _tally_darts(ray.initial, windows, coeff, out)
-    s = ray.shift
-    for d in ray.repeat:
-        i0 = d.edge.index
-        if i0 is None:
-            continue  # a repeat on a static edge is not a ray
-        w = coeff if d.forward else -coeff
-        for lo, hi in windows:
-            # p runs from where the progression enters the window to where
-            # it leaves it; near and far are its ends in the direction of
-            # travel
-            near, far = (lo, hi) if s > 0 else (hi, lo)
-            for p in range(max(0, -((i0 - near) // s)), (far - i0) // s + 1):
-                e = EdgeId(d.edge.cls, i0 + p * s)
-                out[e] = out.get(e, 0) + w
+    def count(self, counts, coeff):
+        counts.darts(self.template.darts, coeff, self.lo, self.hi)
 
 
 def ray_hits(g, ray: Ray, e: EdgeId) -> int:
     """Net number of times the ray traverses e (signed by direction)."""
-    out = {}
-    _tally_ray(ray, _one_edge(e), 1, out)
-    return out.get(e, 0)
+    hits = sum(1 if d.forward else -1 for d in ray.initial if d.edge == e)
+    for d in ray.repeat:
+        if d.edge.cls == e.cls and e.index is not None:
+            p, off = divmod(e.index - d.edge.index, ray.shift)
+            if p >= 0 and not off:
+                hits += 1 if d.forward else -1
+    return hits
 
 
 def _lattices_meet(a, sa, b, sb) -> bool:
@@ -233,10 +165,10 @@ class RaySegment:
                 % (seq[-1].label(), self.fwd.start.label())
             )
 
-    def tally(self, g, windows, coeff, out):
-        _tally_ray(self.fwd, windows, coeff, out)
-        _tally_ray(self.back, windows, -coeff, out)
-        _tally_darts(self.middle, windows, coeff, out)
+    def count(self, counts, coeff):
+        counts.ray(self.fwd, coeff)
+        counts.ray(self.back, -coeff)
+        counts.darts(self.middle, coeff)
 
     def rays(self):
         return (self.back, self.fwd)
@@ -279,9 +211,9 @@ class EndCircle:
                         "circle traverses edge %s twice" % e.label()
                     )
 
-    def tally(self, g, windows, coeff, out):
+    def count(self, counts, coeff):
         for seg in self.segments:
-            seg.tally(g, windows, coeff, out)
+            seg.count(counts, coeff)
 
 
 PIECE_TYPES = (FiniteCircuit, CircuitFamily, EndCircle)
@@ -300,20 +232,26 @@ class CircleDecomposition:
                 raise FormatError("not a circle: %r" % (piece,))
             piece.check(g)
 
-    def values_in(self, g, windows) -> dict:
-        """Value on every static edge and every edge with index in one of
-        the windows that some piece meets; edges left out are 0. Edges
-        between the windows may appear too, with partial values."""
-        out = {}
+    def counts(self, g) -> _Counts:
+        """Every piece's counts, not yet settled."""
+        counts = _Counts(g)
         for coeff, piece in self.entries:
-            piece.tally(g, windows, coeff, out)
-        return out
+            piece.count(counts, coeff)
+        return counts
 
     def window_values(self, g, lo, hi) -> dict:
-        return self.values_in(g, ((lo, hi),))
+        """The nonzero values on static edges and on cell edges with index
+        in [lo, hi]."""
+        counts = self.counts(g)
+        edges = list(g.static_instances()) + [
+            EdgeId(ec.name, n) for ec in g.cell_edge_classes
+            for n in range(lo, hi + 1)
+        ]
+        values = {e: counts.value_at(e.cls, e.index) for e in edges}
+        return {e: v for e, v in values.items() if v}
 
     def value_on(self, g, e: EdgeId) -> int:
-        return self.values_in(g, _one_edge(e)).get(e, 0)
+        return self.counts(g).value_at(e.cls, e.index)
 
 
 # serialization ------------------------------------------------------------

@@ -47,9 +47,9 @@ construction succeeds, but for two known faults: F1, UnknownEdge from darts
 shifted below index 0 on a one-ended lattice, and F2, end rays that no pass
 lays out without overlap. So chains.homology_class, which needs only the
 verdict, runs steps 1 and 2 alone; a property test pins that this verdict is
-is_member's. A built result must be well formed and agree with the input at
-the first indices of every run between changes of value before it is
-returned (_decomposition_holds)."""
+is_member's. A built result must be well formed and its counts, settled by
+the counter that chain counts use too, must sum to the input exactly before
+it is returned (_decomposition_holds)."""
 
 from __future__ import annotations
 
@@ -848,119 +848,19 @@ def _strand_ray(strands, step):
 # -- verification ------------------------------------------------------------
 
 
-def _cert_shape(dec: CircleDecomposition):
-    """One pass over every dart of dec: (the indices where its value on a
-    class may change, its extent, its period P).
-
-    The finite darts (circuits, segment middles, ray initial darts) are
-    summed into one signed count per (class, index), weighted by their
-    entry's coefficient; their value changes at n where count[n] differs
-    from count[n - 1]. Darts that cancel leave no change behind. The other
-    changes lie at j + lo and j + hi + 1 for a family template dart j, and
-    at a ray repeat dart's index i0 and i0 + 1. The extent is the largest
-    |index| of a change, a family bound, a ray start and of n and n + 1
-    for every finite dart n; P is the least common multiple of the ray
-    shifts. Between two changes each piece's value repeats with period P,
-    and past the extent it repeats with period P for good."""
-    points = set()
-    counts = {}
-    extent = 0
-    period = 1
-
-    def bump(n):
-        nonlocal extent
-        if n is not None:
-            extent = max(extent, abs(n))
-
-    def darts(ds, c):
-        for d in ds:
-            n = d.edge.index
-            if n is not None:
-                key = (d.edge.cls, n)
-                counts[key] = counts.get(key, 0) + (c if d.forward else -c)
-                bump(n)
-                bump(n + 1)
-
-    for c, piece in dec.entries:
-        if isinstance(piece, FiniteCircuit):
-            darts(piece.darts, c)
-        elif isinstance(piece, CircuitFamily):
-            for d in piece.template.darts:
-                j = d.edge.index
-                if j is None:
-                    continue
-                bump(j)
-                if piece.lo is not None:
-                    points.add(j + piece.lo)
-                if piece.hi is not None:
-                    points.add(j + piece.hi + 1)
-            bump(piece.lo)
-            bump(piece.hi)
-        else:
-            for seg in piece.segments:
-                darts(seg.middle, c)
-                for ray, rc in ((seg.back, -c), (seg.fwd, c)):
-                    bump(ray.start.index)
-                    darts(ray.initial, rc)
-                    for d in ray.repeat:
-                        if d.edge.index is not None:
-                            points.update((d.edge.index, d.edge.index + 1))
-                    s = abs(ray.shift)
-                    period = period * s // math.gcd(period, s)
-    for (cls, n), k in counts.items():
-        if counts.get((cls, n - 1), 0) != k:
-            points.add(n)
-        if counts.get((cls, n + 1), 0) != k:
-            points.add(n + 1)
-    for n in points:
-        bump(n)
-    return points, extent, period
-
-
-def _probe_windows(points, lo, hi, P):
-    """The first min(P, run length) indices of every run of [lo, hi]
-    between consecutive points, as sorted disjoint windows; touching
-    windows are merged."""
-    starts = sorted({lo} | {n for n in points if lo < n <= hi})
-    windows = []
-    for a, b in zip(starts, starts[1:] + [hi + 1]):
-        last = min(a + P, b) - 1
-        if windows and windows[-1][1] + 1 == a:
-            windows[-1] = (windows[-1][0], last)
-        else:
-            windows.append((a, last))
-    return tuple(windows)
-
-
 def _values_agree(g, vec, dec) -> bool:
-    """Compare dec with vec on every static edge and every cell edge of
-    the window [-(T+P), T+P] (from 0 on a one-ended lattice), where T
-    bounds the indices of both and P is dec's period.
-
-    Cut at the indices where vec's value changes and where dec's value
-    can change (_cert_shape), the window falls into runs on which vec is
-    constant and dec repeats with period P, so comparing the first
-    min(P, run length) indices of each run settles the whole window.
-    Finite darts that run on or cancel add no cut, so a long circuit cuts
-    the window at its corners only. The decomposition is evaluated over those
-    windows in one pass."""
-    points, extent, P = _cert_shape(dec)
-    for moves in vec.breakpoints().values():
-        points.update(moves)
-    T = max(vec.support_bound(), extent) + g.W + 1
-    lo = 0 if g.kind == KIND_PERIODIC_N else -(T + P)
-    windows = _probe_windows(points, lo, T + P, P)
-    got = dec.values_in(g, windows)
-    for e in g.static_instances():
-        if got.get(e, 0) != vec.value_on(e):
-            return False
-    for ec in g.cell_edge_classes:
-        for a, b in windows:
-            for n in range(a, b + 1):
-                e = EdgeId(ec.name, n)
-                if got.get(e, 0) != vec.value_on(e):
-                    return False
-    return True
+    """Whether dec sums to vec: its counts (CircleDecomposition.counts),
+    settled into one vector, equal vec exactly. Raises NotRepresentable
+    when settling would evaluate more than _ENTRY_CAP indices on one
+    class."""
+    counts = dec.counts(g)
+    failures = counts.settle()
+    acc = counts.acc
+    if g.kind == KIND_PERIODIC_N:  # nothing lies left of index 0
+        for cls, steps in acc.steps.items():
+            low = sum(steps.pop(i) for i in [i for i in steps if i <= 0])
+            acc.span(cls, 0, None, acc.left.pop(cls, 0) + low)
+    return not failures and acc.vector() == vec
 
 
 def _decomposition_holds(g, vec, dec) -> bool:
@@ -975,11 +875,14 @@ def _decomposition_holds(g, vec, dec) -> bool:
 def verify_certificate(g, vec: EdgeVector, cert) -> bool:
     """Check a certificate against the vector it claims to describe.
 
-    For Member the decomposition is validated and compared with the vector
-    on a window wide enough to cover all data plus one full period of every
-    ray, which settles equality everywhere; a malformed decomposition is
-    rejected. For NonMember the cut must be finite and its crossing sum
-    must match the claim and be nonzero."""
+    For Member the decomposition is validated, its counts are settled into
+    its exact sum and that sum must equal the vector; a malformed
+    decomposition is rejected. Raises NotRepresentable when settling the
+    counts would evaluate more than vectors._ENTRY_CAP indices on one
+    class: the rays of one class and direction repeat with a period past
+    _ENTRY_CAP / 2, or their sum is not constant over a stretch that long.
+    For NonMember the cut must be finite and its crossing sum must match
+    the claim and be nonzero."""
     if isinstance(cert, Member):
         return _decomposition_holds(g, vec, cert.decomposition)
     if isinstance(cert, NonMember):

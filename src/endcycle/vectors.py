@@ -28,6 +28,21 @@ sums. Construction from raw input, sums, scaling, shifts and thin sums fill
 it, and its sorted breakpoints are the runs. Cost grows with the number of
 breakpoints, not with the size of the indices.
 
+Counts of darts, rays and their shift families, as chains and circle
+decompositions hold them, go through _Counts into one breakpoint builder.
+A count of stride +-1 (a dart, a family of step 1, a ray repeating with
+shift +-1) is one span, and a bounded family of step s > 1 adds one point
+per member. Only the repeat darts of rays of shift |s| > 1 and of ray
+families are evaluated index by index: a family's copies of one repeat
+dart form one double run, however wide the family is. Their sum is
+evaluated in blocks, from each anchor to two periods past its last one,
+and is spanned from block to block where it settles to a constant; past
+the last block a constant sum becomes a tail, and a growing or
+non-constant periodic one is handed back to the caller. One limit
+remains: evaluating them, or looping over the members of a bounded
+family, raises NotRepresentable before it passes _ENTRY_CAP indices on
+one class.
+
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
 exactly or refuses with NotThin / NotRepresentable.
@@ -35,15 +50,17 @@ exactly or refuses with NotThin / NotRepresentable.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from types import MappingProxyType
 
 from .errors import (
     FormatError,
     GraphMismatch,
+    InternalError,
     NotRepresentable,
     NotThin,
     UnknownEdge,
@@ -371,6 +388,206 @@ class _Breakpoints:
         vec.graph = self.graph
         vec._statics, vec._runs = self.runs()
         return vec
+
+
+class _Counts:
+    """Signed counts per cell of darts, rays and their shift families, on
+    their way into one _Breakpoints. A run of stride +-1 is one span and a
+    bounded run of stride s one point per member. Every other count is a
+    double run {u + j*s + k*t : j >= 0, 0 <= k < n} with s and t of one sign
+    (n None: every k >= 0): a ray's repeat dart has n = 1, a bounded family
+    of rays n = its width, an unbounded one n = None. Double runs wait per
+    class as generators (u, s, t, n, coeff) until settle() writes them.
+    Vertex counts use the same (class, index) keys."""
+
+    def __init__(self, graph):
+        self.acc = _Breakpoints(graph)
+        self.gens = {}
+
+    def run(self, cls, u, s, n, c):
+        """Add c at u + j*s for 0 <= j < n (n None: every j >= 0)."""
+        if not c:
+            return
+        if s in (1, -1):
+            if s > 0:
+                self.acc.span(cls, u, None if n is None else u + n, c)
+            else:
+                self.acc.span(cls, None if n is None else u - n + 1, u + 1, c)
+        elif n is None:
+            self.double(cls, u, s, s, 1, c)
+        else:
+            _check_width(n)
+            for j in range(n):
+                self.acc.span(cls, u + j * s, u + j * s + 1, c)
+
+    def double(self, cls, u, s, t, n, c):
+        if (s > 0) != (t > 0):
+            raise InternalError("double run directions disagree")
+        if n == 1 and s in (1, -1):
+            self.run(cls, u, s, None, c)
+        elif c:
+            self.gens.setdefault(cls, []).append((u, s, t, n, c))
+
+    def over_range(self, cls, idx, c, lo, hi, step):
+        """Add c at idx + k*step for every k in [lo, hi] (None: unbounded).
+        A pinned cell (idx None) takes c once per member."""
+        if idx is None:
+            if lo is None or hi is None:
+                raise InternalError(
+                    "pinned part survived the admissibility gate"
+                )
+            key = EdgeId(cls, None)
+            self.acc.statics[key] = self.acc.statics.get(key, 0) + c * (hi - lo + 1)
+        elif lo is None and hi is None:
+            self.run(cls, idx, step, None, c)
+            self.run(cls, idx - step, -step, None, c)
+        elif lo is None:
+            self.run(cls, idx + hi * step, -step, None, c)
+        else:
+            n = None if hi is None else hi - lo + 1
+            self.run(cls, idx + lo * step, step, n, c)
+
+    def darts(self, darts, c, lo=0, hi=0, step=1):
+        """c for each forward and -c for each backward dart, shifted by
+        k*step for every k in [lo, hi]."""
+        for d in darts:
+            self.over_range(d.edge.cls, d.edge.index, c if d.forward else -c,
+                            lo, hi, step)
+
+    def ray(self, ray, c, lo=0, hi=0, step=1):
+        """c times a ray shifted by k*step over k in [lo, hi]. An unbounded
+        range must point the same way as the ray. A repeat dart's copies
+        form one double run, counted from the copy that starts farthest
+        back."""
+        if lo is None and hi is None:
+            raise InternalError(
+                "a doubly unbounded ray family survived the admissibility gate"
+            )
+        self.darts(ray.initial, c, lo, hi, step)
+        n = None if lo is None or hi is None else hi - lo + 1
+        first, t = (lo, step) if ray.shift > 0 else (hi, -step)
+        for d in ray.repeat:
+            self.double(d.edge.cls, d.edge.index + first * step, ray.shift, t,
+                        n, c if d.forward else -c)
+
+    def value_at(self, cls, n):
+        """The count on instance n of cls (n None: a static edge) before
+        settle(): the value far to the left, the changes at or below n and
+        every generator's hits."""
+        if n is None:
+            return self.acc.statics.get(EdgeId(cls, None), 0)
+        value = self.acc.left.get(cls, 0)
+        value += sum(d for i, d in self.acc.steps.get(cls, {}).items() if i <= n)
+        for u, s, t, k, c in self.gens.get(cls, ()):
+            sign = 1 if s > 0 else -1
+            value += c * _double_count(sign * (n - u), abs(s), abs(t), k)
+        return value
+
+    def settle(self):
+        """Write the generators into the builder, per class and direction
+        (the sign of s), in outward coordinates x. Past its last anchor
+        u + (n-1)*t a bounded double run repeats with period |s|, and an
+        unbounded one's count N(m) of j*s + k*t = m keeps N(m + L) = N(m) +
+        [gcd(s, t) | m] for every m >= 0 (Popoviciu) with L = lcm(s, t), so
+        with P the least common multiple of these periods the sum gains a
+        fixed amount per residue every P indices. Each generator needs the
+        indices from its anchor to 2P past its last anchor, and overlapping
+        stretches merge into blocks, each evaluated index by index. When a
+        block's last two periods are equal the sum gains nothing from there
+        on, and when they are constant too that constant holds up to the
+        next block; otherwise the evaluation runs on densely into the next
+        block. Past the last block a constant sum is a tail. Raises
+        NotRepresentable before evaluating more than _ENTRY_CAP indices on
+        one class; returns (class, reason) for each sum that does not
+        settle."""
+        failures = []
+        for cls, gens in sorted(self.gens.items()):
+            spent = 0
+            for sign in (1, -1):
+                group = [gen for gen in gens if (gen[1] > 0) == (sign > 0)]
+                if group:
+                    why, spent = self._settle_side(cls, group, sign, spent)
+                    if why:
+                        failures.append((cls, why))
+        return failures
+
+    def _settle_side(self, cls, group, sign, spent):
+        # x counts outward: x = sign * index, strides taken positive
+        gens = sorted(((sign * u, abs(s), abs(t), n, c) for u, s, t, n, c in group),
+                      key=lambda gen: gen[0])
+        period = 1
+        for _a, s, t, n, _c in gens:
+            period = math.lcm(period, s if n is not None else math.lcm(s, t))
+        blocks = []  # [first index, end, generators]
+        for gen in gens:
+            a, _s, t, n, _c = gen
+            end = (a if n is None else a + (n - 1) * t) + 2 * period
+            if blocks and a < blocks[-1][1]:
+                blocks[-1][1] = max(blocks[-1][1], end)
+                blocks[-1][2].append(gen)
+            else:
+                blocks.append([a, end, [gen]])
+        settled, active, start = 0, [], None
+        for i, (lo, end, block) in enumerate(blocks):
+            start = lo if start is None else start
+            active += block
+            spent += end - start
+            if spent > _ENTRY_CAP:
+                raise NotRepresentable(
+                    "counts on %r need more than %d evaluated indices"
+                    % (cls, _ENTRY_CAP)
+                )
+            vals = [
+                settled + sum(c * _double_count(x - a, s, t, n)
+                              for a, s, t, n, c in active)
+                for x in range(start, end)
+            ]
+            x = start
+            for v, same in groupby(vals):
+                width = sum(1 for _v in same)
+                if v:
+                    self._span_out(cls, sign, x, x + width, v)
+                x += width
+            last, prev = vals[-period:], vals[-2 * period : -period]
+            nxt = blocks[i + 1][0] if i + 1 < len(blocks) else None
+            if last == prev and len(set(last)) == 1:
+                self._span_out(cls, sign, end, nxt, last[0])
+                settled, active, start = last[0], [], None
+            elif nxt is None:
+                if last != prev:
+                    return "grow without bound", spent
+                return "are periodic but not constant", spent
+            else:
+                start = end
+        return None, spent
+
+    def _span_out(self, cls, sign, lo, hi, v):
+        """Add v at outward x with lo <= x < hi (hi None: unbounded)."""
+        if sign > 0:
+            self.acc.span(cls, lo, hi, v)
+        else:
+            self.acc.span(cls, None if hi is None else 1 - hi, 1 - lo, v)
+
+
+def _check_width(n):
+    """Loops over the members of a bounded family stop at _ENTRY_CAP, the
+    limit on the explicit entries a vector lists, before they start."""
+    if n > _ENTRY_CAP:
+        raise NotRepresentable(
+            "family of %d members is too wide to expand" % n
+        )
+
+
+def _double_count(m, s, t, n):
+    """Number of pairs j >= 0, 0 <= k < n (n None: k >= 0) with
+    j*s + k*t = m, for s, t > 0."""
+    g = math.gcd(s, t)
+    if m < 0 or m % g:
+        return 0
+    m, s, t = m // g, s // g, t // g
+    k0 = m * pow(t, -1, s) % s  # smallest k with k*t = m modulo s
+    kmax = m // t if n is None else min(m // t, n - 1)
+    return (kmax - k0) // s + 1 if kmax >= k0 else 0
 
 
 @dataclass(frozen=True)

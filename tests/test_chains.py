@@ -281,6 +281,23 @@ def test_far_square_and_far_jump(ladder):
     )
 
 
+
+def test_far_end_jumps_cost_their_description(ladder):
+    # two shift-2 end jumps 10^9 apart cancel past the far one: each
+    # rail's count settles to a constant in a few indices after each anchor
+    n = 10**9
+    jump = ("endjump top[{0}] repeat rail_top[{0}]+ rail_top[{1}]+ ; "
+            "top[{0}] rung[{0}]+ repeat rail_bot[{0}]+ rail_bot[{1}]+")
+    rep = ch.parse_chain_text(ladder, jump.format(0, 1) + "\ncoeff -1 " + jump.format(n, n + 1))
+    t0 = time.perf_counter()
+    vec = ch.edge_vector_of(rep)
+    assert time.perf_counter() - t0 < 1.0
+    assert vec.breakpoints() == {
+        "rail_top": (0, n), "rail_bot": (0, n), "rung": (0, 1, n, n + 1)}
+    assert not vec.tails
+    assert ch.boundary(rep).is_zero()
+    assert ch.homology_class(ladder, rep) == vec
+
 def test_wide_square_family(ladder):
     rep = ch.parse_chain_text(ladder, "periodic 0..5000 { %s }" % _square(0))
     vec = ch.edge_vector_of(rep)

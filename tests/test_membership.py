@@ -25,7 +25,8 @@ from endcycle.circles import (
     RaySegment,
 )
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
-from endcycle.errors import FormatError, InternalError, NotARay, UnknownEdge, UnknownVertex
+from endcycle.errors import (FormatError, InternalError, NotARay, NotRepresentable, UnknownEdge,
+                             UnknownVertex)
 from endcycle.graph import (EdgeId, Graph, Ray, graph_from_text, parse_dart_label,
                             parse_vertex_label, vertex_key)
 from endcycle.membership import (
@@ -823,3 +824,77 @@ def test_run_fanned_out_to_a_cap_is_left_to_the_finite_stage():
     cert = is_member(g, vec)
     assert isinstance(cert, Member)
     assert verify_certificate(g, vec, cert)
+
+
+# -- re-summing certificates exactly ------------------------------------------
+#
+# A member certificate is verified by settling its counts into one vector.
+# Rays of one class and direction settle in blocks around their anchors, so
+# anchors far apart cost their description, and a sum that changes between
+# two blocks is listed across the gap rather than skipped.
+
+def _ray(start, repeat, shift):
+    return Ray(parse_vertex_label(start), (),
+               tuple(parse_dart_label(d) for d in repeat.split()), shift)
+
+
+def _rail_difference_circle(n):
+    """The ladder's rail difference as one end circle through top[n] and
+    bot[n], with rays of shift 2."""
+    top = RaySegment(_ray("top[%d]" % n, "rail_top[%d]- rail_top[%d]-" % (n - 1, n - 2), -2), (),
+                     _ray("top[%d]" % n, "rail_top[%d]+ rail_top[%d]+" % (n, n + 1), 2))
+    bot = RaySegment(_ray("bot[%d]" % n, "rail_bot[%d]+ rail_bot[%d]+" % (n, n + 1), 2), (),
+                     _ray("bot[%d]" % n, "rail_bot[%d]- rail_bot[%d]-" % (n - 1, n - 2), -2))
+    return EndCircle((top, bot))
+
+
+def test_far_anchored_rays_verify_at_their_description(ladder):
+    dec = CircleDecomposition(((1, _rail_difference_circle(0)),
+                               (-1, _rail_difference_circle(10**9))))
+    t0 = time.perf_counter()
+    assert verify_certificate(ladder, parse_vector_text(ladder, ""), Member(dec))
+    assert time.perf_counter() - t0 < 1.0
+
+
+TWIN_RAILS = "graph twins\nkind periodic-z\nvertex a\nedge x : a -> a[+1]\nedge y : a -> a[+1]\n"
+
+
+def _alternating_double_ray(n):
+    """A double ray into end+ from a[n]: out along x[n] y[n+1] x[n+2] ...,
+    in along y[n] x[n+1] y[n+2] ..., so both classes alternate in sign."""
+    back = _ray("a[%d]" % n, "y[%d]+ x[%d]+" % (n, n + 1), 2)
+    fwd = _ray("a[%d]" % n, "x[%d]+ y[%d]+" % (n, n + 1), 2)
+    return EndCircle((RaySegment(back, (), fwd),))
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_sum_that_alternates_between_anchors_verifies(n):
+    g = graph_from_text(TWIN_RAILS)
+    dec = CircleDecomposition(((1, _alternating_double_ray(0)),
+                               (-1, _alternating_double_ray(n))))
+    vec = EdgeVector(g, {EdgeId(cls, i): sign * (-1) ** i
+                         for cls, sign in (("x", 1), ("y", -1)) for i in range(n)})
+    t0 = time.perf_counter()
+    assert verify_certificate(g, vec, Member(dec))
+    assert time.perf_counter() - t0 < 1.0
+    assert not verify_certificate(g, parse_vector_text(g, ""), Member(dec))
+
+
+def test_rays_of_a_long_common_period_are_not_representable(ladder):
+    # shifts 449 and 457 on rail_top repeat together every 205,193 indices,
+    # and settling needs two such periods
+    seg = RaySegment(_ray("top[0]", "rail_top[0]+", 449), (),
+                     _ray("top[0]", "rail_top[0]+", 457))
+    dec = CircleDecomposition(((1, EndCircle((seg,))),))
+    t0 = time.perf_counter()
+    with pytest.raises(NotRepresentable):
+        membership._values_agree(ladder, parse_vector_text(ladder, ""), dec)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_counts_left_of_zero_are_off_a_one_ended_lattice(chords):
+    # the two families differ only at pos_step[-1], which a periodic-n
+    # graph does not have
+    fam = lambda label: CircuitFamily(FiniteCircuit((parse_dart_label(label),)), 0, None)
+    dec = CircleDecomposition(((1, fam("pos_step[0]+")), (-1, fam("pos_step[-1]+"))))
+    assert membership._values_agree(chords, parse_vector_text(chords, ""), dec)
