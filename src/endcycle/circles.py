@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, NotARay
 from .graph import Dart, EdgeId, Ray, VertexId, json_list
-from .vectors import EdgeVector, _Counts
+from .vectors import EdgeVector, _Counts, _double_count
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,12 @@ def ray_hits(g, ray: Ray, e: EdgeId) -> int:
 
 
 def _lattices_meet(a, sa, b, sb) -> bool:
-    # does {a + p*sa : p >= 0} intersect {b + q*sb : q >= 0}?
-    L = abs(sa) * abs(sb) // math.gcd(abs(sa), abs(sb))
-    base = min(a, b)
-    for r in range(base, base + L):
-        if (r - a) % abs(sa) or (r - b) % abs(sb):
-            continue
-        if (sa > 0) == (sb > 0):
-            return True
-        lo, hi = (a, b) if sa > 0 else (b, a)
-        if lo > hi:
-            continue
-        first = r + -(-(lo - r) // L) * L
-        if first <= hi:
-            return True
-    return False
+    """Whether {a + p*sa : p >= 0} meets {b + q*sb : q >= 0}. Running the
+    same way they meet iff gcd(|sa|, |sb|) divides b - a; running toward
+    each other iff p*|sa| + q*|sb| makes up the gap from a to b."""
+    if (sa > 0) == (sb > 0):
+        return (b - a) % math.gcd(sa, sb) == 0
+    return _double_count((b - a) if sa > 0 else (a - b), abs(sa), abs(sb), None) > 0
 
 
 def _rays_share_edge(g, r1: Ray, r2: Ray):
@@ -156,14 +147,16 @@ class RaySegment:
     fwd: Ray
 
     def check(self, g):
-        g.check_ray(self.back)
-        g.check_ray(self.fwd)
+        """Check both rays and the middle walk; return the ends of the back
+        and the forward ray."""
+        ends = g.end_of_ray(self.back), g.end_of_ray(self.fwd)
         seq = g.walk_from(self.back.start, self.middle)
         if seq[-1] != self.fwd.start:
             raise FormatError(
                 "segment middle ends at %s but the forward ray starts at %s"
                 % (seq[-1].label(), self.fwd.start.label())
             )
+        return ends
 
     def count(self, counts, coeff):
         counts.ray(self.fwd, coeff)
@@ -181,16 +174,14 @@ class EndCircle:
     def check(self, g):
         if not self.segments:
             raise FormatError("end circle with no segments")
-        for seg in self.segments:
-            seg.check(g)
-        for i, seg in enumerate(self.segments):
-            nxt = self.segments[(i + 1) % len(self.segments)]
-            a = g.end_of_ray(seg.fwd)
-            b = g.end_of_ray(nxt.back)
+        ends = [seg.check(g) for seg in self.segments]
+        for i, (_back, a) in enumerate(ends):
+            j = (i + 1) % len(ends)
+            b = ends[j][0]
             if a != b:
                 raise FormatError(
                     "segment %d leaves toward %s but segment %d returns from %s"
-                    % (i, a, (i + 1) % len(self.segments), b)
+                    % (i, a, j, b)
                 )
         rays = [r for seg in self.segments for r in seg.rays()]
         for i in range(len(rays)):

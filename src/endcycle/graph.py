@@ -738,9 +738,12 @@ class Graph:
         return (t, h) if d.forward else (h, t)
 
     def shift_edge(self, e, k):
-        ec = self.require_edge(e)
-        if ec.static:
-            raise UnknownEdge("static edge %s cannot be shifted" % e.label())
+        """The id of e moved k cells along the lattice. Only the id is
+        computed: e must be of a cell class, but whether e or the result
+        exists is for the circle checks to decide, on the darts they walk."""
+        ec = self._ec.get(e.cls)
+        if ec is None or ec.static:
+            raise UnknownEdge("edge %s cannot be shifted" % e.label())
         return EdgeId(e.cls, e.index + k)
 
     def shift_dart(self, d, k):

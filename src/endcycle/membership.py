@@ -43,13 +43,15 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      its cycle decomposition yields finite circuits and end circles.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
-construction succeeds, but for two known faults: F1, UnknownEdge from darts
-shifted below index 0 on a one-ended lattice, and F2, end rays that no pass
+construction succeeds, but for one known fault, F2: end rays that no pass
 lays out without overlap. So chains.homology_class, which needs only the
 verdict, runs steps 1 and 2 alone; a property test pins that this verdict is
-is_member's. A built result must be well formed and its counts, settled by
-the counter that chain counts use too, must sum to the input exactly before
-it is returned (_decomposition_holds)."""
+is_member's. Cycles are lifted and stitched at offset 0 on every kind of
+lattice; shifting computes ids only, so a dart that passes below index 0 on
+a one-ended lattice before its circuit is normalized raises nothing. Darts
+are validated in one place: a built result must be well formed and its
+counts, settled by the counter that chain counts use too, must sum to the
+input exactly before it is returned (_decomposition_holds)."""
 
 from __future__ import annotations
 
@@ -345,10 +347,9 @@ def _lift_cycle(g, steps, start_offset=0):
 
 
 def _normalized_template(g, darts):
-    """Shift darts so the smallest edge index is 0; return (circuit, shift
-    applied)."""
+    """The circuit of darts shifted so that its smallest edge index is 0."""
     mn = min(d.edge.index for d in darts)
-    return FiniteCircuit(tuple(g.shift_dart(d, -mn) for d in darts)), -mn
+    return FiniteCircuit(tuple(g.shift_dart(d, -mn) for d in darts))
 
 
 def _class_components(g):
@@ -360,17 +361,16 @@ def _class_components(g):
     return {c: min(grp) for grp in uf.groups().values() for c in grp}
 
 
-def _connector_paths(g, hub, base=0):
-    """For every class in hub's component, a dart path from (class, base)
-    to the hub class at base + road_off, by breadth-first search over
-    (class, offset) states near (hub, base). Found once per graph, hub and
-    base; a search that raises stores nothing."""
-    if (hub, base) in g._connector_cache:
-        return g._connector_cache[(hub, base)]
+def _connector_paths(g, hub):
+    """For every class in hub's component, a dart path from (class, 0) to
+    the hub class at road_off, by breadth-first search over (class, offset)
+    states near (hub, 0). Found once per graph and hub."""
+    if hub in g._connector_cache:
+        return g._connector_cache[hub]
     limit = (len(g.spec.cell_classes) + 2) * (g.D + 1) + g.W
     paths = {hub: ((), 0)}
-    frontier = [(hub, base, ())]
-    seen = {(hub, base)}
+    frontier = [(hub, 0, ())]
+    seen = {(hub, 0)}
     # search backwards from the hub so stored paths run class -> hub
     while frontier:
         nxt = []
@@ -390,39 +390,23 @@ def _connector_paths(g, hub, base=0):
                          Dart(EdgeId(ec.name, at), False))
                     )
                 for ncls, noff, dart in moves:
-                    if abs(noff - base) > limit or (ncls, noff) in seen:
+                    if abs(noff) > limit or (ncls, noff) in seen:
                         continue
                     seen.add((ncls, noff))
                     ntrail = (dart,) + trail
                     if ncls not in paths:
-                        # ntrail runs from (ncls, noff) to (hub, base); rebase
+                        # ntrail runs from (ncls, noff) to (hub, 0); rebase
                         paths[ncls] = (
-                            tuple(g.shift_dart(d, base - noff) for d in ntrail),
-                            base - noff,
-                        )
+                            tuple(g.shift_dart(d, -noff) for d in ntrail), -noff)
                     nxt.append((ncls, noff, ntrail))
         frontier = nxt
-    g._connector_cache[(hub, base)] = paths
+    g._connector_cache[hub] = paths
     return paths
 
 
 def _anchor_margin(g):
     """How far past the data strands start; also _peel_runs' shortest run."""
     return (len(g.spec.cell_classes) + 1) * g.W + 5
-
-
-def _run_base(g):
-    """The offset at which a run's cycles are lifted and stitched: 0, as
-    for the tails, except on a one-ended lattice. There it lies past the
-    connector search limit plus _COMPOSITE_LEN_CAP unit passes of quotient
-    cycles, each of at most one step per class, so every dart met exists."""
-    if g.kind != KIND_PERIODIC_N:
-        return 0
-    return (_COMPOSITE_LEN_CAP + 6) * (len(g.spec.cell_classes) + 1) * g.W
-
-
-def _shift_darts(g, darts, k):
-    return [g.shift_dart(d, k) for d in darts]
 
 
 def _reduce_backtracks(darts):
@@ -463,30 +447,30 @@ def _stacked_order(copies):
     return order, sum(d for d, _s in order)
 
 
-def _build_composite(g, copies, comp_of, base):
+def _build_composite(g, copies, comp_of):
     """Stitch unit-weight drifting cycles (total drift zero) into one closed
     drift-free circuit via connector paths to the component's hub class,
-    laid out from the hub at offset base. Returns the dart list or None
-    when no edge-injective layout exists."""
+    laid out from the hub at offset 0. Returns the dart list or None when
+    no edge-injective layout exists."""
     hub = min(
         c
         for c in g.spec.cell_classes
         if comp_of[c] == comp_of[_cycle_class(g, copies[0][1])]
     )
-    paths = _connector_paths(g, hub, base)
+    paths = _connector_paths(g, hub)
     for ordering in (_balanced_order, _stacked_order):
         order, acc = ordering(copies)
         if acc != 0:
             raise InternalError("drifting cycles do not balance")
-        darts = _assemble_composite(g, order, paths, base)
+        darts = _assemble_composite(g, order, paths)
         if darts is not None:
             return darts
     return None
 
 
-def _assemble_composite(g, order, paths, base):
+def _assemble_composite(g, order, paths):
     darts = []
-    off = base
+    off = 0
     for delta, steps in order:
         cls = _cycle_class(g, steps)
         if cls not in paths:
@@ -495,10 +479,10 @@ def _assemble_composite(g, order, paths, base):
         # hub at `off` down to the cycle class at `at`, one pass, and back up
         at = off - road_off
         inbound = [d.reverse() for d in reversed(road)]
-        darts.extend(_shift_darts(g, inbound, at - base))
+        darts.extend(g.shift_dart(d, at) for d in inbound)
         lifted, _s, _e = _lift_cycle(g, steps, at)
         darts.extend(lifted)
-        darts.extend(_shift_darts(g, road, at - base + delta))
+        darts.extend(g.shift_dart(d, at + delta) for d in road)
         off += delta
     darts = _reduce_backtracks(darts)
     if not darts or len(darts) > _COMPOSITE_LEN_CAP:
@@ -570,7 +554,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
     for key in sorted(set(plus_flat) | set(minus_flat)):
         wp, wm = plus_flat.get(key, 0), minus_flat.get(key, 0)
         lifted, _s, _e = _lift_cycle(g, list(key))
-        template, _sh = _normalized_template(g, lifted)
+        template = _normalized_template(g, lifted)
         both = min(wp, wm) if (wp > 0 and wm > 0) else 0
         for wgt, bounds in (
             (both, (None, None)),
@@ -637,7 +621,6 @@ def _peel_runs(g, acc, entries, comp_of, runs):
     changes = acc.changes()
     moves = sorted((i, c, d) for c, (_v, points) in changes.items() for i, d in points)
     value = {c: v for c, (v, _p) in changes.items()}
-    base = _run_base(g)
     k = 0
     for a, b in runs:
         while k < len(moves) and moves[k][0] <= a:
@@ -648,12 +631,12 @@ def _peel_runs(g, acc, entries, comp_of, runs):
             continue
         flat, drifting = _quotient_cycles(g, tau, comp_of)
         built = [
-            (wgt, _normalized_template(g, _lift_cycle(g, list(key), base)[0])[0])
+            (wgt, _normalized_template(g, _lift_cycle(g, list(key))[0]))
             for key, wgt in sorted(_merge_weights(flat).items())
         ]
         for _comp, group in sorted(drifting.items()):
             if sum(wgt * delta for wgt, delta, _s in group) == 0:
-                built.append(_try_composite(g, group, comp_of, base))
+                built.append(_try_composite(g, group, comp_of))
         for coeff, template in filter(None, built):
             L = max(d.edge.index for d in template.darts)
             if b - 1 - L - a >= L:
@@ -695,7 +678,7 @@ def _merge_weights(pairs):
     return out
 
 
-def _try_composite(g, group, comp_of, base=0):
+def _try_composite(g, group, comp_of):
     """Common weight times one stitched drift-free template, or None. A
     group whose sum(w) / gcd(w) unit passes of its shortest cycle already
     exceed _COMPOSITE_LEN_CAP is refused before any copy is made."""
@@ -705,11 +688,10 @@ def _try_composite(g, group, comp_of, base=0):
     if passes * min(len(s) for _w, _d, s in reduced) > _COMPOSITE_LEN_CAP:
         return None
     copies = [(delta, steps) for wgt, delta, steps in reduced for _ in range(wgt)]
-    darts = _build_composite(g, copies, comp_of, base)
+    darts = _build_composite(g, copies, comp_of)
     if darts is None:
         return None
-    template, _sh = _normalized_template(g, darts)
-    return shared, template
+    return shared, _normalized_template(g, darts)
 
 
 def _emit_strands(g, group, sign, start, acc):

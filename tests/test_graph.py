@@ -57,6 +57,15 @@ def test_static_edges_do_not_shift(chords):
         chords.shift_edge(EdgeId("pos_first", None), 4)
 
 
+def test_shift_computes_ids_only(chords):
+    # pos_step[-1] is off the one-ended lattice: the circle checks, not the
+    # shift, decide whether an edge exists
+    assert chords.shift_edge(EdgeId("pos_step", -1), 1) == EdgeId("pos_step", 0)
+    assert chords.shift_edge(EdgeId("pos_step", 0), -1) == EdgeId("pos_step", -1)
+    with pytest.raises(UnknownEdge):
+        chords.require_edge(EdgeId("pos_step", -1))
+
+
 def test_truncate_counts(ladder):
     t = ladder.truncate(2)
     assert len(t.vertices) == 10

@@ -835,7 +835,7 @@ def test_cancelling_finite_darts_match_dense_window(pieces, mode, pick):
 # from sums of shift families of closed walks: finite, one-sided and
 # two-sided, each a member by construction.
 
-def _random_periodic_z(rng):
+def _random_periodic(rng, kind="periodic-z"):
     """1-3 cell classes, 0-2 caps, offsets 0-3. Every cell class has an
     edge to a shifted copy of itself, and one to three more cell edges
     join those lines, so the graph has cycles."""
@@ -850,7 +850,7 @@ def _random_periodic_z(rng):
     for p in caps:
         cell = "%s[%d]" % (rng.choice(cells), rng.randint(0, 3))
         edges.append("%s -> %s" % ((p, cell) if rng.random() < 0.5 else (cell, p)))
-    lines = ["graph random", "kind periodic-z"]
+    lines = ["graph random", "kind %s" % kind]
     lines += ["vertex %s" % c for c in cells]
     lines += ["cap-vertex %s" % p for p in caps]
     lines += ["edge e%d : %s" % (j, e) for j, e in enumerate(edges)]
@@ -898,17 +898,22 @@ def _closed_walk(g, rng, start, steps, caps_ok):
     return "walk " + " ".join(labels)
 
 
-def constructed_member(seed):
-    """The graph and the vector drawn for one seed: a random periodic-z
-    graph and a sum of one to three shift families of closed walks on it,
-    a member by construction. The CI step "Constructed members decide"
-    runs this same draw over a fixed range of seeds."""
+def constructed_member(seed, kind="periodic-z"):
+    """The graph and the vector drawn for one seed: a random graph of the
+    given kind and a sum of one to three shift families of closed walks on
+    it, a member by construction. On periodic-n the families are finite or
+    run up to inf, and walks start at index 24 or more: a walk's darts lie
+    within 21 cells of its start, and no shift is below -3, so no member
+    leaves the lattice. The CI step "Constructed members decide" runs this
+    same draw over a fixed range of seeds."""
     rng = random.Random(seed)
-    g = _random_periodic_z(rng)
+    g = _random_periodic(rng, kind)
+    one_ended = kind == "periodic-n"
     families = []
     for _ in range(rng.randint(1, 3)):
-        shape = rng.choice(["finite", "one-sided", "two-sided"])
-        start = VertexId(rng.choice(g.spec.cell_classes), rng.randint(3, 6))
+        shape = rng.choice(["finite", "one-sided"] + ([] if one_ended else ["two-sided"]))
+        cls = rng.choice(g.spec.cell_classes)
+        start = VertexId(cls, rng.randint(24, 27) if one_ended else rng.randint(3, 6))
         walk = _closed_walk(g, rng, start, rng.randint(1, 6), shape == "finite")
         if walk is None:
             continue
@@ -920,7 +925,7 @@ def constructed_member(seed):
             lo, hi = str(a), str(a + rng.randint(0, 6))
         elif shape == "two-sided":
             lo, hi = "-inf", "inf"
-        elif rng.random() < 0.5:
+        elif one_ended or rng.random() < 0.5:
             lo, hi = str(rng.randint(-3, 3)), "inf"
         else:
             lo, hi = "-inf", str(rng.randint(-3, 3))
@@ -946,6 +951,19 @@ def test_constructed_members_decide_and_verify(seed):
     assert verify_certificate(g, vec, back)
 
 
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+# shifting a dart below index 0 raised UnknownEdge here before the circle
+# checks alone decided which darts exist
+@example(0)
+def test_one_ended_constructed_members_decide_and_verify(seed):
+    g, vec = constructed_member(seed, "periodic-n")
+    cert = is_member(g, vec)
+    assert isinstance(cert, Member)
+    back = certificate_from_json(g, certificate_to_json(cert))
+    assert verify_certificate(g, vec, back)
+
+
 # Wide bounded families leave long constant runs in the data, which the
 # solver takes off as families of its own; on a one-ended lattice those are
 # laid out away from index 0. A run whose composite cannot be laid out
@@ -957,7 +975,7 @@ def test_constructed_members_decide_and_verify(seed):
 def test_wide_bounded_families_decide_and_verify(kind, seed, widths):
     rng = random.Random(seed)
     try:
-        g = _random_periodic_z(rng) if kind == "periodic-z" else _random_lattice(rng, kind)
+        g = _random_periodic(rng) if kind == "periodic-z" else _random_lattice(rng, kind)
     except InfiniteComponents:
         return
     families = []
