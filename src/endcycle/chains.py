@@ -40,17 +40,18 @@ from .graph import (
     KIND_FINITE,
     KIND_PERIODIC_N,
     Dart,
-    EdgeId,
     EndId,
     Ray,
     VertexId,
+    _Windows,
     parse_dart_label,
     parse_edge_label,
     parse_vertex_label,
+    shift_id,
     vertex_key,
 )
 # is_member is not called here; perfbench/harness.py traces it by this name
-from .membership import _obstruct, is_member  # noqa: F401
+from .membership import _check_end_flux, _depth, is_member  # noqa: F401
 from .vectors import EdgeVector, _check_width, _Counts
 
 
@@ -135,42 +136,19 @@ def _simplex_faces(g, s):
     raise InternalError("unknown simplex kind")
 
 
-def _shift_id(x, k):
-    if x.index is None:
-        return x
-    return type(x)(x.cls, x.index + k)
-
-
-def _shift_dart(d, k):
-    if d.edge.index is None:
-        return d
-    return Dart(EdgeId(d.edge.cls, d.edge.index + k), d.forward)
-
-
-def _shift_ray(r, k):
-    return Ray(
-        _shift_id(r.start, k),
-        tuple(_shift_dart(d, k) for d in r.initial),
-        tuple(_shift_dart(d, k) for d in r.repeat),
-        r.shift,
-    )
-
-
 def _shift_simplex(s, k):
     if k == 0:
         return s
     if isinstance(s, Pass):
-        return Pass(_shift_dart(s.dart, k))
+        return Pass(shift_id(s.dart, k))
     if isinstance(s, Walk):
-        return Walk(
-            _shift_id(s.start, k), tuple(_shift_dart(d, k) for d in s.darts)
-        )
+        return Walk(shift_id(s.start, k), tuple(shift_id(d, k) for d in s.darts))
     if isinstance(s, Constant):
         if isinstance(s.point, EndId):
             return s
-        return Constant(_shift_id(s.point, k))
+        return Constant(shift_id(s.point, k))
     if isinstance(s, EndJump):
-        return EndJump(_shift_ray(s.out_ray, k), _shift_ray(s.in_ray, k))
+        return EndJump(shift_id(s.out_ray, k), shift_id(s.in_ray, k))
     raise InternalError("unknown simplex kind")
 
 
@@ -606,14 +584,16 @@ def is_cycle_adhoc(g, rep: ChainRep) -> bool:
 def homology_class(g, rep: ChainRep) -> EdgeVector:
     """The image of the chain's class under the traversal-count map,
     checked to lie in the cycle space by the cut criterion alone; no
-    decomposition is built (is_member of the result gives one)."""
+    decomposition is built (is_member of the result gives one). A vertex
+    star of the chain's vector sums to the vertex's boundary coefficient,
+    so once the boundary is zero only the flux toward each end is left."""
     if rep.graph.spec != g.spec:
         raise GraphMismatch("chain belongs to a different graph")
     _require_admissible(g, rep)
     _require_cycle(rep)
     vec = edge_vector_of(rep)
     try:
-        _obstruct(g, vec)
+        _check_end_flux(g, vec, _depth(g, vec) + 1)
     except NotInCycleSpace as ex:
         raise NotACycle(ex.cut, ex.cut_sum) from None
     return vec
@@ -689,141 +669,151 @@ class AdmissiblePairSpec:
 
 class _Region:
     """The kept region of G - D: the components of the kept
-    representatives, read off one window of the graph around D that the
-    stable partition closes off past its fence (`Graph._window`). Any
-    vertex beyond the fence is answered by the vertex of the closed block
-    it is glued to, and the kept ends are those whose roots are kept."""
+    representatives, read off small windows of the graph (`_Windows`):
+    one around the core and one around each cluster of deleted vertices.
+    A vertex in a stretch between windows is answered by the windows on
+    either side, and one past the outermost windows by the vertex of the
+    closed block it is glued to. The kept ends are those whose roots are
+    kept."""
 
     def __init__(self, g, pair):
-        for v in pair.deleted:
+        for v in (*pair.deleted, *pair.kept):
             try:
                 g.require_vertex(v)
             except EndcycleError as ex:
                 raise NotAdmissiblePair(str(ex))
-        self.g = g
-        self.deleted = frozenset(pair.deleted)
-        w = max(1, g.W)
-        r_del = max(
-            [abs(v.index) for v in self.deleted if v.index is not None],
-            default=0,
-        )
-        nb = (len(g.spec.cell_classes) + 3) * w
-        self.fence = g.stabilization_radius + r_del + nb + g.D + 2
-
-        self.uf, roots = g._window(self.deleted, self.fence)
-        self.kept_roots = set()
         for r in pair.kept:
-            try:
-                g.require_vertex(r)
-            except EndcycleError as ex:
-                raise NotAdmissiblePair(str(ex))
-            if r in self.deleted:
+            if r in pair.deleted:
                 raise NotAdmissiblePair(
                     "kept representative %s was deleted" % r.label()
                 )
-            self.kept_roots.add(self.uf.find(g._window_node(r, self.fence)))
-        self.kept_ends = {e for e, root in roots.items() if root in self.kept_roots}
+        self.g = g
+        self.deleted = frozenset(pair.deleted)
+        self.dels = {}
+        for v in self.deleted:
+            self.dels.setdefault(v.cls, set()).add(v.index)
+        margin = (len(g.spec.cell_classes) + 3) * g.W + g.D + 2
+        self.win = _Windows(g, self.deleted, g.stabilization_radius + margin, margin)
+        self.fence = max(self.win.fence.values())
+        self.kept_roots = {self.win.find(g, r) for r in pair.kept}
+        self.kept_ends = {e for e, root in self.win.roots.items() if root in self.kept_roots}
 
     def has_vertex(self, v):
-        if v in self.deleted:
-            return False
-        return self.uf.find(self.g._window_node(v, self.fence)) in self.kept_roots
+        return v not in self.deleted and self.win.find(self.g, v) in self.kept_roots
 
     def has_ray(self, ray):
+        """A ray is connected and its tail runs into its end, so it is kept
+        when its end is and none of its vertices is deleted: a deleted
+        vertex is tested against the repeat block by arithmetic."""
         g = self.g
         if g.end_of_ray(ray) not in self.kept_ends:
             return False
         seq = g.walk_from(ray.start, ray.initial)
-        anchor = seq[-1]
-        per = g.walk_from(anchor, ray.repeat)
-        verts = set(seq) | set(per)
-        # walk period copies until the block clears the fence; past it the
-        # whole tail sits in the kept end's half space
-        span = max(
-            (abs(u.index) for u in per if u.index is not None), default=0
-        )
-        reps = (self.fence + span) // max(1, abs(ray.shift)) + 2
-        for p in range(1, reps + 1):
-            for u in per:
-                verts.add(VertexId(u.cls, u.index + p * ray.shift))
-        return all(
-            self.has_vertex(u)
-            for u in verts
-            if u.index is None or abs(u.index) <= self.fence
+        per = g.walk_from(seq[-1], ray.repeat)[:-1]
+        return not any(
+            d in seq or any(
+                u.cls == d.cls and d.index is not None
+                and (d.index - u.index) % ray.shift == 0
+                and (d.index - u.index) // ray.shift >= 0 for u in per)
+            for d in self.deleted
         )
 
-    def has_simplex(self, s):
+    def keeps(self, s):
+        """Whether s moved K cells lies in the kept region, as a function of
+        K. s is walked once. A walk joins its vertices, so a move keeps it
+        when none of its vertices is deleted and the first is kept."""
         g = self.g
-        if isinstance(s, Constant):
+        if isinstance(s, EndJump):
+            return lambda K: (self.has_ray(shift_id(s.out_ray, K))
+                              and self.has_ray(shift_id(s.in_ray, K)))
+        if isinstance(s, Constant) and isinstance(s.point, EndId):
             # admissibility refuses a constant at an end unless its
             # coefficient is zero
-            if isinstance(s.point, EndId):
-                return s.point in self.kept_ends
-            return self.has_vertex(s.point)
+            return lambda K: s.point in self.kept_ends
+        # a vertex moves with the template unless a static dart reaches it
         if isinstance(s, Pass):
-            t, h = g.dart_ends(s.dart)
-            return self.has_vertex(t) and self.has_vertex(h)
-        if isinstance(s, Walk):
-            return all(
-                self.has_vertex(u) for u in g.walk_from(s.start, s.darts)
-            )
-        if isinstance(s, EndJump):
-            return self.has_ray(s.out_ray) and self.has_ray(s.in_ray)
-        raise InternalError("unknown simplex kind")
+            verts = g.dart_ends(s.dart)
+            moves = [s.dart.edge.index is not None] * 2
+        elif isinstance(s, Walk):
+            verts = g.walk_from(s.start, s.darts)
+            moves = [s.start.index is not None] + [d.edge.index is not None for d in s.darts]
+        else:
+            verts, moves = (s.point,), [s.point.index is not None]
+        pinned = any(u in self.deleted for u, mv in zip(verts, moves) if not mv)
+        cells = [(self.dels[u.cls], u.index) for u, mv in zip(verts, moves)
+                 if mv and u.cls in self.dels]
+        c, i0 = verts[0]
+
+        def keep(K):
+            if pinned or any(i + K in ds for ds, i in cells):
+                return False
+            v = VertexId(c, i0 + K) if moves[0] else verts[0]
+            return self.win.find(g, v) in self.kept_roots
+
+        return keep
+
+
+def _within(m, a, b):
+    """[a, b] cut to the range of the family m; None is an open end."""
+    a = m.lo if a is None else a if m.lo is None else max(a, m.lo)
+    b = m.hi if b is None else b if m.hi is None else min(b, m.hi)
+    return a, b
 
 
 def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
     """The sub-chain of members whose whole image lies in the closure of
     the kept region. The deleted set is finite, so the boundary of that
-    closure is finite and the result is admissible in the region."""
+    closure is finite and the result is admissible in the region.
+
+    A family's template is walked once, and member k is tested by moving
+    its vertices k * step cells. Only the members within two steps of a
+    window are scanned, so the count follows the windows, not the indices.
+    The members between two windows, or beyond the outermost ones, lie
+    where the kept ones repeat with the deep pattern: one probe per residue
+    of k modulo its period settles each such stretch (`_deep_side`)."""
     if rep.graph.spec != g.spec:
         raise GraphMismatch("chain belongs to a different graph")
     _require_admissible(g, rep)
     region = _Region(g, pair)
-    finite = [
-        (coeff, s) for coeff, s in rep.finite if region.has_simplex(s)
-    ]
+    finite = [(coeff, s) for coeff, s in rep.finite if region.keeps(s)(0)]
     periodic = []
     for m in rep.periodic:
-        # the members scanned are those whose indices come within two steps
-        # of [-fence, fence]; the count follows the fence, not the indices
+        keeps = region.keeps(m.template)
         idx = _simplex_indices(m.template) or [0]
-        k_lo = -((region.fence + max(idx)) // m.step) - 2
-        k_hi = (region.fence - min(idx)) // m.step + 2
-        lo_scan = k_lo if m.lo is None else max(m.lo, k_lo)
-        hi_scan = k_hi if m.hi is None else min(m.hi, k_hi)
+        scans = []
+        for lo, hi in region.win.spans:
+            a = -((max(idx) - lo) // m.step) - 2
+            b = (hi - min(idx)) // m.step + 2
+            if scans and a <= scans[-1][1] + 1:
+                scans[-1][1] = b
+            else:
+                scans.append([a, b])
         kept = []
-        for k in range(lo_scan, hi_scan + 1):
-            if region.has_simplex(_shift_simplex(m.template, k * m.step)):
-                kept.append(k)
-        runs = _runs(kept)
-        # past the scan every member lies beyond the fence, where the kept
-        # ones repeat with the deep pattern: one probe per residue of k
-        # modulo its period settles the rest of each side
-        deep = []
-        if m.hi is None or m.hi > k_hi:
-            first = max(k_hi + 1, lo_scan)
-            deep += _deep_side(g, region, m, first, m.hi, 1, runs)
-        if m.lo is None or m.lo < k_lo:
-            last = min(k_lo - 1, hi_scan)
-            deep += _deep_side(g, region, m, last, m.lo, -1, runs)
-        for template, lo, hi, step in [
-            (m.template, lo, hi, m.step) for lo, hi in runs
-        ] + deep:
+        for a, b in scans:
+            a, b = _within(m, a, b)
+            kept.extend(k for k in range(a, b + 1) if keeps(k * m.step))
+        runs, deep = _runs(kept), []
+        # the gaps: stretches between windows, then past the last, then
+        # before the first, each settled from its end nearest a scan
+        gaps = [(b + 1, a - 1, 1) for (_a, b), (a, _b) in zip(scans, scans[1:])]
+        for lo, hi, sign in gaps + [(scans[-1][1] + 1, None, 1), (None, scans[0][0] - 1, -1)]:
+            lo, hi = _within(m, lo, hi)
+            if lo is None or hi is None or lo <= hi:
+                near, far = (lo, hi) if sign > 0 else (hi, lo)
+                deep += _deep_side(g, keeps, m, near, far, sign, runs)
+        for template, lo, hi, step in [(m.template, lo, hi, m.step) for lo, hi in runs] + deep:
             if lo is not None and lo == hi:
                 finite.append((m.coeff, _shift_simplex(template, lo * step)))
             else:
-                periodic.append(
-                    PeriodicMember(m.coeff, template, lo, hi, step)
-                )
+                periodic.append(PeriodicMember(m.coeff, template, lo, hi, step))
     return ChainRep(g, tuple(finite), tuple(periodic))
 
 
-def _deep_side(g, region, m, near, far, sign, runs):
+def _deep_side(g, keeps, m, near, far, sign, runs):
     """Members of m from k = near outward (sign) to far (None: open) that
-    the region keeps. When every residue of k modulo the deep period is
-    kept, the side joins runs. Otherwise each kept residue is returned as
-    its own family (template, lo, hi, step) with the period times m.step
+    keeps(k * m.step) keeps. When every residue of k modulo the deep period
+    is kept, the side joins runs. Otherwise each kept residue is returned
+    as its own family (template, lo, hi, step) with the period times m.step
     as its step."""
     period = g.deep_period(sign)
     period //= math.gcd(period, m.step)
@@ -831,10 +821,7 @@ def _deep_side(g, region, m, near, far, sign, runs):
         near + sign * r for r in range(period)
         if far is None or sign * (far - near) >= r
     ]
-    kept = [
-        k for k in probes
-        if region.has_simplex(_shift_simplex(m.template, k * m.step))
-    ]
+    kept = [k for k in probes if keeps(k * m.step)]
     if len(kept) == len(probes):
         _attach(runs, *((near, far) if sign > 0 else (far, near)))
         return []
@@ -863,15 +850,18 @@ def _runs(ks):
 
 def _attach(runs, lo, hi):
     """Extend the run list with the piece [lo, hi] (None for an open end),
-    merged with a run that ends just before it or starts just after it."""
-    for i, (a, b) in enumerate(runs):
-        if lo is not None and b == lo - 1:
-            runs[i] = (a, hi)
-            return runs
-        if hi is not None and a == hi + 1:
-            runs[i] = (lo, b)
-            return runs
-    runs.append((lo, hi))
+    merged with the runs that end just before it and start just after it,
+    in the place of the first of them."""
+    before = [i for i, (_a, b) in enumerate(runs) if lo is not None and b == lo - 1]
+    after = [i for i, (a, _b) in enumerate(runs) if hi is not None and a == hi + 1]
+    touch = sorted(before + after)
+    if not touch:
+        runs.append((lo, hi))
+        return runs
+    runs[touch[0]] = (runs[before[0]][0] if before else lo,
+                      runs[after[0]][1] if after else hi)
+    for i in touch[:0:-1]:
+        del runs[i]
     return runs
 
 

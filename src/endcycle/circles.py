@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError, NotARay
-from .graph import Dart, EdgeId, Ray, VertexId, json_list
+from .graph import Dart, EdgeId, Ray, VertexId, json_list, shift_id
 from .vectors import EdgeVector, _Counts, _double_count
 
 
@@ -60,7 +60,8 @@ class FiniteCircuit:
         return EdgeVector.from_darts(g, self.darts)
 
     def shifted(self, g, k) -> "FiniteCircuit":
-        return FiniteCircuit(tuple(g.shift_dart(d, k) for d in self.darts))
+        """The circuit moved k cells along the lattice of g."""
+        return FiniteCircuit(tuple(shift_id(d, k) for d in self.darts))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ and end ids are named tuples (see VertexId).
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -135,6 +136,20 @@ def end_key(e: EndId):
     return (0 if e.direction == "+" else 1, e.rank)
 
 
+def shift_id(x, k):
+    """The vertex, edge, dart or ray x moved k cells along the lattice.
+    Only ids are computed: an id without an index (a cap or a static edge)
+    stays as it is, and whether the result exists is for the checks of
+    whoever walks it to decide."""
+    if isinstance(x, Dart):
+        e = x.edge
+        return x if e.index is None else Dart(EdgeId(e.cls, e.index + k), x.forward)
+    if isinstance(x, Ray):
+        return Ray(shift_id(x.start, k), tuple(shift_id(d, k) for d in x.initial),
+                   tuple(shift_id(d, k) for d in x.repeat), x.shift)
+    return x if x.index is None else type(x)(x.cls, x.index + k)
+
+
 @dataclass(frozen=True)
 class RawEdge:
     name: str
@@ -229,6 +244,13 @@ class UnionFind:
         if ra != rb:
             self.parent[rb] = ra
         return ra
+
+    def join(self, pairs):
+        """Union each pair (u, r) under r's root, adding new items."""
+        for u, r in pairs:
+            self.add(u)
+            self.add(r)
+            self.union(r, u)
 
     def groups(self):
         out = {}
@@ -600,6 +622,8 @@ class Graph:
         # per-end crossing counts and connector paths per hub class
         self._flux_counts = None
         self._connector_cache = {}
+        self._pieces_cache = {}
+        self._joined_cache = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -738,16 +762,12 @@ class Graph:
         return (t, h) if d.forward else (h, t)
 
     def shift_edge(self, e, k):
-        """The id of e moved k cells along the lattice. Only the id is
-        computed: e must be of a cell class, but whether e or the result
-        exists is for the circle checks to decide, on the darts they walk."""
+        """The id of e moved k cells along the lattice (`shift_id`); e must
+        be of a cell class."""
         ec = self._ec.get(e.cls)
         if ec is None or ec.static:
             raise UnknownEdge("edge %s cannot be shifted" % e.label())
-        return EdgeId(e.cls, e.index + k)
-
-    def shift_dart(self, d, k):
-        return Dart(self.shift_edge(d.edge, k), d.forward)
+        return shift_id(e, k)
 
     def neighbors(self, v: VertexId):
         """Darts leaving v, with the vertex each one reaches, in dart_key
@@ -835,57 +855,72 @@ class Graph:
 
     # -- components ---------------------------------------------------------
 
-    def _window(self, deleted, fence):
-        """Connectivity of G - deleted through the window of caps and cells
-        with |index| <= fence, closed off past fence - W by the stable
-        partition: (uf, {EndId: root}). Every deleted vertex lies inside
-        fence - W, and fence - W >= r0."""
-        # both cell enumerations stop at cell 0 on a periodic-n graph
-        verts = list(self.cap_vertices())
-        verts.extend(self.cell_vertices_within(-fence, fence))
-        edges = list(self.static_instances())
-        edges.extend(self.cell_instances_within(-fence, fence))
-        uf = UnionFind(v for v in verts if v not in deleted)
-        for e in edges:
-            t, h = self.endpoints(e)
-            if t in uf.parent and h in uf.parent:
-                uf.union(t, h)
-        # close every side before reading any roots: a later closure can
-        # merge the roots read off an earlier side
-        for ray in self._rays.values():
-            ray.close_deep(uf, fence - self.W)
-        roots = {}
-        for ray in self._rays.values():
-            for rk, root in ray.end_roots(uf, fence - self.W).items():
-                roots[EndId(ray.direction, rk)] = root
-        return uf, roots
+    def _cells_joined(self, lo, hi, deleted, keep):
+        """Union-find parents of the cells lo..hi but the deleted ones,
+        joined by the cell edges among them, whose ends are read off the
+        edge class. With keep and no deleted cell the answer is kept per
+        graph and shared, so that restrictions build their core window
+        once; callers copy it before they union."""
+        keep = keep and not deleted
+        got = self._joined_cache.get((lo, hi)) if keep else None
+        if got is not None:
+            return got
+        uf = UnionFind(v for v in self.cell_vertices_within(lo, hi) if v not in deleted)
+        parent, find = uf.parent, uf.find
+        start = max(lo, 0) if self.kind == KIND_PERIODIC_N else lo
+        for ec in self.cell_edge_classes:
+            tc, tp, hc, hp = ec.tail_cls, ec.tail_pos, ec.head_cls, ec.head_pos
+            for n in range(start, hi - ec.span + 1):
+                t, h = VertexId(tc, n + tp), VertexId(hc, n + hp)
+                if t in parent and h in parent:
+                    rt, rh = find(t), find(h)
+                    if rt != rh:
+                        parent[rh] = rt
+        if keep:
+            self._joined_cache[(lo, hi)] = parent
+        return parent
 
-    def _window_node(self, v, fence):
-        """v inside the window of `_window(..., fence)`; beyond it, the
-        vertex of the closed block that v is glued to."""
-        if v.index is None or abs(v.index) <= fence:
-            return v
-        ray = self._rays[1 if v.index > 0 else -1]
-        return ray.deep_representative(v, fence - self.W)
+    def _stretch(self, lo, hi):
+        """Pairs (u, r) over the first and last W of the cells lo..hi (at
+        least W cells, met by no static edge): r stands for u's piece of
+        those cells, joined through the stretch. Cell edges repeat in every
+        cell, so the pieces depend on the length n alone: below 3W cells
+        `_cells_joined` finds them, and a longer stretch is two shorter ones
+        glued at a shared block of W cells, which no edge jumps over. So n
+        cells cost O(log n) gluings, memoized per graph."""
+        n, W = hi - lo + 1, self.W
+        pairs = self._pieces_cache.get(n)
+        if pairs is None:
+            uf = UnionFind()
+            if n < 3 * W:
+                uf.parent = self._cells_joined(0, n - 1, (), False)
+            else:
+                m = (n + W) // 2
+                uf.join(self._stretch(0, m - 1) + self._stretch(m - W, n - 1))
+            reps = {}
+            pairs = self._pieces_cache[n] = [
+                (u, reps.setdefault(uf.find(u), u)) for u in
+                (VertexId(c, i) for c in self.cell_classes for i in (*range(W), *range(n - W, n)))]
+        return [(VertexId(u.cls, u.index + lo), VertexId(r.cls, r.index + lo)) for u, r in pairs]
 
     def _components_info(self):
         """Components of the window of caps and cells within M + W, closed
-        off past M by the stable partition (`_window`)."""
+        off past M by the stable partition (`_Windows`)."""
         if self._comp_cache is not None:
             return self._comp_cache
         nb = max(1, len(self.cell_classes) * self.W)
         M = self.stabilization_radius + (nb + 3) * self.W
-        uf, roots = self._window(frozenset(), M + self.W)
+        win = _Windows(self, frozenset(), M + self.W, 0)
         raw = sorted(
-            uf.groups().values(),
+            win.uf.groups().values(),
             key=lambda ms: min(vertex_key(u) for u in ms),
         )
         comps = []
         root_index = {}
         for i, ms in enumerate(raw):
-            root = uf.find(ms[0])
+            root = win.uf.find(ms[0])
             root_index[root] = i
-            ends = tuple(e for e in self._ends if roots[e] == root)
+            ends = tuple(e for e in self._ends if win.roots[e] == root)
             finite = not ends
             if finite and any(
                 u.index is not None and abs(u.index) > M for u in ms
@@ -904,7 +939,7 @@ class Graph:
                     size=len(ms) if finite else None,
                 )
             )
-        self._comp_cache = (uf, tuple(comps), root_index, M + self.W)
+        self._comp_cache = (win, tuple(comps), root_index)
         return self._comp_cache
 
     def components(self):
@@ -912,8 +947,8 @@ class Graph:
 
     def component_of(self, v):
         self.require_vertex(v)
-        uf, comps, root_index, fence = self._components_info()
-        return root_index[uf.find(self._window_node(v, fence))]
+        win, _comps, root_index = self._components_info()
+        return root_index[win.find(self, v)]
 
     # -- half spaces ---------------------------------------------------------
 
@@ -1028,6 +1063,72 @@ class Graph:
         if end is None:
             raise InternalError("ray tail escaped every end")
         return end
+
+
+class _Windows:
+    """Connectivity of G - deleted, read off windows of the graph: one of
+    the caps and the cells within core, widened by the largest |index| of
+    a deleted vertex there, and one of the cells within margin of each
+    other deleted vertex, merged where they meet. A union-find joins each
+    window by its edges. A stretch of cells between two windows holds no
+    deleted vertex and meets no static edge, so it joins the facing blocks
+    of its windows as `Graph._stretch` says, and the outermost windows are
+    closed off by the stable partition (`_RayStructure.close_deep`)."""
+
+    def __init__(self, g, deleted, core, margin):
+        # no reference back to g, so a dropped graph is freed at once
+        W = g.W
+        cells = [v.index for v in deleted if v.index is not None]
+        r = core + max([abs(i) for i in cells if abs(i) <= core], default=0)
+        self.spans = []
+        for lo, hi in sorted([(-r, r)] + [(i - margin, i + margin) for i in cells if abs(i) > core]):
+            if self.spans and lo <= self.spans[-1][1] + 1:
+                self.spans[-1] = (self.spans[-1][0], max(hi, self.spans[-1][1]))
+            else:
+                self.spans.append((lo, hi))
+        self.fence = {1: self.spans[-1][1], -1: -self.spans[0][0]}
+        uf = self.uf = UnionFind(v for v in g.cap_vertices() if v not in deleted)
+        # restrictions (margin > 0) share their core window per graph; the
+        # components' window is built once per graph anyway
+        for lo, hi in self.spans:
+            cut = {v for v in deleted if v.index is not None and lo <= v.index <= hi}
+            uf.parent.update(g._cells_joined(lo, hi, cut, margin > 0))
+        for ec in g.static_edge_classes:
+            t, h = VertexId(ec.tail_cls, ec.tail_pos), VertexId(ec.head_cls, ec.head_pos)
+            if t in uf.parent and h in uf.parent:
+                uf.union(t, h)
+        for (_lo, hi), (lo, _hi) in zip(self.spans, self.spans[1:]):
+            uf.join(g._stretch(hi - W + 1, lo + W - 1))
+        # close every side before reading any roots: a later closure can
+        # merge the roots read off an earlier side
+        for sign, ray in g._rays.items():
+            ray.close_deep(uf, self.fence[sign] - W)
+        self.roots = {}
+        for sign, ray in g._rays.items():
+            for rk, root in ray.end_roots(uf, self.fence[sign] - W).items():
+                self.roots[EndId(ray.direction, rk)] = root
+
+    def find(self, g, v):
+        """The root of v's component (v not deleted) on the graph g. Past
+        the outermost windows v is answered by the vertex of the closed
+        block it is glued to; in a stretch, by joining v's block to the
+        facing blocks through the two stretches it splits. Every piece of a
+        stretch meets one of them, or the pattern would repeat a component."""
+        uf = self.uf
+        if v.index is None or v in uf.parent:
+            return uf.find(v)
+        sign = 1 if v.index > 0 else -1
+        if sign * v.index > self.fence[sign]:
+            return uf.find(g._rays[sign].deep_representative(v, self.fence[sign] - g.W))
+        i = bisect.bisect(self.spans, (v.index,))
+        local = UnionFind()
+        local.join(g._stretch(self.spans[i - 1][1] - g.W + 1, v.index + g.W - 1)
+                   + g._stretch(v.index, self.spans[i][0] + g.W - 1))
+        root = local.find(v)
+        for u in local.parent:
+            if u in uf.parent and local.find(u) == root:
+                return uf.find(u)
+        raise InternalError("a piece of a stretch meets no window")
 
 
 def graph_from_text(text) -> Graph:

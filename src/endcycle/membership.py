@@ -87,6 +87,7 @@ from .graph import (
     UnionFind,
     VertexId,
     edge_key,
+    shift_id,
     vertex_key,
 )
 # thin_sum is not called here; perfbench/harness.py traces it by this name
@@ -148,10 +149,16 @@ class _RetryStrands(Exception):
 # -- steps 1 and 2: the obstructions ----------------------------------------
 
 
+def _depth(g, vec):
+    """The depth past the data and r0 + D that the cut criterion checks,
+    beyond which tails anchor."""
+    return max(vec.support_bound(), g.stabilization_radius) + g.D + 1
+
+
 def _obstruct(g, vec):
     """Raise NotInCycleSpace at the first violated star or end flux; return
-    the depth checked, past the data and r0 + D, beyond which tails anchor."""
-    deep = max(vec.support_bound(), g.stabilization_radius) + g.D + 1
+    the depth checked (`_depth`)."""
+    deep = _depth(g, vec)
     _check_stars(g, vec, deep)
     _check_end_flux(g, vec, deep + 1)
     return deep
@@ -349,7 +356,7 @@ def _lift_cycle(g, steps, start_offset=0):
 def _normalized_template(g, darts):
     """The circuit of darts shifted so that its smallest edge index is 0."""
     mn = min(d.edge.index for d in darts)
-    return FiniteCircuit(tuple(g.shift_dart(d, -mn) for d in darts))
+    return FiniteCircuit(tuple(shift_id(d, -mn) for d in darts))
 
 
 def _class_components(g):
@@ -397,7 +404,7 @@ def _connector_paths(g, hub):
                     if ncls not in paths:
                         # ntrail runs from (ncls, noff) to (hub, 0); rebase
                         paths[ncls] = (
-                            tuple(g.shift_dart(d, -noff) for d in ntrail), -noff)
+                            tuple(shift_id(d, -noff) for d in ntrail), -noff)
                     nxt.append((ncls, noff, ntrail))
         frontier = nxt
     g._connector_cache[hub] = paths
@@ -479,10 +486,10 @@ def _assemble_composite(g, order, paths):
         # hub at `off` down to the cycle class at `at`, one pass, and back up
         at = off - road_off
         inbound = [d.reverse() for d in reversed(road)]
-        darts.extend(g.shift_dart(d, at) for d in inbound)
+        darts.extend(shift_id(d, at) for d in inbound)
         lifted, _s, _e = _lift_cycle(g, steps, at)
         darts.extend(lifted)
-        darts.extend(g.shift_dart(d, at + delta) for d in road)
+        darts.extend(shift_id(d, at + delta) for d in road)
         off += delta
     darts = _reduce_backtracks(darts)
     if not darts or len(darts) > _COMPOSITE_LEN_CAP:
@@ -710,12 +717,7 @@ def _emit_strands(g, group, sign, start, acc):
         _take_off(acc, wgt, lifted, lo, hi)
         for r in range(abs(delta)):
             k = r if sign > 0 else -r
-            ray = Ray(
-                VertexId(s_v.cls, s_v.index + k),
-                (),
-                tuple(g.shift_dart(d, k) for d in lifted),
-                delta,
-            )
+            ray = shift_id(Ray(s_v, (), tuple(lifted), delta), k)
             end = g.end_of_ray(ray)
             out.append((wgt, ray, ray.start, end))
     return out
