@@ -814,8 +814,9 @@ def _deep_side(g, keeps, m, near, far, sign, runs):
     keeps(k * m.step) keeps. When every residue of k modulo the deep period
     is kept, the side joins runs. Otherwise each kept residue is returned
     as its own family (template, lo, hi, step) with the period times m.step
-    as its step."""
-    period = g.deep_period(sign)
+    as its step. A side the graph lacks is reached only by a template
+    without index, whose members are all one simplex: period 1 settles it."""
+    period = g.deep_period(sign) if ("+" if sign > 0 else "-") in g.directions() else 1
     period //= math.gcd(period, m.step)
     probes = [
         near + sign * r for r in range(period)

@@ -20,8 +20,8 @@ its forward ray, its back ray negated and its middle darts. Families keep
 each edge's total finite because a template meets a fixed edge at finitely
 many shifts. Settled, the counts are the decomposition's exact sum as an
 EdgeVector, which is how a certificate is verified. A single piece need not
-settle (a lone ray of shift 3 is not eventually constant), so value_on and
-window_values read the counts before settling.
+settle (a lone ray of shift 3 is not eventually constant), so value_on
+reads the counts before settling.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ class CircuitFamily:
 
     def count(self, counts, coeff):
         counts.darts(self.template.darts, coeff, self.lo, self.hi)
+
+    def shifted(self, g, k) -> "CircuitFamily":
+        lo, hi = (None if b is None else b + k for b in (self.lo, self.hi))
+        return CircuitFamily(self.template, lo, hi)
 
 
 def ray_hits(g, ray: Ray, e: EdgeId) -> int:
@@ -207,6 +211,11 @@ class EndCircle:
         for seg in self.segments:
             seg.count(counts, coeff)
 
+    def shifted(self, g, k) -> "EndCircle":
+        return EndCircle(tuple(
+            RaySegment(shift_id(s.back, k), tuple(shift_id(d, k) for d in s.middle),
+                       shift_id(s.fwd, k)) for s in self.segments))
+
 
 PIECE_TYPES = (FiniteCircuit, CircuitFamily, EndCircle)
 
@@ -224,23 +233,18 @@ class CircleDecomposition:
                 raise FormatError("not a circle: %r" % (piece,))
             piece.check(g)
 
+    def shifted(self, g, k) -> "CircleDecomposition":
+        """Every piece moved k cells along the lattice of g. Only ids are
+        computed, as by graph.shift_id: static edges stay where they are."""
+        return CircleDecomposition(
+            tuple((coeff, piece.shifted(g, k)) for coeff, piece in self.entries))
+
     def counts(self, g) -> _Counts:
         """Every piece's counts, not yet settled."""
         counts = _Counts(g)
         for coeff, piece in self.entries:
             piece.count(counts, coeff)
         return counts
-
-    def window_values(self, g, lo, hi) -> dict:
-        """The nonzero values on static edges and on cell edges with index
-        in [lo, hi]."""
-        counts = self.counts(g)
-        edges = list(g.static_instances()) + [
-            EdgeId(ec.name, n) for ec in g.cell_edge_classes
-            for n in range(lo, hi + 1)
-        ]
-        values = {e: counts.value_at(e.cls, e.index) for e in edges}
-        return {e: v for e, v in values.items() if v}
 
     def value_on(self, g, e: EdgeId) -> int:
         return self.counts(g).value_at(e.cls, e.index)

@@ -26,9 +26,12 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      but not before the first. Drifting cycles are grouped per quotient
      component and tail side. Each group is either stitched into a drift-free
      composite circuit via connector paths to a hub class, or handed to the end
-     stage as explicit rays (strands) past the anchor margin, one per residue
-     class of the drift. Equal + and - groups first try one two-sided composite
-     family when it is no longer than their strands. Otherwise a group becomes
+     stage as explicit rays (strands), one per residue class of the drift. A +
+     strand is anchored the anchor margin past the input's last change, a -
+     strand as far below its first: where the data stops, wherever it lies, so
+     shifting the input shifts them. Equal + and - groups first try one
+     two-sided composite family when it is no longer than their strands joined
+     across the gap between the two anchors. Otherwise a group becomes
      strands when its flux sum(w * |d|) (the unit ray stubs strands carry) is
      at most sum(w) / gcd(w) (the unit cycle passes the composite stitches),
      and a composite when it is larger and one can be laid out. The choice
@@ -40,7 +43,9 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      drift zero become families bounded to the run. All of it is taken off one
      breakpoint accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
-     its cycle decomposition yields finite circuits and end circles.
+     its cycle decomposition yields finite circuits and end circles. An end
+     circle's rays are pulled back by the whole periods its middle walk
+     repeats, so the middle holds only the walk through the data.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
 construction succeeds, but for one known fault, F2: end rays that no pass
@@ -121,20 +126,21 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
     InternalError, never the error class that the check itself raised."""
     if vec.graph.spec is not g.spec and vec.graph.spec != g.spec:
         raise GraphMismatch("vector belongs to a different graph")
-    dec = _assemble(g, vec, _obstruct(g, vec) + _anchor_margin(g))
+    _obstruct(g, vec)
+    dec = _assemble(g, vec)
     if not _decomposition_holds(g, vec, dec):
         raise InternalError("decomposition failed its self-check")
     return dec
 
 
-def _assemble(g, vec, start):
+def _assemble(g, vec):
     """One full pipeline pass, not yet self-checked. When the rule's strands
     cannot be laid out without overlap, the pass is rebuilt once with the
     composite wherever one can be laid out; when that fails too, no layout
     is found."""
     for avoid_strands in (False, True):
         try:
-            entries, strands, resid = _peel_tails(g, vec, start, avoid_strands)
+            entries, strands, resid = _peel_tails(g, vec, avoid_strands)
             pieces = _finish_finite(g, resid, strands)
         except _RetryStrands:
             continue
@@ -150,18 +156,15 @@ class _RetryStrands(Exception):
 
 
 def _depth(g, vec):
-    """The depth past the data and r0 + D that the cut criterion checks,
-    beyond which tails anchor."""
+    """The depth past the data and r0 + D that the cut criterion checks."""
     return max(vec.support_bound(), g.stabilization_radius) + g.D + 1
 
 
 def _obstruct(g, vec):
-    """Raise NotInCycleSpace at the first violated star or end flux; return
-    the depth checked (`_depth`)."""
+    """Raise NotInCycleSpace at the first violated star or end flux."""
     deep = _depth(g, vec)
     _check_stars(g, vec, deep)
     _check_end_flux(g, vec, deep + 1)
-    return deep
 
 
 def _check_stars(g, vec, bound):
@@ -533,15 +536,18 @@ def _quotient_cycles(g, tau, comp_of):
     return flat, drifting
 
 
-def _peel_tails(g, vec, start, avoid_strands=False):
+def _peel_tails(g, vec, avoid_strands=False):
     """Emit circuit families reproducing the tails, then the long constant
     runs of the residue; return (entries, strand list, finite residue).
-    One-sided families are bounded by the input's changes (_one_sided) and
-    strands start at start; all are taken off one accumulator of the input.
-    With avoid_strands a drifting group takes a composite if one lays out."""
+    One-sided families are bounded by the input's changes (_one_sided), and
+    strands start the anchor margin past them; all are taken off one
+    accumulator of the input. With avoid_strands a drifting group takes a
+    composite if one lays out."""
     # the input's changes (or 0 alone) and runs longer than the anchor margin
     cuts = sorted({i for points in vec.breakpoints().values() for i in points}) or [0]
-    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > _anchor_margin(g)]
+    margin = _anchor_margin(g)
+    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > margin]
+    anchors = {1: cuts[-1] + margin, -1: cuts[0] - margin}
     if not vec.tails and not runs:
         return [], [], vec
     entries = []
@@ -585,7 +591,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
     for comp in sorted(set(plus_drift) | set(minus_drift)):
         cp = sorted(plus_drift.get(comp, []))
         cm = sorted(minus_drift.get(comp, []))
-        if cp and cp == cm and _fits_between_anchors(cp, start):
+        if cp and cp == cm and _fits_between_anchors(cp, anchors[1] - anchors[-1]):
             built = composite(cp)
             if built is not None:
                 _peel(acc, entries, *built, None, None)
@@ -599,7 +605,7 @@ def _peel_tails(g, vec, start, avoid_strands=False):
             if built is not None:
                 _peel(acc, entries, *built, *_one_sided(cuts, built[1], sign))
             else:
-                strands.extend(_emit_strands(g, group, sign, start, acc))
+                strands.extend(_emit_strands(g, group, sign, anchors[sign], acc))
     _peel_runs(g, acc, entries, comp_of, runs)
     resid = acc.vector()
     if resid.tails:
@@ -668,14 +674,14 @@ def _composite_is_smaller(group):
     return flux > sum(weights) // math.gcd(*weights)
 
 
-def _fits_between_anchors(group, start):
+def _fits_between_anchors(group, gap):
     """Whether a mirrored group's two-sided composite, sum(w) / gcd(w) unit
     passes of its shortest cycle, is no longer than its strands: sum(|d|)
-    rays per side, each joined to its mirror across the 2 * start cells."""
+    rays per side, each joined to its mirror across the gap between anchors."""
     weights = [wgt for wgt, _d, _s in group]
     passes = sum(weights) // math.gcd(*weights)
     rays = sum(abs(delta) for _w, delta, _s in group)
-    return passes * min(len(s) for _w, _d, s in group) <= rays * 2 * start
+    return passes * min(len(s) for _w, _d, s in group) <= rays * gap
 
 
 def _merge_weights(pairs):
@@ -701,17 +707,17 @@ def _try_composite(g, group, comp_of):
     return shared, _normalized_template(g, darts)
 
 
-def _emit_strands(g, group, sign, start, acc):
-    """Turn each drifting quotient cycle into |drift| outward rays starting
-    at consecutive shifts; take each cycle's group sum (a one-period path
-    family) off the residue in acc."""
+def _emit_strands(g, group, sign, anchor, acc):
+    """Turn each drifting quotient cycle into |drift| outward rays lifted at
+    the anchor and the next shifts outward; take each cycle's group sum (a
+    one-period path family) off the residue in acc. _cycle_to_piece pulls
+    the rays back along the walks that join them to the data."""
     out = []
     for wgt, delta, steps in sorted(group):
         if (delta > 0) != (sign > 0):
             steps = [(n, not f) for n, f in reversed(steps)]
             delta = -delta
             wgt = -wgt
-        anchor = start if sign > 0 else -start
         lifted, s_v, _e = _lift_cycle(g, steps, anchor)
         lo, hi = (0, None) if sign > 0 else (None, 0)
         _take_off(acc, wgt, lifted, lo, hi)
@@ -804,7 +810,7 @@ def _cycle_to_piece(g, arcs, strands, steps):
     for (key, fwd), node in zip(steps, node_seq):
         if isinstance(node, EndId):
             fwd_ray = _strand_ray(strands, (key, fwd))
-            segments.append(RaySegment(back_ray, tuple(middle), fwd_ray))
+            segments.append(_pulled_back(back_ray, middle, fwd_ray))
             middle = []
             back_ray = None
         elif back_ray is None:
@@ -820,6 +826,35 @@ def _cycle_to_piece(g, arcs, strands, steps):
     except FormatError:
         raise _RetryStrands()
     return piece
+
+
+def _pulled_back(back, middle, fwd):
+    """The segment with each ray pulled back by the whole periods that the
+    middle walk holds next to its start: the forward ray's previous periods
+    end the walk, the back ray's, reversed, begin it. The darts move from
+    the walk into the rays, so edges and counts stay as they are."""
+    n = _periods_behind(fwd, reversed(middle), False)
+    middle = middle[:len(middle) - n * len(fwd.repeat)]
+    m = _periods_behind(back, middle, True)
+    return RaySegment(shift_id(back, -m * back.shift), tuple(middle[m * len(back.repeat):]),
+                      shift_id(fwd, -n * fwd.shift))
+
+
+def _periods_behind(ray, darts, flip):
+    """How many whole periods of a ray without lead-in the darts repeat,
+    read backward from its start: dart i must be the ray's i-th dart before
+    its start (reversed when flip)."""
+    if ray.initial:
+        return 0
+    p = len(ray.repeat)
+    i = 0
+    for d in darts:
+        q, j = divmod(i, p)
+        want = shift_id(ray.repeat[p - 1 - j], -(q + 1) * ray.shift)
+        if d != (want.reverse() if flip else want):
+            break
+        i += 1
+    return i // p
 
 
 def _strand_ray(strands, step):

@@ -32,16 +32,18 @@ Counts of darts, rays and their shift families, as chains and circle
 decompositions hold them, go through _Counts into one breakpoint builder.
 A count of stride +-1 (a dart, a family of step 1, a ray repeating with
 shift +-1) is one span, and a bounded family of step s > 1 adds one point
-per member. Only the repeat darts of rays of shift |s| > 1 and of ray
-families are evaluated index by index: a family's copies of one repeat
-dart form one double run, however wide the family is. Their sum is
-evaluated in blocks, from each anchor to two periods past its last one,
-and is spanned from block to block where it settles to a constant; past
-the last block a constant sum becomes a tail, and a growing or
-non-constant periodic one is handed back to the caller. One limit
-remains: evaluating them, or looping over the members of a bounded
-family, raises NotRepresentable before it passes _ENTRY_CAP indices on
-one class.
+per member, up to _ENTRY_CAP members; a wider one is two unbounded runs of
+stride s, one taken away. Only these runs, the repeat darts of rays of
+shift |s| > 1 and those of ray families are evaluated index by index: a
+family's copies of one repeat dart form one double run, however wide the
+family is. Their sum is evaluated in blocks, from each anchor to two
+periods past its last one, and is spanned from block to block where it
+settles to a constant; past the last block a constant sum becomes a tail,
+and a growing or non-constant periodic one is handed back to the caller.
+A class holding a split wide family is evaluated in both directions at
+once, since its halves may cancel runs that point the other way. One
+limit remains: evaluating them raises NotRepresentable before it passes
+_ENTRY_CAP indices on one class.
 
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
@@ -393,7 +395,10 @@ class _Breakpoints:
 class _Counts:
     """Signed counts per cell of darts, rays and their shift families, on
     their way into one _Breakpoints. A run of stride +-1 is one span and a
-    bounded run of stride s one point per member. Every other count is a
+    bounded run of stride s one point per member; past _ENTRY_CAP members
+    it is the unbounded run from its first member less the one from just
+    past its last, and its class is settled in both directions at once
+    (`_settle_joint`). Every other count is a
     double run {u + j*s + k*t : j >= 0, 0 <= k < n} with s and t of one sign
     (n None: every k >= 0): a ray's repeat dart has n = 1, a bounded family
     of rays n = its width, an unbounded one n = None. Double runs wait per
@@ -403,6 +408,7 @@ class _Counts:
     def __init__(self, graph):
         self.acc = _Breakpoints(graph)
         self.gens = {}
+        self.joint = set()
 
     def run(self, cls, u, s, n, c):
         """Add c at u + j*s for 0 <= j < n (n None: every j >= 0)."""
@@ -415,8 +421,11 @@ class _Counts:
                 self.acc.span(cls, None if n is None else u - n + 1, u + 1, c)
         elif n is None:
             self.double(cls, u, s, s, 1, c)
+        elif n > _ENTRY_CAP:
+            self.double(cls, u, s, s, 1, c)
+            self.double(cls, u + n * s, s, s, 1, -c)
+            self.joint.add(cls)
         else:
-            _check_width(n)
             for j in range(n):
                 self.acc.span(cls, u + j * s, u + j * s + 1, c)
 
@@ -502,6 +511,10 @@ class _Counts:
         settle."""
         failures = []
         for cls, gens in sorted(self.gens.items()):
+            if cls in self.joint:
+                why = self._settle_joint(cls, gens)
+                failures += [(cls, why)] if why else []
+                continue
             spent = 0
             for sign in (1, -1):
                 group = [gen for gen in gens if (gen[1] > 0) == (sign > 0)]
@@ -560,6 +573,61 @@ class _Counts:
             else:
                 start = end
         return None, spent
+
+    def _settle_joint(self, cls, gens):
+        """The generators of both directions together, in index order: the
+        two halves of a wide bounded run may point against the runs they
+        cancel. Each generator's anchors, widened by two periods either
+        side, make up blocks. Between blocks every generator is zero or
+        past its anchors, so the sum gains a fixed amount per residue every
+        P indices there, and a block's last two periods, when equal and
+        constant, hold up to the next block; its first block's first two
+        give the value far to the left. Otherwise the evaluation runs on
+        densely, within the same limit as _settle_side."""
+        period, blocks, spent = 1, [], 0
+        for u, s, t, n, _c in gens:
+            period = math.lcm(period, abs(s) if n is not None else math.lcm(s, t))
+        ends = [(u, u if n is None else u + (n - 1) * t) for u, _s, t, n, _c in gens]
+        for lo, hi in sorted((min(e) - 2 * period, max(e) + 2 * period + 1) for e in ends):
+            if blocks and lo <= blocks[-1][1]:
+                blocks[-1][1] = max(blocks[-1][1], hi)
+            else:
+                blocks.append([lo, hi])
+
+        def values(lo, hi):
+            return [sum(c * _double_count(x - u if s > 0 else u - x, abs(s), abs(t), n)
+                        for u, s, t, n, c in gens) for x in range(lo, hi)]
+
+        def why(vals):
+            last, prev = vals[-period:], vals[-2 * period : -period]
+            if last != prev:
+                return "grow without bound"
+            return "are periodic but not constant" if len(set(last)) > 1 else None
+
+        start = blocks[0][0]
+        far = values(start, start + 2 * period)
+        if why(far):
+            return why(far)
+        self.acc.span(cls, None, start, far[0])
+        for i, (_lo, hi) in enumerate(blocks):
+            spent += hi - start
+            if spent > _ENTRY_CAP:
+                raise NotRepresentable(
+                    "counts on %r need more than %d evaluated indices" % (cls, _ENTRY_CAP))
+            vals, x = values(start, hi), start
+            for v, same in groupby(vals):
+                width = sum(1 for _v in same)
+                self.acc.span(cls, x, x + width, v)
+                x += width
+            nxt = blocks[i + 1][0] if i + 1 < len(blocks) else None
+            if why(vals) is None:
+                self.acc.span(cls, hi, nxt, vals[-1])
+                start = nxt
+            elif nxt is None:
+                return why(vals)
+            else:
+                start = hi
+        return None
 
     def _span_out(self, cls, sign, lo, hi, v):
         """Add v at outward x with lo <= x < hi (hi None: unbounded)."""

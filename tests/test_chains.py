@@ -242,6 +242,27 @@ def test_step_two_square_families_vector(ladder):
     )
 
 
+def test_wide_step_two_family_counts_across_directions(ladder):
+    # the squares from 0 on again, the even ones split at 10^9: a bounded
+    # step-2 family too wide to list, a two-sided one, and a left-unbounded
+    # one taken away, which alone alternates from 10^9 down toward -inf
+    n = 10**9
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..inf step 2 { %s }\nperiodic 0..%d step 2 { %s }\n"
+        "periodic -inf..inf step 2 { %s }\ncoeff -1 periodic -inf..%d step 2 { %s }"
+        % (_square(1), n, _square(0), _square(0), n, _square(0)),
+    )
+    t0 = time.perf_counter()
+    vec = ch.edge_vector_of(rep)
+    assert time.perf_counter() - t0 < 1.0
+    assert vec == parse_vector_text(
+        ladder,
+        "set rung[0] = -1\ntail+ rail_top from 0 = 1\n"
+        "tail+ rail_bot from 0 = -1",
+    )
+
+
 def test_jump_families_cancel_to_tails(ladder):
     # each family alone grows along rail_top; the difference is constant
     for back, expect in (
@@ -566,6 +587,16 @@ def test_restrict_scans_only_members_near_the_fence(ladder):
             spent = time.perf_counter() - t0
             assert ch.chain_to_text(res) == kept
             assert n < 10**5 or spent < 0.1
+
+
+def test_restrict_settles_only_the_sides_the_graph_has(chords):
+    # a periodic-n graph has no side toward -inf; a template without index
+    # may still run there, and its members are all one simplex
+    pair = ch.parse_pair_text(chords, "delete pos[3]\nkeep pos[5]")
+    for text in ("coeff 0 periodic -inf..inf { const end+0 }",
+                 "coeff 0 periodic -inf..3 { const end+0 }"):
+        res = ch.restrict_chain(chords, pair, ch.parse_chain_text(chords, text))
+        assert ch.chain_to_text(res) == text
 
 
 def test_restrict_rejects_deleted_keep(ladder):

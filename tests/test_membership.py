@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endcycle import chains, membership
+from endcycle import chains, examples, membership
 from endcycle.circles import (
     CircleDecomposition,
     CircuitFamily,
@@ -940,3 +940,35 @@ def test_counts_left_of_zero_are_off_a_one_ended_lattice(chords):
     fam = lambda label: CircuitFamily(FiniteCircuit((parse_dart_label(label),)), 0, None)
     dec = CircleDecomposition(((1, fam("pos_step[0]+")), (-1, fam("pos_step[-1]+"))))
     assert membership._values_agree(chords, parse_vector_text(chords, ""), dec)
+
+
+# -- end circles start at the data --------------------------------------------
+#
+# Strands are anchored the anchor margin past the input's own changes, and
+# each ray is pulled back along its middle walk by whole periods, so an end
+# circle's middle holds only what the data needs, wherever the data sits.
+
+def test_rail_loop_rays_start_at_the_cap(intro_chords):
+    docs = examples.example_documents("intro-chords")
+    cert = is_member(intro_chords, parse_vector_text(intro_chords, docs["rail-loop.vec"]))
+    middle = (parse_dart_label("neg_first+"), parse_dart_label("pos_first+"))
+    loop = RaySegment(_ray("neg[0]", "neg_step[0]-", 1), middle, _ray("pos[0]", "pos_step[0]+", 1))
+    assert cert.decomposition.entries == ((1, EndCircle((loop,))),)
+
+
+FAR_TRIPLE_JUMP = ("endjump c[-810536] bc[-810536]- rb[-810536]+ repeat rb[-810535]+ ; "
+                   "c[-810536] repeat rc[-810536]+ rc[-810535]+")
+
+
+def test_far_end_jump_answers_small(triple):
+    # the + strands start past the data at -810536, not past +810536, so
+    # the finite stage has nothing to list between; best of three timings
+    vec = chains.edge_vector_of(chains.parse_chain_text(triple, FAR_TRIPLE_JUMP))
+    took = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cert = is_member(triple, vec)
+        assert verify_certificate(triple, vec, cert)
+        took.append(time.perf_counter() - t0)
+    assert min(took) < 0.1
+    assert len(json.dumps(certificate_to_json(cert))) < 1000
