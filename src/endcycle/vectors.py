@@ -36,14 +36,14 @@ per member, up to _ENTRY_CAP members; a wider one is two unbounded runs of
 stride s, one taken away. Only these runs, the repeat darts of rays of
 shift |s| > 1 and those of ray families are evaluated index by index: a
 family's copies of one repeat dart form one double run, however wide the
-family is. Their sum is evaluated in blocks, from each anchor to two
-periods past its last one, and is spanned from block to block where it
-settles to a constant; past the last block a constant sum becomes a tail,
-and a growing or non-constant periodic one is handed back to the caller.
-A class holding a split wide family is evaluated in both directions at
-once, since its halves may cancel runs that point the other way. One
-limit remains: evaluating them raises NotRepresentable before it passes
-_ENTRY_CAP indices on one class.
+family is. Each class is settled in one sweep in index order. Its sum is
+evaluated in blocks around each cluster of anchors, widened by two
+periods of the runs that reach the gap on either side, and is spanned
+from block to block where it settles to a constant; past the outermost
+blocks a constant sum becomes a tail, and a growing or non-constant
+periodic one is handed back to the caller. A run is evaluated only where
+it can hit. One limit remains: evaluating them raises NotRepresentable
+before it passes _ENTRY_CAP indices on one class.
 
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
@@ -397,18 +397,16 @@ class _Counts:
     their way into one _Breakpoints. A run of stride +-1 is one span and a
     bounded run of stride s one point per member; past _ENTRY_CAP members
     it is the unbounded run from its first member less the one from just
-    past its last, and its class is settled in both directions at once
-    (`_settle_joint`). Every other count is a
-    double run {u + j*s + k*t : j >= 0, 0 <= k < n} with s and t of one sign
-    (n None: every k >= 0): a ray's repeat dart has n = 1, a bounded family
-    of rays n = its width, an unbounded one n = None. Double runs wait per
-    class as generators (u, s, t, n, coeff) until settle() writes them.
-    Vertex counts use the same (class, index) keys."""
+    past its last. Every other count is a double run {u + j*s + k*t : j >=
+    0, 0 <= k < n} with s and t of one sign (n None: every k >= 0): a ray's
+    repeat dart has n = 1, a bounded family of rays n = its width, an
+    unbounded one n = None. Double runs wait per class as generators (u, s,
+    t, n, coeff) until settle() writes them. Vertex counts use the same
+    (class, index) keys."""
 
     def __init__(self, graph):
         self.acc = _Breakpoints(graph)
         self.gens = {}
-        self.joint = set()
 
     def run(self, cls, u, s, n, c):
         """Add c at u + j*s for 0 <= j < n (n None: every j >= 0)."""
@@ -424,7 +422,6 @@ class _Counts:
         elif n > _ENTRY_CAP:
             self.double(cls, u, s, s, 1, c)
             self.double(cls, u + n * s, s, s, 1, -c)
-            self.joint.add(cls)
         else:
             for j in range(n):
                 self.acc.span(cls, u + j * s, u + j * s + 1, c)
@@ -487,154 +484,111 @@ class _Counts:
             return self.acc.statics.get(EdgeId(cls, None), 0)
         value = self.acc.left.get(cls, 0)
         value += sum(d for i, d in self.acc.steps.get(cls, {}).items() if i <= n)
-        for u, s, t, k, c in self.gens.get(cls, ()):
-            sign = 1 if s > 0 else -1
-            value += c * _double_count(sign * (n - u), abs(s), abs(t), k)
+        for gen in self.gens.get(cls, ()):
+            value += gen[4] * sum(k for _x, k in _hits(gen, n, n + 1))
         return value
 
     def settle(self):
-        """Write the generators into the builder, per class and direction
-        (the sign of s), in outward coordinates x. Past its last anchor
-        u + (n-1)*t a bounded double run repeats with period |s|, and an
-        unbounded one's count N(m) of j*s + k*t = m keeps N(m + L) = N(m) +
-        [gcd(s, t) | m] for every m >= 0 (Popoviciu) with L = lcm(s, t), so
-        with P the least common multiple of these periods the sum gains a
-        fixed amount per residue every P indices. Each generator needs the
-        indices from its anchor to 2P past its last anchor, and overlapping
-        stretches merge into blocks, each evaluated index by index. When a
-        block's last two periods are equal the sum gains nothing from there
-        on, and when they are constant too that constant holds up to the
-        next block; otherwise the evaluation runs on densely into the next
-        block. Past the last block a constant sum is a tail. Raises
+        """Write the generators into the builder, one sweep per class in
+        index order. A generator is zero on one side of its anchors, u to
+        u + (n-1)*t, and repeats on the other: a bounded double run with
+        period |s|, and an unbounded one's count N(m) of j*s + k*t = m keeps
+        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu) with
+        L = lcm(s, t). Anchors that overlap form clusters. In the gap
+        between two clusters the live generators are the "+" runs anchored
+        left of it and the "-" runs anchored right of it, so with P the
+        least common multiple of their periods the sum gains a fixed amount
+        per residue every P indices there. Each cluster, widened by two
+        periods of the gap on either side, is a block evaluated index by
+        index, and blocks that meet merge. When a block's last two periods
+        are equal and constant, that constant holds up to the next block,
+        and the first block's first two give the value far to the left;
+        otherwise the evaluation runs on densely into the next block. Raises
         NotRepresentable before evaluating more than _ENTRY_CAP indices on
         one class; returns (class, reason) for each sum that does not
         settle."""
         failures = []
         for cls, gens in sorted(self.gens.items()):
-            if cls in self.joint:
-                why = self._settle_joint(cls, gens)
-                failures += [(cls, why)] if why else []
-                continue
-            spent = 0
-            for sign in (1, -1):
-                group = [gen for gen in gens if (gen[1] > 0) == (sign > 0)]
-                if group:
-                    why, spent = self._settle_side(cls, group, sign, spent)
-                    if why:
-                        failures.append((cls, why))
+            why = self._sweep(cls, gens)
+            if why:
+                failures.append((cls, why))
         return failures
 
-    def _settle_side(self, cls, group, sign, spent):
-        # x counts outward: x = sign * index, strides taken positive
-        gens = sorted(((sign * u, abs(s), abs(t), n, c) for u, s, t, n, c in group),
-                      key=lambda gen: gen[0])
-        period = 1
-        for _a, s, t, n, _c in gens:
-            period = math.lcm(period, s if n is not None else math.lcm(s, t))
-        blocks = []  # [first index, end, generators]
-        for gen in gens:
-            a, _s, t, n, _c = gen
-            end = (a if n is None else a + (n - 1) * t) + 2 * period
-            if blocks and a < blocks[-1][1]:
-                blocks[-1][1] = max(blocks[-1][1], end)
-                blocks[-1][2].append(gen)
+    def _sweep(self, cls, gens):
+        anchors = []  # (first anchor, last anchor, "+" period, "-" period)
+        for u, s, t, n, _c in gens:
+            last = u if n is None else u + (n - 1) * t
+            period = abs(s) if n is not None else math.lcm(s, t)
+            anchors.append((min(u, last), max(u, last), *((period, 1) if s > 0 else (1, period))))
+        clusters = []
+        for lo, hi, plus, minus in sorted(anchors):
+            if clusters and lo <= clusters[-1][1]:
+                c = clusters[-1]
+                c[1:] = max(c[1], hi), math.lcm(c[2], plus), math.lcm(c[3], minus)
             else:
-                blocks.append([a, end, [gen]])
-        settled, active, start = 0, [], None
-        for i, (lo, end, block) in enumerate(blocks):
-            start = lo if start is None else start
-            active += block
+                clusters.append([lo, hi, plus, minus])
+        # the period of the gap left of each cluster and right of the last
+        plus = [1, *accumulate((c[2] for c in clusters), math.lcm)]
+        minus = [*accumulate((c[3] for c in reversed(clusters)), math.lcm)][::-1] + [1]
+        periods = [math.lcm(a, b) for a, b in zip(plus, minus)]
+        blocks = []  # [first index, end, period of the gap past it]
+        for (lo, hi, _p, _m), left, right in zip(clusters, periods, periods[1:]):
+            lo, hi = lo - 2 * left, hi + 2 * right + 1
+            if blocks and lo <= blocks[-1][1]:
+                blocks[-1][1:] = hi, right
+            else:
+                blocks.append([lo, hi, right])
+        start, spent = blocks[0][0], 0
+        for i, (_lo, end, period) in enumerate(blocks):
             spent += end - start
             if spent > _ENTRY_CAP:
                 raise NotRepresentable(
-                    "counts on %r need more than %d evaluated indices"
-                    % (cls, _ENTRY_CAP)
-                )
-            vals = [
-                settled + sum(c * _double_count(x - a, s, t, n)
-                              for a, s, t, n, c in active)
-                for x in range(start, end)
-            ]
-            x = start
-            for v, same in groupby(vals):
-                width = sum(1 for _v in same)
-                if v:
-                    self._span_out(cls, sign, x, x + width, v)
-                x += width
-            last, prev = vals[-period:], vals[-2 * period : -period]
-            nxt = blocks[i + 1][0] if i + 1 < len(blocks) else None
-            if last == prev and len(set(last)) == 1:
-                self._span_out(cls, sign, end, nxt, last[0])
-                settled, active, start = last[0], [], None
-            elif nxt is None:
-                if last != prev:
-                    return "grow without bound", spent
-                return "are periodic but not constant", spent
-            else:
-                start = end
-        return None, spent
-
-    def _settle_joint(self, cls, gens):
-        """The generators of both directions together, in index order: the
-        two halves of a wide bounded run may point against the runs they
-        cancel. Each generator's anchors, widened by two periods either
-        side, make up blocks. Between blocks every generator is zero or
-        past its anchors, so the sum gains a fixed amount per residue every
-        P indices there, and a block's last two periods, when equal and
-        constant, hold up to the next block; its first block's first two
-        give the value far to the left. Otherwise the evaluation runs on
-        densely, within the same limit as _settle_side."""
-        period, blocks, spent = 1, [], 0
-        for u, s, t, n, _c in gens:
-            period = math.lcm(period, abs(s) if n is not None else math.lcm(s, t))
-        ends = [(u, u if n is None else u + (n - 1) * t) for u, _s, t, n, _c in gens]
-        for lo, hi in sorted((min(e) - 2 * period, max(e) + 2 * period + 1) for e in ends):
-            if blocks and lo <= blocks[-1][1]:
-                blocks[-1][1] = max(blocks[-1][1], hi)
-            else:
-                blocks.append([lo, hi])
-
-        def values(lo, hi):
-            return [sum(c * _double_count(x - u if s > 0 else u - x, abs(s), abs(t), n)
-                        for u, s, t, n, c in gens) for x in range(lo, hi)]
-
-        def why(vals):
-            last, prev = vals[-period:], vals[-2 * period : -period]
-            if last != prev:
-                return "grow without bound"
-            return "are periodic but not constant" if len(set(last)) > 1 else None
-
-        start = blocks[0][0]
-        far = values(start, start + 2 * period)
-        if why(far):
-            return why(far)
-        self.acc.span(cls, None, start, far[0])
-        for i, (_lo, hi) in enumerate(blocks):
-            spent += hi - start
-            if spent > _ENTRY_CAP:
-                raise NotRepresentable(
                     "counts on %r need more than %d evaluated indices" % (cls, _ENTRY_CAP))
-            vals, x = values(start, hi), start
+            vals = [0] * (end - start)
+            for gen in gens:
+                for x, k in _hits(gen, start, end):
+                    vals[x - start] += gen[4] * k
+            if i == 0:
+                why = _unsettled(vals[: 2 * periods[0]], periods[0])
+                if why:
+                    return why
+                self.acc.span(cls, None, start, vals[0])
+            x = start
             for v, same in groupby(vals):
                 width = sum(1 for _v in same)
                 self.acc.span(cls, x, x + width, v)
                 x += width
+            why = _unsettled(vals, period)
             nxt = blocks[i + 1][0] if i + 1 < len(blocks) else None
-            if why(vals) is None:
-                self.acc.span(cls, hi, nxt, vals[-1])
+            if why is None:
+                self.acc.span(cls, end, nxt, vals[-1])
                 start = nxt
             elif nxt is None:
-                return why(vals)
+                return why
             else:
-                start = hi
+                start = end
         return None
 
-    def _span_out(self, cls, sign, lo, hi, v):
-        """Add v at outward x with lo <= x < hi (hi None: unbounded)."""
-        if sign > 0:
-            self.acc.span(cls, lo, hi, v)
-        else:
-            self.acc.span(cls, None if hi is None else 1 - hi, 1 - lo, v)
+
+def _hits(gen, lo, hi):
+    """(x, times) for each index lo <= x < hi that the double run gen can
+    hit: a stride run (n = 1) once at each u + j*s, any other where x - u
+    is a multiple of gcd(s, t), as many times as _double_count says."""
+    u, s, t, n, _c = gen
+    step = abs(s) if n == 1 else math.gcd(s, t)
+    lo, hi = (max(lo, u), hi) if s > 0 else (lo, min(hi, u + 1))
+    xs = range(lo + (u - lo) % step, hi, step)
+    if n == 1:
+        return ((x, 1) for x in xs)
+    return ((x, _double_count(abs(x - u), abs(s), abs(t), n)) for x in xs)
+
+
+def _unsettled(vals, period):
+    """Why a sum whose last two periods end vals does not settle, or None."""
+    last, prev = vals[-period:], vals[-2 * period : -period]
+    if last != prev:
+        return "grow without bound"
+    return "are periodic but not constant" if len(set(last)) > 1 else None
 
 
 def _check_width(n):

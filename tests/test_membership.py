@@ -927,6 +927,21 @@ def test_rays_of_long_blocks_are_checked_by_arithmetic(ladder):
     assert not verify_certificate(ladder, vec, Member(CircleDecomposition(((1, twice),))))
 
 
+def test_rays_of_opposite_long_blocks_settle_by_their_own_periods(ladder):
+    # the rays toward the - end repeat every 449 indices and those toward
+    # the + end every 457; no gap between their starts is reached by both,
+    # so each side is settled over two of its own periods, not over two of
+    # their common period 205,193, which is past the evaluation limit
+    vec = parse_vector_text(ladder, RAIL_DIFFERENCE)
+    cert = Member(CircleDecomposition(((1, _rail_block_circle(449, 457)),)))
+    took = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert verify_certificate(ladder, vec, cert)
+        took.append(time.perf_counter() - t0)
+    assert min(took) < 1.0
+
+
 def test_lattices_meet_where_a_search_finds_them():
     for a, b in itertools.product(range(-6, 7), repeat=2):
         for sa, sb in itertools.product([s for s in range(-5, 6) if s], repeat=2):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from endcycle.examples import RAIL_DIFFERENCE
 from endcycle.graph import EdgeId, graph_from_text, parse_dart_label, parse_edge_label
 from endcycle.vectors import (
+    _ENTRY_CAP,
     EdgeVector,
     FamilyMember,
     VectorFamily,
@@ -15,6 +16,8 @@ from endcycle.vectors import (
     parse_vector_text,
     thin_sum,
     vector_to_text,
+    _Counts,
+    _double_count,
 )
 from endcycle.errors import (
     FormatError,
@@ -399,3 +402,67 @@ def test_breakpoints_and_bound_match_dense_scan(kind, data):
     fam = VectorFamily(g, finite=[(k, a), (data.draw(values), b)], periodic=members)
     for vec in (a, b, a + b, a.scale(k), a.shifted(s), thin_sum(fam)):
         check_changes(kind, vec)
+
+
+# --- settling counts against their generators -----------------------------------
+#
+# A generator (u, s, t, n, c) adds c * #{(j, k) : u + j*s + k*t = x, j >= 0,
+# 0 <= k < n} at x (n None: every k >= 0). Whole residue blocks and copies
+# taken away a multiple of t further out make many draws settle.
+
+SETTLE_GRAPH = graph_from_text(LADDER)
+
+generator_sets = st.tuples(
+    st.sampled_from((1, -1)),  # direction
+    st.integers(2, 6),  # |s|
+    st.integers(1, 4),  # |t|
+    st.sampled_from((1, 2, 3, None)),  # n
+    st.integers(-60, 60) | st.sampled_from((-3000, 3000)),  # first anchor
+    st.sampled_from((1, -1, 2)),  # coefficient
+    st.sampled_from((True, True, False)),  # one generator per residue modulo s
+    st.integers(0, 2),  # a copy taken away that many t further out
+)
+# a stride run of more members than _ENTRY_CAP, counted as two unbounded ones
+wide_runs = st.none() | st.tuples(
+    st.sampled_from((1, -1)), st.integers(2, 3), st.integers(-60, 60), st.booleans())
+
+
+def _generators(sign, s, t, n, u, c, full, back):
+    firsts = [u + sign * i for i in range(s if full else 1)]
+    gens = [(a, sign * s, sign * t, n, c) for a in firsts]
+    gens += [(a + sign * back * t, sign * s, sign * t, n, -c) for a in firsts if back]
+    return gens
+
+
+@given(st.lists(generator_sets, min_size=1, max_size=4), wide_runs)
+@settings(max_examples=300, deadline=None)
+def test_settled_counts_match_their_generators(drawn, wide):
+    gens = [gen for d in drawn for gen in _generators(*d)]
+    counts = _Counts(SETTLE_GRAPH)
+    for u, s, t, n, c in gens:
+        counts.double("rail_top", u, s, t, n, c)
+    anchors = [a for u, _s, t, n, _c in gens for a in (u, u if n is None else u + (n - 1) * t)]
+    wides = []
+    if wide:
+        sign, s, u, full = wide
+        wides = [(a, sign * s) for a in range(u, u + (s if full else 1))]
+        for a, step in wides:
+            counts.run("rail_top", a, step, _ENTRY_CAP + 1, 1)
+            anchors += [a, a + (_ENTRY_CAP + 1) * step]
+    try:
+        failures = counts.settle()
+    except NotRepresentable:
+        return
+    if failures:
+        return
+    vec = counts.acc.vector()
+
+    def expected(x):
+        value = sum(c * _double_count(x - u if s > 0 else u - x, abs(s), abs(t), n)
+                    for u, s, t, n, c in gens)
+        return value + sum(1 for a, step in wides
+                           if (x - a) % step == 0 and 0 <= (x - a) // step <= _ENTRY_CAP)
+
+    far = 2 * max(abs(a) for a in anchors) + 1000
+    xs = {x for a in anchors + [-far, far] for x in range(a - 40, a + 41)}
+    assert {x: vec.value_at("rail_top", x) for x in xs} == {x: expected(x) for x in xs}
