@@ -30,20 +30,15 @@ breakpoints, not with the size of the indices.
 
 Counts of darts, rays and their shift families, as chains and circle
 decompositions hold them, go through _Counts into one breakpoint builder.
-A count of stride +-1 (a dart, a family of step 1, a ray repeating with
-shift +-1) is one span, and a bounded family of step s > 1 adds one point
-per member, up to _ENTRY_CAP members; a wider one is two unbounded runs of
-stride s, one taken away. Only these runs, the repeat darts of rays of
-shift |s| > 1 and those of ray families are evaluated index by index: a
-family's copies of one repeat dart form one double run, however wide the
-family is. Each class is settled in one sweep in index order. Its sum is
-evaluated in blocks around each cluster of anchors, widened by two
-periods of the runs that reach the gap on either side, and is spanned
-from block to block where it settles to a constant; past the outermost
-blocks a constant sum becomes a tail, and a growing or non-constant
-periodic one is handed back to the caller. A run is evaluated only where
-it can hit. One limit remains: evaluating them raises NotRepresentable
-before it passes _ENTRY_CAP indices on one class.
+A count of stride +-1 is one span, and a bounded family of step s > 1
+adds one point per member, up to _ENTRY_CAP members; a wider one is two
+unbounded runs of stride s, one taken away. These runs, the repeat darts
+of rays of shift |s| > 1 and those of ray families (one double run per
+repeat dart, however wide the family) are evaluated where they can hit,
+in one sweep per class in index order, and each side's sum is spanned
+onward once it settles to a constant. A sum that does not settle far out
+is handed back to the caller, and settling raises NotRepresentable before
+it evaluates more than _ENTRY_CAP indices on one class.
 
 A VectorFamily is a finite list of vectors plus shift-periodic members
 (coefficient, finite template, shift range). thin_sum adds the whole family
@@ -479,101 +474,128 @@ class _Counts:
     def value_at(self, cls, n):
         """The count on instance n of cls (n None: a static edge) before
         settle(): the value far to the left, the changes at or below n and
-        every generator's hits."""
+        every generator's hits (_hits)."""
         if n is None:
             return self.acc.statics.get(EdgeId(cls, None), 0)
         value = self.acc.left.get(cls, 0)
         value += sum(d for i, d in self.acc.steps.get(cls, {}).items() if i <= n)
-        for gen in self.gens.get(cls, ()):
-            value += gen[4] * sum(k for _x, k in _hits(gen, n, n + 1))
-        return value
+        return value + _values(self.gens.get(cls, ()), n, n + 1)[0]
 
     def settle(self):
         """Write the generators into the builder, one sweep per class in
-        index order. A generator is zero on one side of its anchors, u to
-        u + (n-1)*t, and repeats on the other: a bounded double run with
-        period |s|, and an unbounded one's count N(m) of j*s + k*t = m keeps
-        N(m + L) = N(m) + [gcd(s, t) | m] for every m >= 0 (Popoviciu) with
-        L = lcm(s, t). Anchors that overlap form clusters. In the gap
-        between two clusters the live generators are the "+" runs anchored
-        left of it and the "-" runs anchored right of it, so with P the
-        least common multiple of their periods the sum gains a fixed amount
-        per residue every P indices there. Each cluster, widened by two
-        periods of the gap on either side, is a block evaluated index by
-        index, and blocks that meet merge. When a block's last two periods
-        are equal and constant, that constant holds up to the next block,
-        and the first block's first two give the value far to the left;
-        otherwise the evaluation runs on densely into the next block. Raises
-        NotRepresentable before evaluating more than _ENTRY_CAP indices on
-        one class; returns (class, reason) for each sum that does not
-        settle."""
-        failures = []
-        for cls, gens in sorted(self.gens.items()):
-            why = self._sweep(cls, gens)
-            if why:
-                failures.append((cls, why))
-        return failures
+        index order; return (class, reason) for each whose sum does not
+        settle far out. A double run is zero on one side of its anchors, u
+        to u + (n-1)*t, and repeats on the other: a bounded one with period
+        |s|, an unbounded one's count N(m) of j*s + k*t = m as N(m + L) =
+        N(m) + [gcd(s, t) | m] for m >= 0 (Popoviciu), L = lcm(s, t). So far
+        to the left only the "-" runs count and far to the right only the
+        "+" runs, each sum checked first over two of its common period. Past
+        the value far to the left, a "-" run counts less its repetition
+        carried across its anchors, a "+" run (_turned). Right of each
+        cluster of anchors, each side's runs not yet settled are evaluated
+        over two of their own periods (past its last run, its sum is known)
+        and, when neither sum is constant, jointly over two of both. A
+        constant sum holds from there on, and the rest is evaluated densely.
+        Raises NotRepresentable before evaluating over _ENTRY_CAP indices."""
+        whys = ((cls, self._sweep(cls, gens)) for cls, gens in sorted(self.gens.items()))
+        return [(cls, why) for cls, why in whys if why]
 
     def _sweep(self, cls, gens):
-        anchors = []  # (first anchor, last anchor, "+" period, "-" period)
-        for u, s, t, n, _c in gens:
-            last = u if n is None else u + (n - 1) * t
-            period = abs(s) if n is not None else math.lcm(s, t)
-            anchors.append((min(u, last), max(u, last), *((period, 1) if s > 0 else (1, period))))
-        clusters = []
-        for lo, hi, plus, minus in sorted(anchors):
-            if clusters and lo <= clusters[-1][1]:
-                c = clusters[-1]
-                c[1:] = max(c[1], hi), math.lcm(c[2], plus), math.lcm(c[3], minus)
-            else:
-                clusters.append([lo, hi, plus, minus])
-        # the period of the gap left of each cluster and right of the last
-        plus = [1, *accumulate((c[2] for c in clusters), math.lcm)]
-        minus = [*accumulate((c[3] for c in reversed(clusters)), math.lcm)][::-1] + [1]
-        periods = [math.lcm(a, b) for a, b in zip(plus, minus)]
-        blocks = []  # [first index, end, period of the gap past it]
-        for (lo, hi, _p, _m), left, right in zip(clusters, periods, periods[1:]):
-            lo, hi = lo - 2 * left, hi + 2 * right + 1
-            if blocks and lo <= blocks[-1][1]:
-                blocks[-1][1:] = hi, right
-            else:
-                blocks.append([lo, hi, right])
-        start, spent = blocks[0][0], 0
-        for i, (_lo, end, period) in enumerate(blocks):
-            spent += end - start
-            if spent > _ENTRY_CAP:
-                raise NotRepresentable(
-                    "counts on %r need more than %d evaluated indices" % (cls, _ENTRY_CAP))
-            vals = [0] * (end - start)
-            for gen in gens:
-                for x, k in _hits(gen, start, end):
-                    vals[x - start] += gen[4] * k
-            if i == 0:
-                why = _unsettled(vals[: 2 * periods[0]], periods[0])
-                if why:
-                    return why
-                self.acc.span(cls, None, start, vals[0])
-            x = start
-            for v, same in groupby(vals):
+        sides = ([gen for gen in gens if gen[1] > 0], [gen for gen in gens if gen[1] < 0])
+        plus, minus = (_period(side) for side in sides)
+        spent = _spend(cls, 0, 2 * (plus + minus))
+        anchors = [a for gen in gens for a in _anchors(gen)]
+        lo, hi = min(anchors), max(anchors) + 1
+        far = (_values(sides[0], hi, hi + 2 * plus), _values(sides[1], lo - 2 * minus, lo))
+        why = _unsettled(far[0], plus) or _unsettled(far[1], minus)
+        if why:
+            return why
+        self.acc.span(cls, None, None, far[1][-1])
+        runs = sorted([(_anchors(gen), 0, gen) for gen in sides[0]]
+                      + [(_anchors(gen), 1, gen) for gen in map(_turned, sides[1])],
+                      key=lambda run: run[0])
+        # per side: the runs not yet settled, their period, its last run
+        active, periods, (start, hi) = ([], []), [1, 1], runs[0][0]
+        final, mixed = {side: i for i, (_a, side, _gen) in enumerate(runs)}, False
+        for i, ((_lo, last), side, gen) in enumerate(runs):
+            active[side].append(gen)
+            periods[side] = math.lcm(periods[side], _period([gen]))
+            hi = max(hi, last)
+            known = [not mixed and final.get(side, -1) <= i for side in (0, 1)]
+            end = hi + 1 + max(1 if k else 2 * p for k, p in zip(known, periods))
+            nxt = runs[i + 1][0][0] if i + 1 < len(runs) else math.inf
+            if nxt < end:
+                continue  # the block takes in the next run
+            spent = _spend(cls, spent, end - start)
+            vals = [_values(part, start, end) for part in active]
+            whys = [None if k else _unsettled(v, p) for v, p, k in zip(vals, periods, known)]
+            joint = math.lcm(*periods)
+            if whys[0] and whys[1] and hi + 1 + 2 * joint < nxt:
+                more = hi + 1 + 2 * joint - end
+                if more > 0:
+                    spent = _spend(cls, spent, more)
+                    vals = [v + _values(part, end, end + more) for v, part in zip(vals, active)]
+                    end += more
+                if not _unsettled([a + b for a, b in zip(*vals)], joint):
+                    whys, mixed = [None, None], True
+            if nxt == math.inf and any(whys):
+                raise InternalError("counts settle far out but not past their anchors")
+            for v, same in groupby(a + b for a, b in zip(*vals)):
                 width = sum(1 for _v in same)
-                self.acc.span(cls, x, x + width, v)
-                x += width
-            why = _unsettled(vals, period)
-            nxt = blocks[i + 1][0] if i + 1 < len(blocks) else None
-            if why is None:
-                self.acc.span(cls, end, nxt, vals[-1])
-                start = nxt
-            elif nxt is None:
-                return why
-            else:
-                start = end
-        return None
+                self.acc.span(cls, start, start + width, v)
+                start += width
+            for side, v, why in zip((0, 1), vals, whys):
+                if not why:  # constant from here on
+                    self.acc.span(cls, end, None, v[-1])
+                    active[side].clear()
+                    periods[side] = 1
+            start = end if active[0] or active[1] else nxt
+
+
+def _anchors(gen):
+    """The first and the last anchor of a double run (u, s, t, n, c)."""
+    u, _s, t, n, _c = gen
+    return tuple(sorted((u, u if n is None else u + (n - 1) * t)))
+
+
+def _period(gens):
+    """The lcm of the periods the double runs repeat with past their anchors."""
+    return math.lcm(1, *(abs(s) if n is not None else math.lcm(s, t)
+                         for _u, s, t, n, _c in gens))
+
+
+def _turned(gen):
+    """A "-" double run less its repetition carried on across its anchors,
+    as a "+" double run. Each ray of a bounded one is the whole residue line
+    less the ray one stride past its anchor, turned around, and an
+    unbounded one's count carries on below 0 as N(-m) = -N(m - |s| - |t|)
+    (Ehrhart-Macdonald reciprocity)."""
+    u, s, t, n, c = gen
+    if n is None:
+        return (u - s - t, -s, -t, None, c)
+    return (u + (n - 1) * t - s, -s, -t, n, -c)
+
+
+def _spend(cls, spent, n):
+    """spent + n, the indices evaluated on cls, within _ENTRY_CAP."""
+    if spent + n > _ENTRY_CAP:
+        raise NotRepresentable("counts on %r need over %d evaluated indices" % (cls, _ENTRY_CAP))
+    return spent + n
+
+
+def _values(gens, lo, hi):
+    """The double runs' summed counts at each lo <= x < hi."""
+    vals = [0] * (hi - lo)
+    for gen in gens:
+        for x, k in _hits(gen, lo, hi):
+            vals[x - lo] += gen[4] * k
+    return vals
 
 
 def _hits(gen, lo, hi):
-    """(x, times) for each index lo <= x < hi that the double run gen can
-    hit: a stride run (n = 1) once at each u + j*s, any other where x - u
-    is a multiple of gcd(s, t), as many times as _double_count says."""
+    """(x, times) for each lo <= x < hi that the double run gen can hit: a
+    stride run (n = 1) once at each u + j*s, any other where x - u is a
+    multiple of gcd(s, t), as many times as _double_count says."""
     u, s, t, n, _c = gen
     step = abs(s) if n == 1 else math.gcd(s, t)
     lo, hi = (max(lo, u), hi) if s > 0 else (lo, min(hi, u + 1))

@@ -283,6 +283,21 @@ def test_step_three_jump_family_is_periodic_not_constant(ladder):
     assert exc.value.witness_class == "top"
 
 
+def test_far_apart_step_families_report_their_boundary(ladder):
+    # the step-449 family's boundary alternates along top from 0 on, and
+    # the step-457 one's stops 914,000 further right: far to the right the
+    # first counts alone, so the support is reported as infinite without
+    # evaluating the gap, which two of the common period 205,193 would need
+    rep = ch.parse_chain_text(
+        ladder,
+        "periodic 0..inf step 449 { pass rail_top[0] + }\n"
+        "periodic -inf..2000 step 457 { pass rail_top[0] + }",
+    )
+    with pytest.raises(InfiniteBoundarySupport) as exc:
+        ch.boundary(rep)
+    assert exc.value.witness_class == "top"
+
+
 def test_far_square_and_far_jump(ladder):
     rep = ch.parse_chain_text(ladder, _square(10**6))
     vec = ch.homology_class(ladder, rep)

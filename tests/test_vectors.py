@@ -417,7 +417,7 @@ generator_sets = st.tuples(
     st.integers(2, 6),  # |s|
     st.integers(1, 4),  # |t|
     st.sampled_from((1, 2, 3, None)),  # n
-    st.integers(-60, 60) | st.sampled_from((-3000, 3000)),  # first anchor
+    st.integers(-60, 60) | st.sampled_from((-3000, 3000, -10**6, 10**6)),  # first anchor
     st.sampled_from((1, -1, 2)),  # coefficient
     st.sampled_from((True, True, False)),  # one generator per residue modulo s
     st.integers(0, 2),  # a copy taken away that many t further out
@@ -466,3 +466,57 @@ def test_settled_counts_match_their_generators(drawn, wide):
     far = 2 * max(abs(a) for a in anchors) + 1000
     xs = {x for a in anchors + [-far, far] for x in range(a - 40, a + 41)}
     assert {x: vec.value_at("rail_top", x) for x in xs} == {x: expected(x) for x in xs}
+
+
+def _settled(gens):
+    counts = _Counts(SETTLE_GRAPH)
+    for gen in gens:
+        counts.double("rail_top", *gen)
+    return counts.settle(), counts.acc.vector()
+
+
+@pytest.mark.parametrize("far", [10**6, -1])
+def test_opposite_rays_settle_by_their_own_periods(far):
+    # rays of shift 449 from every index 0..448 on, and of shift -457 from
+    # every index far - 456..far back, 10^6 apart or meeting at 0: each
+    # side is settled over two of its own periods, not over two of their
+    # common period 205,193, which is past the evaluation limit
+    gens = [(i, 449, 449, 1, 1) for i in range(449)]
+    gens += [(far - i, -457, -457, 1, 1) for i in range(457)]
+    t0 = time.perf_counter()
+    failures, vec = _settled(gens)
+    assert time.perf_counter() - t0 < 1.0
+    assert failures == []
+    xs = (-10**7, -1, 0, far, far + 1, 10**7)
+    assert [vec.value_at("rail_top", x) for x in xs] == [1 + (0 <= x <= far) for x in xs]
+    assert len(vec.breakpoints().get("rail_top", ())) == (2 if far > 0 else 0)
+
+
+def test_unsettled_counts_fail_before_any_gap_is_spanned():
+    # a family of rays grows along rail_top from 0 on, and a block of rays
+    # of shift -457 ends 10^6 further right: the sum far to the right is the
+    # growing one alone, so it is reported without evaluating the gap
+    gens = [(0, 2, 3, None, 1)] + [(10**6 - i, -457, -457, 1, 1) for i in range(457)]
+    assert _settled(gens)[0] == [("rail_top", "grow without bound")]
+    gens = [(0, 449, 449, 1, 1)] + [(10**6 - i, -457, -457, 1, 1) for i in range(457)]
+    assert _settled(gens)[0] == [("rail_top", "are periodic but not constant")]
+
+
+def test_far_apart_cancelling_rays_settle_one_cluster_at_a_time():
+    # 500 pairs of rays of shift 7 each way, 10^6 apart, each pair
+    # cancelling except at its first ray's anchor; a pair settled is not
+    # evaluated again, so the cost grows with the number of pairs
+    gens = []
+    for i in range(500):
+        u = i * 10**6
+        gens += [(u, 7, 7, 1, 1), (u + 7, 7, 7, 1, -1)]
+        gens += [(u + 500_000, -7, -7, 1, 1), (u + 500_000 - 7, -7, -7, 1, -1)]
+    took = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        failures, vec = _settled(gens)
+        took.append(time.perf_counter() - t0)
+    assert failures == []
+    assert vec.breakpoints()["rail_top"] == tuple(
+        sorted(x + d for i in range(500) for x in (i * 10**6, i * 10**6 + 500_000) for d in (0, 1)))
+    assert min(took) < 0.5
