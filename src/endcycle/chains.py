@@ -44,6 +44,7 @@ from .graph import (
     Ray,
     VertexId,
     _Windows,
+    first_shared,
     parse_dart_label,
     parse_edge_label,
     parse_vertex_label,
@@ -589,7 +590,6 @@ def homology_class(g, rep: ChainRep) -> EdgeVector:
     so once the boundary is zero only the flux toward each end is left."""
     if rep.graph.spec != g.spec:
         raise GraphMismatch("chain belongs to a different graph")
-    _require_admissible(g, rep)
     _require_cycle(rep)
     vec = edge_vector_of(rep)
     try:
@@ -703,20 +703,15 @@ class _Region:
 
     def has_ray(self, ray):
         """A ray is connected and its tail runs into its end, so it is kept
-        when its end is and none of its vertices is deleted: a deleted
-        vertex is tested against the repeat block by arithmetic."""
+        when its end is and none of its vertices is deleted: no deleted
+        vertex is on its lead-in or on the line a block vertex walks."""
         g = self.g
         if g.end_of_ray(ray) not in self.kept_ends:
             return False
-        seq = g.walk_from(ray.start, ray.initial)
-        per = g.walk_from(seq[-1], ray.repeat)[:-1]
-        return not any(
-            d in seq or any(
-                u.cls == d.cls and d.index is not None
-                and (d.index - u.index) % ray.shift == 0
-                and (d.index - u.index) // ray.shift >= 0 for u in per)
-            for d in self.deleted
-        )
+        lead = g.walk_from(ray.start, ray.initial)
+        per = g.walk_from(lead[-1], ray.repeat)[:-1]
+        return first_shared([*self.deleted, *lead[:-1]],
+                            [(u.cls, u.index, ray.shift) for u in per]) is None
 
     def keeps(self, s):
         """Whether s moved K cells lies in the kept region, as a function of

@@ -12,6 +12,10 @@ descriptions cover the ones this package produces and checks:
                   meet at a common end. One segment whose two rays share an
                   end is a plain double ray.
 
+A circle passes each edge at most once: its middle and lead-in darts are
+points, each repeat dart is the line of its edges u + p*shift, p >= 0, and
+graph.first_shared decides by residues whether any two of them meet.
+
 A CircleDecomposition is a finite list of integer-weighted pieces. Each
 piece's count(counts, coeff) writes coeff times its signed dart counts into
 one vectors._Counts, the counter behind chain counts too: a circuit counts
@@ -26,12 +30,11 @@ reads the counts before settling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import FormatError, NotARay
-from .graph import Dart, EdgeId, Ray, VertexId, json_list, shift_id
-from .vectors import EdgeVector, _Counts, _double_count
+from .errors import FormatError
+from .graph import Dart, EdgeId, Ray, VertexId, first_shared, json_list, shift_id
+from .vectors import EdgeVector, _Counts
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,8 @@ class FiniteCircuit:
                 "circuit ends at %s, started at %s"
                 % (seq[-1].label(), seq[0].label())
             )
-        edges = [d.edge for d in self.darts]
-        if len(set(edges)) != len(edges):
-            dup = next(e for e in edges if edges.count(e) > 1)
+        dup = first_shared([d.edge for d in self.darts], ())
+        if dup is not None:
             raise FormatError("circuit repeats edge %s" % dup.label())
 
     def count(self, counts, coeff):
@@ -101,47 +103,6 @@ class CircuitFamily:
         return CircuitFamily(self.template, lo, hi)
 
 
-def ray_hits(g, ray: Ray, e: EdgeId) -> int:
-    """Net number of times the ray traverses e (signed by direction)."""
-    hits = sum(1 if d.forward else -1 for d in ray.initial if d.edge == e)
-    for d in ray.repeat:
-        if d.edge.cls == e.cls and e.index is not None:
-            p, off = divmod(e.index - d.edge.index, ray.shift)
-            if p >= 0 and not off:
-                hits += 1 if d.forward else -1
-    return hits
-
-
-def _lattices_meet(a, sa, b, sb) -> bool:
-    """Whether {a + p*sa : p >= 0} meets {b + q*sb : q >= 0}. Running the
-    same way they meet iff gcd(|sa|, |sb|) divides b - a; running toward
-    each other iff p*|sa| + q*|sb| makes up the gap from a to b."""
-    if (sa > 0) == (sb > 0):
-        return (b - a) % math.gcd(sa, sb) == 0
-    return _double_count((b - a) if sa > 0 else (a - b), abs(sa), abs(sb), None) > 0
-
-
-def _rays_share_edge(g, r1: Ray, r2: Ray):
-    """An edge traversed by both rays, or None."""
-    for d in r1.initial:
-        if ray_hits(g, r2, d.edge):
-            return d.edge
-    for d in r2.initial:
-        if ray_hits(g, r1, d.edge):
-            return d.edge
-    for d1 in r1.repeat:
-        for d2 in r2.repeat:
-            if d1.edge.cls != d2.edge.cls:
-                continue
-            if _lattices_meet(d1.edge.index, r1.shift, d2.edge.index, r2.shift):
-                # report the first concrete instance on r1's side
-                n = d1.edge.index
-                while ray_hits(g, r2, EdgeId(d1.edge.cls, n)) == 0:
-                    n += r1.shift
-                return EdgeId(d1.edge.cls, n)
-    return None
-
-
 @dataclass(frozen=True)
 class RaySegment:
     """An arc from one end to another: in along back (reversed), across the
@@ -189,23 +150,11 @@ class EndCircle:
                     % (i, a, j, b)
                 )
         rays = [r for seg in self.segments for r in seg.rays()]
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                e = _rays_share_edge(g, rays[i], rays[j])
-                if e is not None:
-                    raise FormatError(
-                        "circle traverses edge %s twice" % e.label()
-                    )
-        mids = [d.edge for seg in self.segments for d in seg.middle]
-        if len(set(mids)) != len(mids):
-            dup = next(e for e in mids if mids.count(e) > 1)
-            raise FormatError("circle traverses edge %s twice" % dup.label())
-        for e in mids:
-            for r in rays:
-                if ray_hits(g, r, e):
-                    raise FormatError(
-                        "circle traverses edge %s twice" % e.label()
-                    )
+        points = [d.edge for seg in self.segments for d in seg.middle]
+        points += [d.edge for r in rays for d in r.initial]
+        e = first_shared(points, [(*d.edge, r.shift) for r in rays for d in r.repeat])
+        if e is not None:
+            raise FormatError("circle traverses edge %s twice" % EdgeId(*e).label())
 
     def count(self, counts, coeff):
         for seg in self.segments:

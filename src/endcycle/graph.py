@@ -15,6 +15,7 @@ and end ids are named tuples (see VertexId).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -196,6 +197,64 @@ class Ray:
     initial: tuple
     repeat: tuple
     shift: int
+
+
+def first_shared(points, lines):
+    """A (class, index) in two of the given sets, or None. A point (class,
+    index) of the list points is a set of one; a line (class, u, s), s != 0,
+    is u + p*s for every p >= 0. Lines are bucketed by class, step and
+    residue, so the cost follows the number of sets, not the distances
+    between them. Two lines running the same way meet iff u = w modulo
+    gcd(s, t); two running toward each other (s > 0 > t) iff w >= u and
+    w - u is a sum of s's and -t's, so only the anchors w >= u are tested.
+    Points are tested in the order given, so the same one is named every
+    run."""
+    if len(set(points)) < len(points):  # the first point seen before
+        seen = set()
+        return next(x for x in points if x in seen or seen.add(x))
+    if not lines:
+        return None
+    steps = {}  # class -> step -> {anchor mod step: anchor}
+    for c, u, s in lines:
+        bucket = steps.setdefault(c, {}).setdefault(s, {})
+        if u % s in bucket:  # a second anchor: the farther one lies on both
+            return c, max(u, bucket[u % s]) if s > 0 else min(u, bucket[u % s])
+        bucket[u % s] = u
+    for c, i in points:
+        if i is not None and any(i % s in b and (i - b[i % s]) // s >= 0
+                                 for s, b in steps.get(c, {}).items()):
+            return c, i
+    for c, by_step in steps.items():
+        for (s, us), (t, ws) in itertools.combinations(by_step.items(), 2):
+            if s < 0 < t:
+                s, us, t, ws = t, ws, s, us
+            g = math.gcd(s, t)
+            if (s > 0) == (t > 0):
+                firsts = {u % g: u for u in us.values()}
+                pairs = ((firsts[w % g], w) for w in ws.values() if w % g in firsts)
+            else:
+                ws = sorted(ws.values())
+                pairs = ((u, w) for u in us.values() for w in ws[bisect.bisect_left(ws, u):]
+                         if _double_count(w - u, s, -t, None))
+            u, w = next(pairs, (None, None))
+            if u is not None:
+                if (w - u) * s > 0:  # start from the anchor ahead
+                    u, s, w, t = w, t, u, s
+                # the first u + k*s, k >= 0, that is w modulo t
+                return c, u + (w - u) // g * pow(s // g, -1, abs(t) // g) % (abs(t) // g) * s
+    return None
+
+
+def _double_count(m, s, t, n):
+    """Number of pairs j >= 0, 0 <= k < n (n None: k >= 0) with
+    j*s + k*t = m, for s, t > 0."""
+    g = math.gcd(s, t)
+    if m < 0 or m % g:
+        return 0
+    m, s, t = m // g, s // g, t // g
+    k0 = m * pow(t, -1, s) % s  # smallest k with k*t = m modulo s
+    kmax = m // t if n is None else min(m // t, n - 1)
+    return (kmax - k0) // s + 1 if kmax >= k0 else 0
 
 
 @dataclass(frozen=True)
@@ -595,7 +654,6 @@ class Graph:
             for pos in (ec.tail_pos, ec.head_pos):
                 if pos is not None:
                     reach = max(reach, abs(pos))
-        self.cap_reach = reach
         # radius past which the periodic pattern is clean: caps are cleared
         # and every cell sees its full star
         self.stabilization_radius = reach + self.D + 1
@@ -1034,22 +1092,9 @@ class Graph:
                 "repeat block moves %s to %s, not a %+d shift"
                 % (v1.label(), v2.label(), ray.shift)
             )
-        # injectivity: collisions between period p and period q > p need
-        # (q-p)*|shift| <= 2*extent, so checking a few periods settles it
-        extent = 1
-        for u in lead + per:
-            if u.index is not None:
-                extent = max(extent, abs(u.index - v1.index))
-        t = (2 * extent) // abs(ray.shift) + 2
-        seen = []
-        seen.extend(lead[:-1])
-        for p in range(t):
-            seen.extend(
-                VertexId(u.cls, u.index + p * ray.shift) for u in per[:-1]
-            )
-        if len(set(seen)) != len(seen):
-            dup = [u for u in seen if seen.count(u) > 1]
-            raise NotARay("path revisits %s" % dup[0].label())
+        dup = first_shared(lead[:-1], [(u.cls, u.index, ray.shift) for u in per[:-1]])
+        if dup is not None:
+            raise NotARay("path revisits %s" % VertexId(*dup).label())
         return v1, per
 
     def end_of_ray(self, ray: Ray):

@@ -67,6 +67,7 @@ from .graph import (
     KIND_PERIODIC_N,
     Dart,
     EdgeId,
+    _double_count,
     edge_key,
     parse_edge_label,
 )
@@ -620,18 +621,6 @@ def _check_width(n):
         raise NotRepresentable(
             "family of %d members is too wide to expand" % n
         )
-
-
-def _double_count(m, s, t, n):
-    """Number of pairs j >= 0, 0 <= k < n (n None: k >= 0) with
-    j*s + k*t = m, for s, t > 0."""
-    g = math.gcd(s, t)
-    if m < 0 or m % g:
-        return 0
-    m, s, t = m // g, s // g, t // g
-    k0 = m * pow(t, -1, s) % s  # smallest k with k*t = m modulo s
-    kmax = m // t if n is None else min(m // t, n - 1)
-    return (kmax - k0) // s + 1 if kmax >= k0 else 0
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from endcycle.errors import (FormatError, InfiniteBoundarySupport,
                              InfiniteComponents, InternalError, NotARay,
                              NotRepresentable, UnknownEdge, UnknownVertex)
 from endcycle.graph import (Dart, EdgeId, EndId, Ray, VertexId, dart_key,
-                            graph_from_text, shift_id)
+                            first_shared, graph_from_text, shift_id)
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import _star_sum, certificate_from_json, certificate_to_json
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
@@ -196,25 +196,29 @@ def _random_walk(g, rng, v, caps_ok):
     return ch.Walk(start, tuple(darts))
 
 
-def _random_ray(g, rng, v, sign):
+def _drawn_ray(g, rng, v, sign):
     """From v towards sign: up to two lead-in hops, then a repeat block of
-    one or two rail steps, or a zigzag over another class and back. Drawn
-    again until the ray is a path."""
+    one or two rail steps, or a zigzag over another class and back."""
+    u, initial = v, []
+    for _ in range(rng.randint(0, 2)):
+        d, u = _hop(g, rng, u, rng.choice([None, sign]))
+        initial.append(d)
+    anchor, repeat = u, []
+    shape = rng.choice([(sign,), (sign, sign), (None, sign, None, sign)])
+    for how in shape:
+        if how is None and repeat:  # back to the anchor's class
+            d, u = next((d, w) for d, w in g.neighbors(u)
+                        if w.cls == anchor.cls and w.index == u.index)
+        else:
+            d, u = _hop(g, rng, u, how)
+        repeat.append(d)
+    return Ray(v, tuple(initial), tuple(repeat), u.index - anchor.index)
+
+
+def _random_ray(g, rng, v, sign):
+    """A _drawn_ray, drawn again until the ray is a path."""
     while True:
-        u, initial = v, []
-        for _ in range(rng.randint(0, 2)):
-            d, u = _hop(g, rng, u, rng.choice([None, sign]))
-            initial.append(d)
-        anchor, repeat = u, []
-        shape = rng.choice([(sign,), (sign, sign), (None, sign, None, sign)])
-        for how in shape:
-            if how is None and repeat:  # back to the anchor's class
-                d, u = next((d, w) for d, w in g.neighbors(u)
-                            if w.cls == anchor.cls and w.index == u.index)
-            else:
-                d, u = _hop(g, rng, u, how)
-            repeat.append(d)
-        ray = Ray(v, tuple(initial), tuple(repeat), u.index - anchor.index)
+        ray = _drawn_ray(g, rng, v, sign)
         try:
             g.check_ray(ray)
         except NotARay:
@@ -381,6 +385,57 @@ def test_chain_counts_match_dense_unroll(gname, seed):
         assert exc.value.witness_class == min(unsettled)
     else:
         assert ch.boundary(rep) == ch.ZeroChain.from_dict(g, points)
+
+
+# -- ray overlaps against enumeration -----------------------------------------
+#
+# first_shared decides by residues whether points and lines (u + p*s for
+# p >= 0) overlap; the references list the sets' elements.
+
+_points = st.lists(st.tuples(st.sampled_from("ab"), st.none() | st.integers(-30, 30)),
+                   max_size=4)
+_lines = st.lists(st.tuples(st.sampled_from("ab"), st.integers(-20, 20),
+                            st.sampled_from([s for s in range(-7, 8) if s])), max_size=5)
+
+
+@given(_points, _lines)
+@settings(max_examples=300)
+def test_first_shared_matches_set_intersection(points, lines):
+    # two of these lines first meet, if at all, within 82 of an anchor
+    # (steps of at most 7 repeat together within 42), and a point lies
+    # within 50 of any anchor, so 80 periods of each line are enough
+    sets = [{x} for x in points] + [{(c, u + p * s) for p in range(80)} for c, u, s in lines]
+    shared = {x for k, a in enumerate(sets) for b in sets[k + 1:] for x in a & b}
+    hit = first_shared(points, lines)
+    assert (hit is None) == (not shared)
+    assert hit is None or tuple(hit) in shared
+
+
+def _enumerated_revisits(g, ray):
+    """The vertices a ray revisits, listed over its lead-in and a few
+    periods of its block: a collision between periods p < q needs
+    (q - p)*|shift| <= 2*extent, so a few periods settle it."""
+    lead = g.walk_from(ray.start, ray.initial)
+    per = g.walk_from(lead[-1], ray.repeat)
+    extent = max([1] + [abs(u.index - lead[-1].index) for u in lead + per if u.index is not None])
+    seen = lead[:-1] + [VertexId(u.cls, u.index + p * ray.shift)
+                        for p in range(2 * extent // abs(ray.shift) + 2) for u in per[:-1]]
+    return {u for u in seen if seen.count(u) > 1}
+
+
+@given(st.sampled_from(["ladder", "chords", "triple"]), seeds)
+@settings(max_examples=300, deadline=None)
+def test_check_ray_matches_period_enumeration(gname, seed):
+    g, rng = GRAPHS[gname], random.Random(seed)
+    sign = 1 if g.kind == "periodic-n" else rng.choice([1, -1])
+    ray = _drawn_ray(g, rng, VertexId(rng.choice(g.cell_classes), rng.randint(0, 3)), sign)
+    revisits = _enumerated_revisits(g, ray)
+    try:
+        g.check_ray(ray)
+    except NotARay as ex:
+        assert str(ex) in {"path revisits %s" % u.label() for u in revisits}
+    else:
+        assert not revisits
 
 
 # -- window evaluation of circle pieces --------------------------------------
