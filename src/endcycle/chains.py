@@ -7,6 +7,12 @@ ray, back along another ray into the same end). Every continuous 1-cycle
 is homologous to a chain of this shape, so the dictionary is dense enough
 for the homology operations built on top of it.
 
+Each simplex kind answers for itself (`_Simplex`), and the chain
+operations read it through that protocol only. A family moves its
+template k*step cells for member k, except when the template names no
+cell dart (a constant: when its point has no index): then every member
+is the template itself, and the family is coeff * width copies of it.
+
 The module provides admissibility checking, the boundary operator, the
 signed edge-traversal count (as an EdgeVector), subdivision into passes,
 the cycle test, homology classes and comparison, H0/Hn descriptors, and
@@ -20,7 +26,8 @@ for vertices.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadDimension,
@@ -28,7 +35,6 @@ from .errors import (
     FormatError,
     GraphMismatch,
     InfiniteBoundarySupport,
-    InternalError,
     NonzeroBoundary,
     NotACycle,
     NotAdmissible,
@@ -59,153 +65,171 @@ from .vectors import EdgeVector, _check_width, _Counts
 # -- simplices ----------------------------------------------------------------
 
 
+class _Simplex:
+    """What the chain operations ask of a simplex: check(g); faces(g), its
+    (tail, head), None for a constant at an end; parts(), the vertices and
+    darts it names, its rays' lead-ins and blocks included; rays(), the
+    rays it runs out and back along; count(counts, c, lo, hi, step), c
+    times its darts moved k*step cells for every k in [lo, hi]; to_text(g);
+    moves, whether a family moves it; and shifted(k)."""
+
+    def rays(self):
+        return ()
+
+    @cached_property
+    def moves(self):
+        """Whether a family moves this template: when it names a cell dart."""
+        return any(isinstance(p, Dart) and p.edge.index is not None for p in self.parts())
+
+    def shifted(self, k):
+        """Member k of a family of this template: the template moved k
+        cells (static edges and caps stay), or itself when it does not move."""
+        return self._moved(k) if k and self.moves else self
+
+    def count(self, counts, c, lo, hi, step):
+        counts.darts(_darts(self), c, lo, hi, step)
+
+
+def _darts(s):
+    """The darts s names, its rays' included."""
+    return [p for p in s.parts() if isinstance(p, Dart)]
+
+
 @dataclass(frozen=True)
-class Pass:
+class Pass(_Simplex):
     """One traversal of a single edge."""
 
     dart: Dart
 
+    def check(self, g):
+        g.require_edge(self.dart.edge)
+
+    def faces(self, g):
+        return g.dart_ends(self.dart)
+
+    def parts(self):
+        return (self.dart,)
+
+    def _moved(self, k):
+        return Pass(shift_id(self.dart, k))
+
+    def to_text(self, g):
+        return "pass %s %s" % (self.dart.edge.label(), "+" if self.dart.forward else "-")
+
 
 @dataclass(frozen=True)
-class Walk:
+class Walk(_Simplex):
     """A finite walk given by its start vertex and a chaining dart list."""
 
     start: VertexId
     darts: tuple
 
+    def check(self, g):
+        if not self.darts:
+            raise FormatError("a walk needs at least one edge")
+        g.walk_from(self.start, self.darts)
+
+    def faces(self, g):
+        return self.start, g.dart_ends(self.darts[-1])[1]
+
+    def parts(self):
+        return (self.start, *self.darts)
+
+    def _moved(self, k):
+        return Walk(shift_id(self.start, k), tuple(shift_id(d, k) for d in self.darts))
+
+    def to_text(self, g):
+        seq = g.walk_from(self.start, self.darts)
+        return "walk " + " ".join([seq[0].label()] + [
+            x.label() for d, v in zip(self.darts, seq[1:]) for x in (d.edge, v)])
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Simplex):
     """The constant simplex at a vertex or an end. The only degenerate
     kind; a constant at an end has its 0-face off the graph and is
     therefore never admissible."""
 
     point: object  # VertexId or EndId
 
+    def check(self, g):
+        if isinstance(self.point, EndId):
+            g.require_end(self.point)
+        else:
+            g.require_vertex(self.point)
+
+    def faces(self, g):
+        return None if isinstance(self.point, EndId) else (self.point, self.point)
+
+    def parts(self):
+        return () if isinstance(self.point, EndId) else (self.point,)
+
+    @cached_property
+    def moves(self):
+        """A constant moves when its point has an index."""
+        return any(v.index is not None for v in self.parts())
+
+    def _moved(self, k):
+        return Constant(shift_id(self.point, k))
+
+    def to_text(self, g):
+        return "const %s" % self.point.label()
+
 
 @dataclass(frozen=True)
-class EndJump:
+class EndJump(_Simplex):
     """Out along one ray, through the common end, and back into the start
     of the second ray. Both 0-faces are vertices."""
 
     out_ray: Ray
     in_ray: Ray
 
-
-SIMPLEX_TYPES = (Pass, Walk, Constant, EndJump)
-
-
-def _check_simplex(g, s):
-    if isinstance(s, Pass):
-        g.require_edge(s.dart.edge)
-        return
-    if isinstance(s, Walk):
-        if not s.darts:
-            raise FormatError("a walk needs at least one edge")
-        g.walk_from(s.start, s.darts)
-        return
-    if isinstance(s, Constant):
-        if isinstance(s.point, EndId):
-            g.require_end(s.point)
-        else:
-            g.require_vertex(s.point)
-        return
-    if isinstance(s, EndJump):
-        a = g.end_of_ray(s.out_ray)
-        b = g.end_of_ray(s.in_ray)
+    def check(self, g):
+        a = g.end_of_ray(self.out_ray)
+        b = g.end_of_ray(self.in_ray)
         if a != b:
             raise FormatError(
                 "end jump rays converge to %s and %s" % (a.label(), b.label())
             )
-        return
-    raise FormatError("not a simplex: %r" % (s,))
+
+    def faces(self, g):
+        return self.out_ray.start, self.in_ray.start
+
+    def parts(self):
+        return tuple(p for r in self.rays() for p in (r.start, *r.initial, *r.repeat))
+
+    def rays(self):
+        return self.out_ray, self.in_ray
+
+    def count(self, counts, c, lo, hi, step):
+        counts.ray(self.out_ray, c, lo, hi, step)
+        # the return leg runs its ray backwards, so every dart flips
+        counts.ray(self.in_ray, -c, lo, hi, step)
+
+    def _moved(self, k):
+        return EndJump(shift_id(self.out_ray, k), shift_id(self.in_ray, k))
+
+    def to_text(self, g):
+        return "endjump %s ; %s" % tuple(
+            " ".join([r.start.label(), *(d.label() for d in r.initial), "repeat",
+                      *(d.label() for d in r.repeat)]) for r in self.rays())
 
 
-def _simplex_faces(g, s):
-    """(tail, head) of the simplex, or None for a constant at an end."""
-    if isinstance(s, Pass):
-        return g.dart_ends(s.dart)
-    if isinstance(s, Walk):
-        seq = g.walk_from(s.start, s.darts)
-        return seq[0], seq[-1]
-    if isinstance(s, Constant):
-        if isinstance(s.point, EndId):
-            return None
-        return s.point, s.point
-    if isinstance(s, EndJump):
-        return s.out_ray.start, s.in_ray.start
-    raise InternalError("unknown simplex kind")
+def _simplex(s):
+    if not isinstance(s, _Simplex):
+        raise FormatError("not a simplex: %r" % (s,))
+    return s
 
 
-def _shift_simplex(s, k):
-    if k == 0:
-        return s
-    if isinstance(s, Pass):
-        return Pass(shift_id(s.dart, k))
-    if isinstance(s, Walk):
-        return Walk(shift_id(s.start, k), tuple(shift_id(d, k) for d in s.darts))
-    if isinstance(s, Constant):
-        if isinstance(s.point, EndId):
-            return s
-        return Constant(shift_id(s.point, k))
-    if isinstance(s, EndJump):
-        return EndJump(shift_id(s.out_ray, k), shift_id(s.in_ray, k))
-    raise InternalError("unknown simplex kind")
-
-
-def _simplex_indices(s):
-    """All cell indices appearing in the simplex (vertices and edges)."""
-    out = []
-
-    def dart_idx(d):
-        if d.edge.index is not None:
-            out.append(d.edge.index)
-
-    if isinstance(s, Pass):
-        dart_idx(s.dart)
-    elif isinstance(s, Walk):
-        if s.start.index is not None:
-            out.append(s.start.index)
-        for d in s.darts:
-            dart_idx(d)
-    elif isinstance(s, Constant):
-        if isinstance(s.point, VertexId) and s.point.index is not None:
-            out.append(s.point.index)
-    elif isinstance(s, EndJump):
-        for r in (s.out_ray, s.in_ray):
-            if r.start.index is not None:
-                out.append(r.start.index)
-            for d in r.initial + r.repeat:
-                dart_idx(d)
-    return out
-
-
-def _static_vertices(g, s):
-    """Pinned vertices in the simplex image, for admissibility witnesses."""
-    out = set()
-
-    def from_dart(d):
+def _pinned(g, s):
+    """The vertices of s that no member of a family of s moves off, for
+    admissibility witnesses: its caps and the ends of its static darts."""
+    out = {p for p in s.parts() if isinstance(p, VertexId) and p.index is None}
+    for d in _darts(s):
         if d.edge.index is None:
-            t, h = g.dart_ends(d)
-            out.update((t, h))
-
-    if isinstance(s, Pass):
-        from_dart(s.dart)
-    elif isinstance(s, Walk):
-        if s.start.index is None:
-            out.add(s.start)
-        for d in s.darts:
-            from_dart(d)
-    elif isinstance(s, Constant):
-        if isinstance(s.point, VertexId) and s.point.index is None:
-            out.add(s.point)
-    elif isinstance(s, EndJump):
-        for r in (s.out_ray, s.in_ray):
-            if r.start.index is None:
-                out.add(r.start)
-            for d in r.initial + r.repeat:
-                from_dart(d)
+            out.update(g.dart_ends(d))
     return out
+
 
 
 # -- chain representations ----------------------------------------------------
@@ -213,8 +237,8 @@ def _static_vertices(g, s):
 
 @dataclass(frozen=True)
 class PeriodicMember:
-    """coefficient * sum of the template shifted by k*step cells, over all
-    k in [lo, hi]. An open range end is encoded as None."""
+    """coefficient * sum of member k of the template (template.shifted(k *
+    step)) over all k in [lo, hi]. An open range end is encoded as None."""
 
     coeff: int
     template: object
@@ -234,7 +258,7 @@ class ChainRep:
         for coeff, s in self.finite:
             if not isinstance(coeff, int):
                 raise FormatError("coefficients must be integers")
-            _check_simplex(g, s)
+            _simplex(s).check(g)
         for m in self.periodic:
             _check_member(g, m)
 
@@ -284,8 +308,7 @@ def _check_member(g, m):
         raise FormatError("empty family range %d..%d" % (m.lo, m.hi))
     if g.kind == KIND_FINITE:
         raise FormatError("finite graphs have no periodic members")
-    idxs = _simplex_indices(m.template)
-    if idxs and g.kind == KIND_PERIODIC_N and m.lo is None:
+    if _simplex(m.template).moves and g.kind == KIND_PERIODIC_N and m.lo is None:
         raise FormatError("family range slides off a periodic-n graph")
     # a template with both pinned and moving parts stops chaining as soon
     # as it is shifted, so validate a second instance whenever one exists
@@ -299,13 +322,27 @@ def _check_member(g, m):
     else:
         probes.extend([0, 1])
     for k in probes:
-        _check_simplex(g, _shift_simplex(m.template, k * m.step))
+        m.template.shifted(k * m.step).check(g)
 
 
 def _member_width(m):
     if m.lo is None or m.hi is None:
         return None
     return m.hi - m.lo + 1
+
+
+def _spread(rep):
+    """(coeff, simplex, lo, hi, step) for each member with a nonzero
+    coefficient, a finite one over the range 0..0. A family whose template
+    does not move is coeff * width copies of the template in place;
+    admissibility has bounded it."""
+    out = [(c, s, 0, 0, 1) for c, s in rep.finite if c]
+    for m in rep.periodic:
+        if m.coeff and m.template.moves:
+            out.append((m.coeff, m.template, m.lo, m.hi, m.step))
+        elif m.coeff:
+            out.append((m.coeff * _member_width(m), m.template, 0, 0, 1))
+    return out
 
 
 # -- admissibility ------------------------------------------------------------
@@ -333,37 +370,27 @@ def check_admissible(g, rep: ChainRep) -> AdmissibilityReport:
         raise GraphMismatch("chain belongs to a different graph")
     witnesses = []
     reasons = []
-    for coeff, s in rep.finite:
-        if coeff and isinstance(s, Constant) and isinstance(s.point, EndId):
-            reasons.append(
-                "a constant simplex at %s has its 0-face off the graph"
-                % s.point.label()
-            )
-    for m in rep.periodic:
-        if m.coeff == 0:
+    members = [(c, s, None) for c, s in rep.finite]
+    members += [(m.coeff, m.template, m) for m in rep.periodic]
+    for coeff, s, m in members:
+        if not coeff:
             continue
-        s = m.template
-        if isinstance(s, Constant) and isinstance(s.point, EndId):
+        if not s.parts():  # a constant at an end
             reasons.append(
                 "a constant simplex at %s has its 0-face off the graph"
                 % s.point.label()
             )
             continue
-        if _member_width(m) is not None:
+        if not m or _member_width(m) is not None:
             continue
-        pinned = _static_vertices(g, s)
+        pinned = _pinned(g, s)
         if pinned:
             witnesses.append(min(pinned, key=vertex_key))
             continue
-        if isinstance(s, EndJump):
-            for ray in (s.out_ray, s.in_ray):
-                against = (
-                    (ray.shift > 0 and m.lo is None)
-                    or (ray.shift < 0 and m.hi is None)
-                )
-                if against:
-                    anchor, _per = g.check_ray(ray)
-                    witnesses.append(anchor)
+        for ray in s.rays():
+            if (ray.shift > 0 and m.lo is None) or (ray.shift < 0 and m.hi is None):
+                anchor, _per = g.check_ray(ray)
+                witnesses.append(anchor)
     if witnesses:
         w = min(witnesses, key=vertex_key)
         return AdmissibilityReport(
@@ -423,15 +450,15 @@ def boundary(rep: ChainRep) -> ZeroChain:
     """Signed endpoint count of every member. Periodic members telescope;
     a family whose endpoints march along different tracks has infinite
     boundary support, which is an error."""
+    _require_admissible(rep.graph, rep)
+    return _boundary(rep)
+
+
+def _boundary(rep):
     g = rep.graph
-    _require_admissible(g, rep)
     counts = _Counts(g)
-    members = [(coeff, s, 0, 0, 1) for coeff, s in rep.finite]
-    members += [
-        (m.coeff, m.template, m.lo, m.hi, m.step) for m in rep.periodic
-    ]
-    for coeff, s, lo, hi, step in members:
-        faces = _simplex_faces(g, s)
+    for coeff, s, lo, hi, step in _spread(rep):
+        faces = s.faces(g)
         if faces is None or faces[0] == faces[1]:
             continue
         tail, head = faces
@@ -453,22 +480,6 @@ def boundary(rep: ChainRep) -> ZeroChain:
 # -- the winding vector -------------------------------------------------------
 
 
-def _accumulate_member(counts, coeff, s, lo, hi, step):
-    """One member (or one family) into the edge counts."""
-    if isinstance(s, Constant):
-        return
-    if isinstance(s, (Pass, Walk)):
-        counts.darts((s.dart,) if isinstance(s, Pass) else s.darts,
-                     coeff, lo, hi, step)
-        return
-    if isinstance(s, EndJump):
-        counts.ray(s.out_ray, coeff, lo, hi, step)
-        # the return leg runs its ray backwards, so every dart flips
-        counts.ray(s.in_ray, -coeff, lo, hi, step)
-        return
-    raise InternalError("unknown simplex kind")
-
-
 def edge_vector_of(rep: ChainRep) -> EdgeVector:
     """The signed per-edge traversal count of the chain.
 
@@ -476,13 +487,14 @@ def edge_vector_of(rep: ChainRep) -> EdgeVector:
     fits the vector format when it is eventually constant along every
     escape direction; families of end jumps, for instance, produce counts
     that keep growing, and those raise NotRepresentable."""
-    g = rep.graph
-    _require_admissible(g, rep)
-    counts = _Counts(g)
-    for coeff, s in rep.finite:
-        _accumulate_member(counts, coeff, s, 0, 0, 1)
-    for m in rep.periodic:
-        _accumulate_member(counts, m.coeff, m.template, m.lo, m.hi, m.step)
+    _require_admissible(rep.graph, rep)
+    return _edge_vector(rep)
+
+
+def _edge_vector(rep):
+    counts = _Counts(rep.graph)
+    for coeff, s, lo, hi, step in _spread(rep):
+        s.count(counts, coeff, lo, hi, step)
     failures = counts.settle()
     if failures:
         raise NotRepresentable("traversal counts on %r %s" % failures[0])
@@ -492,84 +504,54 @@ def edge_vector_of(rep: ChainRep) -> EdgeVector:
 # -- subdivision --------------------------------------------------------------
 
 
-def _walk_to_passes(coeff, s):
-    return [(coeff, Pass(d)) for d in s.darts]
-
-
-def _ray_to_members(g, ray, coeff):
-    """Pass members covering every edge of the ray exactly once."""
-    finite = []
-    periodic = []
-    for d in ray.initial:
-        finite.append((coeff, Pass(d)))
-    stp = abs(ray.shift)
-    for d in ray.repeat:
-        if ray.shift > 0:
-            periodic.append(PeriodicMember(coeff, Pass(d), 0, None, stp))
-        else:
-            periodic.append(PeriodicMember(coeff, Pass(d), None, 0, stp))
+def _passes(coeff, s):
+    """coeff * s as pass members: a pass per dart, and each ray (the second
+    run backwards) as its lead-in passes and ray-aligned pass families."""
+    if not s.rays():
+        return [(coeff, Pass(d)) for d in _darts(s)], []
+    finite, periodic = [], []
+    for ray, c in zip(s.rays(), (coeff, -coeff)):
+        finite += [(c, Pass(d)) for d in ray.initial]
+        lo, hi = (0, None) if ray.shift > 0 else (None, 0)
+        periodic += [PeriodicMember(c, Pass(d), lo, hi, abs(ray.shift)) for d in ray.repeat]
     return finite, periodic
 
 
 def subdivide_to_passes(rep: ChainRep) -> ChainRep:
     """Rewrite the chain as a sum of passes with the same edge vector and
-    the same boundary. Walks split at their vertex visits; end jumps
-    become ray-aligned periodic pass families."""
+    the same boundary. Walks split at their vertex visits, and a family of
+    walks into the families of their passes; end jumps become ray-aligned
+    periodic pass families, which do not nest in a family, so a family of
+    end jumps is taken member by member."""
     g = rep.graph
     _require_admissible(g, rep)
-    finite = []
-    periodic = []
+    finite, periodic = [], []
 
-    def one(coeff, s):
-        if isinstance(s, Constant):
-            return
-        if isinstance(s, Pass):
-            finite.append((coeff, s))
-            return
-        if isinstance(s, Walk):
-            finite.extend(_walk_to_passes(coeff, s))
-            return
-        f, p = _ray_to_members(g, s.out_ray, coeff)
-        finite.extend(f)
-        periodic.extend(p)
-        f, p = _ray_to_members(g, s.in_ray, -coeff)
+    def add(coeff, s):
+        f, p = _passes(coeff, s)
         finite.extend(f)
         periodic.extend(p)
 
     for coeff, s in rep.finite:
-        one(coeff, s)
+        add(coeff, s)
     for m in rep.periodic:
-        if isinstance(m.template, Constant):
+        if not m.template.rays():
+            periodic.extend(PeriodicMember(c, p, m.lo, m.hi, m.step)
+                            for c, p in _passes(m.coeff, m.template)[0])
             continue
         width = _member_width(m)
-        if isinstance(m.template, EndJump):
-            if width is None:
-                raise NotRepresentable(
-                    "an unbounded family of end jumps does not subdivide"
-                    " into shift-periodic passes"
-                )
-            _check_width(width)
-            for k in range(m.lo, m.hi + 1):
-                one(m.coeff, _shift_simplex(m.template, k * m.step))
-            continue
-        if isinstance(m.template, Pass):
-            periodic.append(m)
-            continue
-        for d in m.template.darts:
-            periodic.append(
-                PeriodicMember(m.coeff, Pass(d), m.lo, m.hi, m.step)
+        if width is None:
+            raise NotRepresentable(
+                "an unbounded family of end jumps does not subdivide"
+                " into shift-periodic passes"
             )
+        _check_width(width)
+        for k in range(m.lo, m.hi + 1):
+            add(m.coeff, m.template.shifted(k * m.step))
     return ChainRep(g, tuple(finite), tuple(periodic))
 
 
 # -- cycles and homology ------------------------------------------------------
-
-
-def _require_cycle(rep):
-    b = boundary(rep)
-    if not b.is_zero():
-        v, c = b.coeffs[0]
-        raise NonzeroBoundary(v, c)
 
 
 def is_cycle_adhoc(g, rep: ChainRep) -> bool:
@@ -587,11 +569,13 @@ def homology_class(g, rep: ChainRep) -> EdgeVector:
     checked to lie in the cycle space by the cut criterion alone; no
     decomposition is built (is_member of the result gives one). A vertex
     star of the chain's vector sums to the vertex's boundary coefficient,
-    so once the boundary is zero only the flux toward each end is left."""
-    if rep.graph.spec != g.spec:
-        raise GraphMismatch("chain belongs to a different graph")
-    _require_cycle(rep)
-    vec = edge_vector_of(rep)
+    so once the boundary is zero only the flux toward each end is left.
+    Admissibility is checked once, before the boundary and the vector."""
+    _require_admissible(g, rep)
+    b = _boundary(rep)
+    if not b.is_zero():
+        raise NonzeroBoundary(*b.coeffs[0])
+    vec = _edge_vector(rep)
     try:
         _check_end_flux(g, vec, _depth(g, vec) + 1)
     except NotInCycleSpace as ex:
@@ -714,36 +698,29 @@ class _Region:
                             [(u.cls, u.index, ray.shift) for u in per]) is None
 
     def keeps(self, s):
-        """Whether s moved K cells lies in the kept region, as a function of
-        K. s is walked once. A walk joins its vertices, so a move keeps it
-        when none of its vertices is deleted and the first is kept."""
+        """Whether s.shifted(K) lies in the kept region, as a function of K.
+        s is walked once: its rays are tested as rays, and its vertices
+        move with it when it moves and they have an index. A walk joins
+        its vertices, so a move keeps it when none of its vertices is
+        deleted and the first is kept."""
         g = self.g
-        if isinstance(s, EndJump):
-            return lambda K: (self.has_ray(shift_id(s.out_ray, K))
-                              and self.has_ray(shift_id(s.in_ray, K)))
-        if isinstance(s, Constant) and isinstance(s.point, EndId):
-            # admissibility refuses a constant at an end unless its
+        if s.rays():
+            return lambda K: all(self.has_ray(r) for r in s.shifted(K).rays())
+        if not s.parts():
+            # a constant at an end: admissibility refuses it unless its
             # coefficient is zero
             return lambda K: s.point in self.kept_ends
-        # a vertex moves with the template unless a static dart reaches it
-        if isinstance(s, Pass):
-            verts = g.dart_ends(s.dart)
-            moves = [s.dart.edge.index is not None] * 2
-        elif isinstance(s, Walk):
-            verts = g.walk_from(s.start, s.darts)
-            moves = [s.start.index is not None] + [d.edge.index is not None for d in s.darts]
-        else:
-            verts, moves = (s.point,), [s.point.index is not None]
-        pinned = any(u in self.deleted for u, mv in zip(verts, moves) if not mv)
-        cells = [(self.dels[u.cls], u.index) for u, mv in zip(verts, moves)
-                 if mv and u.cls in self.dels]
-        c, i0 = verts[0]
+        verts = [p for p in s.parts() if isinstance(p, VertexId)]
+        verts += [u for d in _darts(s) for u in g.dart_ends(d)]
+        moves = s.moves
+        pinned = any(u in self.deleted for u in verts if not moves or u.index is None)
+        cells = [(self.dels[u.cls], u.index) for u in set(verts)
+                 if moves and u.index is not None and u.cls in self.dels]
 
         def keep(K):
             if pinned or any(i + K in ds for ds, i in cells):
                 return False
-            v = VertexId(c, i0 + K) if moves[0] else verts[0]
-            return self.win.find(g, v) in self.kept_roots
+            return self.win.find(g, shift_id(verts[0], K if moves else 0)) in self.kept_roots
 
         return keep
 
@@ -761,20 +738,20 @@ def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
     closure is finite and the result is admissible in the region.
 
     A family's template is walked once, and member k is tested by moving
-    its vertices k * step cells. Only the members within two steps of a
-    window are scanned, so the count follows the windows, not the indices.
+    its vertices k * step cells when the template moves. Only the members
+    within two steps of a window are scanned, so the count follows the
+    windows, not the indices.
     The members between two windows, or beyond the outermost ones, lie
     where the kept ones repeat with the deep pattern: one probe per residue
     of k modulo its period settles each such stretch (`_deep_side`)."""
-    if rep.graph.spec != g.spec:
-        raise GraphMismatch("chain belongs to a different graph")
     _require_admissible(g, rep)
     region = _Region(g, pair)
     finite = [(coeff, s) for coeff, s in rep.finite if region.keeps(s)(0)]
     periodic = []
     for m in rep.periodic:
         keeps = region.keeps(m.template)
-        idx = _simplex_indices(m.template) or [0]
+        idx = [(p.edge if isinstance(p, Dart) else p).index for p in m.template.parts()]
+        idx = [i for i in idx if i is not None] or [0]
         scans = []
         for lo, hi in region.win.spans:
             a = -((max(idx) - lo) // m.step) - 2
@@ -798,7 +775,7 @@ def restrict_chain(g, pair: AdmissiblePairSpec, rep: ChainRep) -> ChainRep:
                 deep += _deep_side(g, keeps, m, near, far, sign, runs)
         for template, lo, hi, step in [(m.template, lo, hi, m.step) for lo, hi in runs] + deep:
             if lo is not None and lo == hi:
-                finite.append((m.coeff, _shift_simplex(template, lo * step)))
+                finite.append((m.coeff, template.shifted(lo * step)))
             else:
                 periodic.append(PeriodicMember(m.coeff, template, lo, hi, step))
     return ChainRep(g, tuple(finite), tuple(periodic))
@@ -810,7 +787,8 @@ def _deep_side(g, keeps, m, near, far, sign, runs):
     is kept, the side joins runs. Otherwise each kept residue is returned
     as its own family (template, lo, hi, step) with the period times m.step
     as its step. A side the graph lacks is reached only by a template
-    without index, whose members are all one simplex: period 1 settles it."""
+    that does not move, whose members are all one simplex: period 1
+    settles it."""
     period = g.deep_period(sign) if ("+" if sign > 0 else "-") in g.directions() else 1
     period //= math.gcd(period, m.step)
     probes = [
@@ -828,8 +806,7 @@ def _deep_side(g, keeps, m, near, far, sign, runs):
         j = (k - r) // period
         end = None if far is None else j + sign * (sign * (far - k) // period)
         lo, hi = (j, end) if sign > 0 else (end, j)
-        out.append((_shift_simplex(m.template, r * m.step), lo, hi,
-                    period * m.step))
+        out.append((m.template.shifted(r * m.step), lo, hi, period * m.step))
     return out
 
 
@@ -970,7 +947,9 @@ def parse_chain_text(g, text) -> ChainRep:
     prefix `coeff <n>`, members `pass <dart>`, `walk <v> <edge> <v> ...`,
     `const <vertex|end>`, `endjump <ray> ; <ray>`, and
     `periodic <lo>..<hi> [step <s>] { <member> }` (the braces may span
-    lines)."""
+    lines). A family moves its template k*step cells for member k, except
+    when the template names no cell dart (a constant: when its point has
+    no index); then every member is the template itself."""
     finite = []
     periodic = []
     lines = text.splitlines()
@@ -1027,43 +1006,12 @@ def parse_chain_text(g, text) -> ChainRep:
     return ChainRep(g, tuple(finite), tuple(periodic))
 
 
-def _ray_to_text(ray):
-    parts = [ray.start.label()]
-    parts.extend(d.label() for d in ray.initial)
-    parts.append("repeat")
-    parts.extend(d.label() for d in ray.repeat)
-    return " ".join(parts)
-
-
-def _member_to_text(g, s):
-    if isinstance(s, Pass):
-        return "pass %s %s" % (
-            s.dart.edge.label(),
-            "+" if s.dart.forward else "-",
-        )
-    if isinstance(s, Walk):
-        seq = g.walk_from(s.start, s.darts)
-        parts = [seq[0].label()]
-        for v, d in zip(seq[1:], s.darts):
-            parts.append(d.edge.label())
-            parts.append(v.label())
-        return "walk %s" % " ".join(parts)
-    if isinstance(s, Constant):
-        return "const %s" % s.point.label()
-    if isinstance(s, EndJump):
-        return "endjump %s ; %s" % (
-            _ray_to_text(s.out_ray),
-            _ray_to_text(s.in_ray),
-        )
-    raise InternalError("unknown simplex kind")
-
-
 def chain_to_text(rep: ChainRep) -> str:
     g = rep.graph
     out = []
     for coeff, s in rep.finite:
         prefix = "" if coeff == 1 else "coeff %d " % coeff
-        out.append(prefix + _member_to_text(g, s))
+        out.append(prefix + s.to_text(g))
     for m in rep.periodic:
         prefix = "" if m.coeff == 1 else "coeff %d " % m.coeff
         lo = "-inf" if m.lo is None else str(m.lo)
@@ -1071,7 +1019,7 @@ def chain_to_text(rep: ChainRep) -> str:
         stp = "" if m.step == 1 else " step %d" % m.step
         out.append(
             "%speriodic %s..%s%s { %s }"
-            % (prefix, lo, hi, stp, _member_to_text(g, m.template))
+            % (prefix, lo, hi, stp, m.template.to_text(g))
         )
     return "\n".join(out)
 

@@ -9,7 +9,7 @@ from endcycle.cuts import cut_sum
 from endcycle.graph import graph_from_text, parse_edge_label, parse_vertex_label
 from endcycle.membership import Member, NonMember, is_member
 from endcycle.vectors import parse_vector_text, vector_to_text
-from conftest import PENDANT
+from conftest import PENDANT, TRIANGLE_CAPS
 from endcycle.errors import (
     BadDimension,
     FormatError,
@@ -37,6 +37,13 @@ pass pos_first +
 pass neg_first +
 periodic 0..inf { pass pos_step[0] + }
 periodic 0..inf { pass neg_step[0] + }
+"""
+# four copies of the loop origin -> pos[0] -> neg[0] -> origin; the passes
+# name static edges only, so their families repeat them in place
+FOUR_LOOPS = """\
+periodic 0..3 { pass neg_first + }
+periodic 0..3 { pass pos_first + }
+coeff 4 walk pos[0] chord[0] neg[0]
 """
 RAIL_LOOP_VEC = """\
 set pos_first = 1
@@ -671,3 +678,63 @@ def test_restrict_end_jumps_and_constants(ladder):
         )
         res = ch.restrict_chain(ladder, pair, rep)
         assert ch.chain_to_text(res).splitlines() == lines
+
+
+# --- families whose template stays put ---------------------------------------
+
+def test_static_pass_families_close_the_four_loops(chords):
+    rep = ch.parse_chain_text(chords, FOUR_LOOPS)
+    finite = ch.parse_chain_text(
+        chords, "coeff 4 pass neg_first +\ncoeff 4 pass pos_first +\n"
+        "coeff 4 walk pos[0] chord[0] neg[0]")
+    assert ch.boundary(rep).is_zero()
+    assert ch.homology_class(chords, rep) == ch.homology_class(chords, finite)
+    assert ch.edge_vector_of(rep) == parse_vector_text(
+        chords, "set chord[0] = 4\nset neg_first = 4\nset pos_first = 4")
+
+
+def test_static_walk_family_repeats_in_place(chords):
+    rep = ch.parse_chain_text(chords, "periodic 0..3 { walk neg[0] neg_first origin }")
+    assert ch.boundary(rep).to_text() == "neg[0] = -4\norigin = 4"
+    back = ch.parse_chain_text(chords, "periodic 0..3 { walk origin neg_first neg[0] }")
+    assert ch.boundary(back).to_text() == "neg[0] = 4\norigin = -4"
+    forever = ch.parse_chain_text(chords, "periodic 0..inf { walk neg[0] neg_first origin }")
+    with pytest.raises(NotAdmissible) as exc:
+        ch.boundary(forever)
+    assert exc.value.witness.label() == "neg[0]"
+
+
+def test_static_walk_family_through_a_cap(triangle_caps):
+    rep = ch.parse_chain_text(triangle_caps, "periodic 0..2 { walk v0 out cell[0] }")
+    assert ch.boundary(rep).to_text() == "cell[0] = 3\nv0 = -3"
+    sub = ch.subdivide_to_passes(rep)
+    assert ch.boundary(sub) == ch.boundary(rep)
+    assert ch.edge_vector_of(sub) == ch.edge_vector_of(rep)
+
+
+def test_restrict_keeps_static_families_whole(chords):
+    rep = ch.parse_chain_text(chords, FOUR_LOOPS)
+    pair = ch.parse_pair_text(chords, "delete neg[2]\nkeep origin")
+    res = ch.restrict_chain(chords, pair, rep)
+    assert ch.chain_to_text(res) == ch.chain_to_text(rep)
+    assert ch.homologous(chords, res, rep)
+
+
+def test_admissibility_is_checked_once_per_call(monkeypatch, ladder):
+    calls = []
+    check = ch.check_admissible
+
+    def counted(g, rep):
+        calls.append(rep)
+        return check(g, rep)
+
+    monkeypatch.setattr(ch, "check_admissible", counted)
+    square = ch.parse_chain_text(ladder, "walk top[0] rail_top[0] top[1] rung[1] bot[1] "
+                                 "rail_bot[0] bot[0] rung[0] top[0]")
+    ch.homology_class(ladder, square)
+    assert len(calls) == 1
+    ch.homologous(ladder, square, square)
+    assert len(calls) == 3
+    # the inadmissible part is reported before the open walk
+    with pytest.raises(NotAdmissible):
+        ch.homology_class(ladder, ch.parse_chain_text(ladder, "pass rung[0] +\nconst end+0"))

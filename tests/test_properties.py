@@ -22,8 +22,8 @@ from endcycle.membership import _star_sum, certificate_from_json, certificate_to
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
                               parse_vector_text, thin_sum)
 
-from conftest import (CHORDS, DOUBLE_RAY, LADDER, PENDANT, THETA, TRIPLE, merged,
-                      random_chain, random_vector, random_walk_text)
+from conftest import (CHORDS, DOUBLE_RAY, LADDER, PENDANT, THETA, TRIANGLE_CAPS, TRIPLE,
+                      merged, random_chain, random_vector, random_walk_text)
 
 GRAPHS = {name: graph_from_text(text) for name, text in
           (("ladder", LADDER), ("chords", CHORDS), ("triple", TRIPLE),
@@ -385,6 +385,61 @@ def test_chain_counts_match_dense_unroll(gname, seed):
         assert exc.value.witness_class == min(unsettled)
     else:
         assert ch.boundary(rep) == ch.ZeroChain.from_dict(g, points)
+
+
+# -- families whose template stays put -----------------------------------------
+#
+# A template that names no cell dart is every member of its family. The
+# reference lists the members of bounded families one by one as finite
+# members: such a template in place, a cell walk moved k*step cells.
+
+_STATIC_GRAPHS = {"chords": GRAPHS["chords"], "caps": graph_from_text(TRIANGLE_CAPS)}
+
+
+def _static_walk(g, rng):
+    """1-3 static darts from an end of a static edge."""
+    statics = [EdgeId(ec.name, None) for ec in g.edge_classes.values() if ec.static]
+    v = rng.choice(g.endpoints(rng.choice(statics)))
+    start, darts = v, []
+    for _ in range(rng.randint(1, 3)):
+        d, v = rng.choice([(d, u) for d, u in g.neighbors(v) if d.edge.index is None])
+        darts.append(d)
+    return ch.Walk(start, tuple(darts))
+
+
+def _static_family_chain(g, rng):
+    """(chain, unrolled): 1-4 bounded families of static walks, static
+    passes and cell walks, and their members as finite members."""
+    periodic, members = [], []
+    for _ in range(rng.randint(1, 4)):
+        coeff, step, lo = rng.randint(-2, 3), rng.randint(1, 3), rng.randint(0, 4)
+        hi = lo + rng.randint(0, 5)
+        kind = rng.choice(["walk", "pass", "cell"])
+        if kind == "cell":
+            start = VertexId(rng.choice(g.cell_classes), rng.randint(0, 5))
+            s = _random_walk(g, rng, start, False)
+            assert all(d.edge.index is not None for d in s.darts)
+        else:
+            s = _static_walk(g, rng)
+            s = ch.Pass(s.darts[0]) if kind == "pass" else s
+        periodic.append(ch.PeriodicMember(coeff, s, lo, hi, step))
+        for k in range(lo, hi + 1):
+            if kind == "cell":
+                members.append((coeff, ch.Walk(shift_id(s.start, k * step),
+                                               tuple(shift_id(d, k * step) for d in s.darts))))
+            else:
+                members.append((coeff, s))
+    return ch.ChainRep(g, (), tuple(periodic)), ch.ChainRep(g, tuple(members))
+
+
+@given(st.sampled_from(sorted(_STATIC_GRAPHS)), seeds)
+@settings(max_examples=100, deadline=None)
+def test_static_families_count_in_place(gname, seed):
+    g = _STATIC_GRAPHS[gname]
+    rep, unrolled = _static_family_chain(g, random.Random(seed))
+    for chain in (rep, ch.subdivide_to_passes(rep)):
+        assert ch.edge_vector_of(chain) == ch.edge_vector_of(unrolled)
+        assert ch.boundary(chain) == ch.boundary(unrolled)
 
 
 # -- ray overlaps against enumeration -----------------------------------------
@@ -1325,8 +1380,8 @@ def _moved(g, pair, rep, k):
     moved_pair = ch.AdmissiblePairSpec(frozenset(shift_id(v, k) for v in pair.deleted),
                                        tuple(shift_id(v, k) for v in pair.kept))
     moved = ch.ChainRep(
-        g, tuple((c, ch._shift_simplex(s, k)) for c, s in rep.finite),
-        tuple(dataclasses.replace(m, template=ch._shift_simplex(m.template, k))
+        g, tuple((c, s.shifted(k)) for c, s in rep.finite),
+        tuple(dataclasses.replace(m, template=m.template.shifted(k))
               for m in rep.periodic))
     return moved_pair, moved
 
