@@ -18,48 +18,52 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      value does not depend on the radius). It is read off crossing counts
      per edge class, taken once per graph, times the tail values; the cut
      itself is built only when the flux is nonzero.
-  3. The tails form a circulation on the quotient multigraph whose nodes are
-     the vertex classes. That circulation is peeled into simple quotient
-     cycles. Drift-free cycles lift to circuit templates, repeated over a shift
-     range; a one-sided family is whole past the input's changes: a - family
-     ends at the first, a + family starts the template's length before the last
-     but not before the first. Drifting cycles are grouped per quotient
-     component and tail side. Each group is either stitched into a drift-free
-     composite circuit via connector paths to a hub class, or handed to the end
-     stage as explicit rays (strands), one per residue class of the drift. A +
-     strand is anchored the anchor margin past the input's last change, a -
-     strand as far below its first: where the data stops, wherever it lies, so
-     shifting the input shifts them. Equal + and - groups first try one
-     two-sided composite family when it is no longer than their strands joined
-     across the gap between the two anchors. Otherwise a group becomes
-     strands when its flux sum(w * |d|) (the unit ray stubs strands carry) is
-     at most sum(w) / gcd(w) (the unit cycle passes the composite stitches),
-     and a composite when it is larger and one can be laid out. The choice
-     reads only the tails, so one pass is built; only when the strands' end
-     rays overlap is it rebuilt once with the composite wherever one can be
-     laid out. Then the residue's long runs are peeled alike: on a run between
-     two changes of the input, longer than the anchor margin, the values form a
-     quotient circulation; its flat cycles and its drifting groups of total
-     drift zero become families bounded to the run. All of it is taken off one
-     breakpoint accumulator of the input.
+  3. The input is peeled run by run. The runs lie between its changes: the
+     two outer ones are unbounded and hold the tails, and the inner ones
+     longer than the anchor margin hold constant values. On every run the
+     values form a circulation on the quotient multigraph whose nodes are
+     the vertex classes, peeled into simple quotient cycles. Drift-free
+     cycles lift to circuit templates, repeated over a shift range: a - tail
+     family ends at the input's first change, a + family starts the
+     template's length before the last but not before the first, and an
+     inner family holds the members wholly inside its run. Drifting cycles
+     are grouped per quotient component. A group of total drift zero is
+     stitched into a drift-free composite circuit via connector paths to a
+     hub class, or, when that one does not lay out, into one composite per
+     zero-drift subgroup. On an outer run a group may instead go to the end
+     stage as explicit rays (strands), one per residue class of the drift,
+     anchored the anchor margin past the input's last change (+) or below
+     its first (-), so shifting the input shifts them. A cycle or group
+     mirrored on both outer runs couples them: it first tries one two-sided
+     family, a group only when its composite is no longer than its strands
+     joined across the gap between the two anchors. Otherwise a group
+     becomes strands when its flux sum(w * |d|) (the unit ray stubs strands
+     carry) is at most sum(w) / gcd(w) (the unit cycle passes a composite
+     stitches), or when it does not stitch. The choice reads only the
+     tails, so one pass is built; only when the strands' end rays overlap
+     is it rebuilt once with the composite wherever one stitches. All of it
+     is taken off one breakpoint accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles. An end
      circle's rays are pulled back by the whole periods its middle walk
      repeats, so the middle holds only the walk through the data.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
-construction succeeds, but for one known fault, F2: end rays that no pass
-lays out without overlap. So chains.homology_class, which needs only the
-verdict, runs steps 1 and 2 alone; a property test pins that this verdict is
-is_member's. Cycles are lifted and stitched at offset 0 on every kind of
-lattice; shifting computes ids only, so a dart that passes below index 0 on
-a one-ended lattice before its circuit is normalized raises nothing. Darts
-are validated in one place: a built result must be well formed and its
-counts, settled by the counter that chain counts use too, must sum to the
-input exactly before it is returned (_decomposition_holds)."""
+construction succeeds. It would raise InternalError only if neither pass
+laid out the end rays without overlap, which no known input does. So
+chains.homology_class, which needs only the verdict, runs steps 1 and 2
+alone; a property test pins that this verdict is is_member's. Cycles are
+lifted and stitched at offset 0 on every kind of lattice; shifting computes
+ids only, so a dart that passes below index 0 on a one-ended lattice before
+its circuit is normalized raises nothing. Darts are validated in one place:
+a built result must be well formed and its counts, settled by the counter
+that chain counts use too, must sum to the input exactly before it is
+returned (_decomposition_holds)."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +144,7 @@ def _assemble(g, vec):
     is found."""
     for avoid_strands in (False, True):
         try:
-            entries, strands, resid = _peel_tails(g, vec, avoid_strands)
+            entries, strands, resid = _peel_runs(g, vec, avoid_strands)
             pieces = _finish_finite(g, resid, strands)
         except _RetryStrands:
             continue
@@ -415,7 +419,8 @@ def _connector_paths(g, hub):
 
 
 def _anchor_margin(g):
-    """How far past the data strands start; also _peel_runs' shortest run."""
+    """How far past the data strands start; an inner run longer than this
+    is peeled (_peel_runs)."""
     return (len(g.spec.cell_classes) + 1) * g.W + 5
 
 
@@ -521,34 +526,40 @@ def _take_off(acc, coeff, darts, lo, hi):
                -coeff, lo, hi)
 
 
-def _quotient_cycles(g, tau, comp_of):
-    """A quotient circulation's simple cycles: the flat ones as (weight,
-    steps), the drifting ones per component as (weight, drift, steps)."""
+def _quotient_layout(g, tau, comp_of):
+    """A run's quotient circulation as its flat templates, {canonical steps:
+    (merged weight, normalized template)}, and its drifting cycles per
+    component, sorted (weight, drift, canonical steps)."""
     arcs = {ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes}
-    flat, drifting = [], {}
+    flat, drifting = {}, {}
     for wgt, steps in _flow_cycles(sorted(g.spec.cell_classes), arcs, tau):
+        key = _canonical(steps)
         d = _cycle_drift(g, steps)
-        if d == 0:
-            flat.append((wgt, _canonical(list(steps))))
+        if d:
+            drifting.setdefault(comp_of[_cycle_class(g, steps)], []).append((wgt, d, key))
         else:
-            group = drifting.setdefault(comp_of[_cycle_class(g, steps)], [])
-            group.append((wgt, d, _canonical(list(steps))))
-    return flat, drifting
+            template = _normalized_template(g, _lift_cycle(g, key)[0])
+            flat[key] = (flat.get(key, (0,))[0] + wgt, template)
+    return flat, {comp: tuple(sorted(group)) for comp, group in drifting.items()}
 
 
-def _peel_tails(g, vec, avoid_strands=False):
-    """Emit circuit families reproducing the tails, then the long constant
-    runs of the residue; return (entries, strand list, finite residue).
-    One-sided families are bounded by the input's changes (_one_sided), and
-    strands start the anchor margin past them; all are taken off one
-    accumulator of the input. With avoid_strands a drifting group takes a
-    composite if one lays out."""
-    # the input's changes (or 0 alone) and runs longer than the anchor margin
+def _peel_runs(g, vec, avoid_strands=False):
+    """Take the input off run by run as circuit families and strands; return
+    (entries, strand list, finite residue). The runs lie between the input's
+    changes (or 0 alone): the two outer ones are unbounded and hold the
+    tails, and the inner ones longer than the anchor margin hold constant
+    values. On every run the values form a quotient circulation
+    (_quotient_layout): its flat cycles become families and its drifting
+    groups composites (_compose), placed by _span. A flat cycle or drifting
+    group mirrored on both outer runs couples them: it is taken off as one
+    two-sided family. Otherwise a drifting group on an outer run becomes
+    strands, anchored the anchor margin past the input's changes, unless
+    the rule (or avoid_strands) composes it and it stitches. All of it is
+    taken off one accumulator of the input, the outer runs first."""
     cuts = sorted({i for points in vec.breakpoints().values() for i in points}) or [0]
     margin = _anchor_margin(g)
-    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > margin]
-    anchors = {1: cuts[-1] + margin, -1: cuts[0] - margin}
-    if not vec.tails and not runs:
+    inner = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > margin]
+    if not vec.tails and not inner:
         return [], [], vec
     entries = []
     strands = []  # (weight, Ray, start VertexId, EndId)
@@ -556,104 +567,70 @@ def _peel_tails(g, vec, avoid_strands=False):
     acc.add(vec)
     comp_of = _class_components(g) if g.spec.cell_classes else {}
 
-    per_dir = {}
-    for direction in g.directions():
-        tau = _tail_circulation(g, vec, direction)
-        per_dir[1 if direction == "+" else -1] = _quotient_cycles(g, tau, comp_of)
+    def peel(built, run):
+        for coeff, template in built:
+            bounds = _span(cuts, run, template)
+            if bounds is not None:
+                _peel(acc, entries, coeff, template, *bounds)
 
-    # drift-free cycles: merge mirrored pairs into full-lattice families
-    plus_flat = _merge_weights(per_dir.get(1, ([], {}))[0])
-    minus_flat = _merge_weights(per_dir.get(-1, ([], {}))[0])
+    (plus_flat, plus_drift), (minus_flat, minus_drift) = (
+        _quotient_layout(g, _tail_circulation(g, vec, d), comp_of) for d in "+-")
     for key in sorted(set(plus_flat) | set(minus_flat)):
-        wp, wm = plus_flat.get(key, 0), minus_flat.get(key, 0)
-        lifted, _s, _e = _lift_cycle(g, list(key))
-        template = _normalized_template(g, lifted)
-        both = min(wp, wm) if (wp > 0 and wm > 0) else 0
-        for wgt, bounds in (
-            (both, (None, None)),
-            (wp - both, _one_sided(cuts, template, 1)),
-            (wm - both, _one_sided(cuts, template, -1)),
-        ):
+        wp, template = plus_flat.get(key) or (0, minus_flat[key][1])
+        wm = minus_flat.get(key, (0,))[0]
+        both = min(wp, wm)
+        for wgt, run in ((both, 0), (wp - both, 1), (wm - both, -1)):
             if wgt:
-                _peel(acc, entries, wgt, template, *bounds)
+                peel([(wgt, template)], run)
 
-    # drifting cycles: a two-sided composite for mirrored groups, then per
-    # sign group whichever of composite and strands is the smaller
-    plus_drift = per_dir.get(1, ([], {}))[1]
-    minus_drift = per_dir.get(-1, ([], {}))[1]
-    last = []  # (group, composite) of the last build: a mirrored pair shares it
-
-    def composite(group):
-        if not last or last[0][0] != group:
-            last[:] = [(group, _try_composite(g, group, comp_of))]
-        return last[0][1]
-
+    anchors = {1: cuts[-1] + margin, -1: cuts[0] - margin}
+    # a mirrored pair is composed once
+    composite = functools.lru_cache()(lambda group: _compose(g, group, comp_of))
     for comp in sorted(set(plus_drift) | set(minus_drift)):
-        cp = sorted(plus_drift.get(comp, []))
-        cm = sorted(minus_drift.get(comp, []))
-        if cp and cp == cm and _fits_between_anchors(cp, anchors[1] - anchors[-1]):
-            built = composite(cp)
-            if built is not None:
-                _peel(acc, entries, *built, None, None)
-                continue
+        cp, cm = plus_drift.get(comp, ()), minus_drift.get(comp, ())
+        if cp == cm and _fits_between_anchors(cp, anchors[1] - anchors[-1]) and composite(cp):
+            peel(composite(cp), 0)
+            continue
         for sign, group in ((1, cp), (-1, cm)):
-            if not group:
-                continue
-            built = None
-            if avoid_strands or _composite_is_smaller(group):
-                built = composite(group)
-            if built is not None:
-                _peel(acc, entries, *built, *_one_sided(cuts, built[1], sign))
-            else:
+            if group and (avoid_strands or _composite_is_smaller(group)) and composite(group):
+                peel(composite(group), sign)
+            elif group:
                 strands.extend(_emit_strands(g, group, sign, anchors[sign], acc))
-    _peel_runs(g, acc, entries, comp_of, runs)
+
+    # the inner runs: the tails' families and strands are constant there, so
+    # the residue is too, and as b - a > 2W the stars W inside both ends lie
+    # in the run: unless static edges attach to all of them, its values
+    # form a quotient circulation
+    mid = acc.vector()
+    for a, b in inner:
+        tau = {ec.name: v for ec in g.cell_edge_classes if (v := mid.value_at(ec.name, a))}
+        if not tau or not _conserves(g, tau):
+            continue
+        flat, drifting = _quotient_layout(g, tau, comp_of)
+        peel([flat[key] for key in sorted(flat)], (a, b))
+        for _comp, group in sorted(drifting.items()):
+            peel(_compose(g, group, comp_of) or [], (a, b))
     resid = acc.vector()
     if resid.tails:
         raise InternalError("tails survived the peeling stage")
     return entries, strands, resid
 
 
-def _one_sided(cuts, template, sign):
-    """(lo, hi) of a one-sided family, whole past the input's changes. A +
-    family starts at the first change or later, so it meets no - family and,
-    on periodic-n, no index below 0."""
-    if sign < 0:
-        return None, cuts[0] - 1
-    return max(cuts[-1] - max(d.edge.index for d in template.darts), cuts[0]), None
-
-
-def _peel_runs(g, acc, entries, comp_of, runs):
-    """Take the residue in acc off as bounded families on each run [a, b)
-    between two changes of the input, longer than the anchor margin. The
-    tails' families and strands are constant there, so the residue is too,
-    and as b - a > 2W the stars W inside both ends lie in the run: unless
-    static edges attach to all of them, its values form a quotient
-    circulation. Its flat cycles, and its drifting groups of total drift
-    zero that a composite can be laid out for, become families of members
-    wholly inside the run, kept if they span at least a member's length."""
-    changes = acc.changes()
-    moves = sorted((i, c, d) for c, (_v, points) in changes.items() for i, d in points)
-    value = {c: v for c, (v, _p) in changes.items()}
-    k = 0
-    for a, b in runs:
-        while k < len(moves) and moves[k][0] <= a:
-            value[moves[k][1]] += moves[k][2]
-            k += 1
-        tau = {c: v for c, v in value.items() if v}
-        if not tau or not _conserves(g, tau):
-            continue
-        flat, drifting = _quotient_cycles(g, tau, comp_of)
-        built = [
-            (wgt, _normalized_template(g, _lift_cycle(g, list(key))[0]))
-            for key, wgt in sorted(_merge_weights(flat).items())
-        ]
-        for _comp, group in sorted(drifting.items()):
-            if sum(wgt * delta for wgt, delta, _s in group) == 0:
-                built.append(_try_composite(g, group, comp_of))
-        for coeff, template in filter(None, built):
-            L = max(d.edge.index for d in template.darts)
-            if b - 1 - L - a >= L:
-                _peel(acc, entries, coeff, template, a, b - 1 - L)
+def _span(cuts, run, template):
+    """(lo, hi) of the template's family on a run, or None when no member
+    fits. run is 0 for both outer runs, 1 or -1 for one of them and (a, b)
+    for the inner run [a, b). A one-sided family is whole past the input's
+    changes: a - family ends at the first change; a + family starts the
+    template's length before the last, but not before the first, so it
+    meets no - family and, on periodic-n, no index below 0. An inner family
+    holds the members wholly inside its run, kept if they span at least a
+    member's length."""
+    L = max(d.edge.index for d in template.darts)
+    if run in (0, 1, -1):
+        return {0: (None, None), 1: (max(cuts[-1] - L, cuts[0]), None),
+                -1: (None, cuts[0] - 1)}[run]
+    a, b = run
+    return (a, b - 1 - L) if b - 1 - L - a >= L else None
 
 
 def _conserves(g, tau):
@@ -665,42 +642,62 @@ def _conserves(g, tau):
     return not any(net.values())
 
 
+def _passes(group):
+    """The unit cycle passes of the group's one composite, sum(w) / gcd(w)."""
+    weights = [wgt for wgt, _d, _s in group]
+    return sum(weights) // math.gcd(*weights)
+
+
 def _composite_is_smaller(group):
     """Whether stitching the group's cycles into one composite beats closing
     them as strands: strands carry sum(w * |d|) unit ray stubs, the
-    composite sum(w) / gcd(w) unit cycle passes."""
-    flux = sum(wgt * abs(delta) for wgt, delta, _s in group)
-    weights = [wgt for wgt, _d, _s in group]
-    return flux > sum(weights) // math.gcd(*weights)
+    composite _passes(group) unit cycle passes."""
+    return sum(wgt * abs(delta) for wgt, delta, _s in group) > _passes(group)
 
 
 def _fits_between_anchors(group, gap):
-    """Whether a mirrored group's two-sided composite, sum(w) / gcd(w) unit
-    passes of its shortest cycle, is no longer than its strands: sum(|d|)
-    rays per side, each joined to its mirror across the gap between anchors."""
-    weights = [wgt for wgt, _d, _s in group]
-    passes = sum(weights) // math.gcd(*weights)
+    """Whether a mirrored group's two-sided composite, _passes(group) passes
+    of its shortest cycle, is no longer than its strands: sum(|d|) rays per
+    side, each joined to its mirror across the gap between anchors."""
     rays = sum(abs(delta) for _w, delta, _s in group)
-    return passes * min(len(s) for _w, _d, s in group) <= rays * gap
+    return _passes(group) * min(len(s) for _w, _d, s in group) <= rays * gap
 
 
-def _merge_weights(pairs):
-    out = {}
-    for wgt, key in pairs:
-        out[tuple(key)] = out.get(tuple(key), 0) + wgt
-    return out
+def _compose(g, group, comp_of):
+    """A drifting group as drift-free composites, [(coeff, template)], or
+    None when it does not stitch whole. It stitches whole when its drift is
+    zero and either one composite lays out (_try_composite) or it splits into
+    zero-drift subgroups that each lay out: the first zero-drift sub-multiset
+    of the weights that lays out is taken, and the rest is stitched alike.
+    Only groups with at most _COMPOSITE_LEN_CAP sub-multisets are split."""
+    if sum(wgt * delta for wgt, delta, _s in group):
+        return None
+    whole = _try_composite(g, group, comp_of)
+    if whole is not None:
+        return [whole]
+    weights = tuple(wgt for wgt, _d, _s in group)
+    if math.prod(w + 1 for w in weights) > _COMPOSITE_LEN_CAP:
+        return None
+    for take in itertools.product(*(range(w + 1) for w in weights)):
+        sub = [(t, delta, steps) for t, (_w, delta, steps) in zip(take, group) if t]
+        if not sub or take == weights or sum(t * delta for t, delta, _s in sub):
+            continue
+        built = _try_composite(g, sub, comp_of)
+        if built is not None:
+            rest = [(w - t, delta, steps) for t, (w, delta, steps) in zip(take, group) if w > t]
+            more = _compose(g, rest, comp_of)
+            return None if more is None else [built] + more
+    return None
 
 
 def _try_composite(g, group, comp_of):
     """Common weight times one stitched drift-free template, or None. A
-    group whose sum(w) / gcd(w) unit passes of its shortest cycle already
+    group whose _passes(group) unit passes of its shortest cycle already
     exceed _COMPOSITE_LEN_CAP is refused before any copy is made."""
-    shared = math.gcd(*(wgt for wgt, _d, _s in group))
-    reduced = [(wgt // shared, delta, tuple(steps)) for wgt, delta, steps in group]
-    passes = sum(wgt for wgt, _d, _s in reduced)
-    if passes * min(len(s) for _w, _d, s in reduced) > _COMPOSITE_LEN_CAP:
+    if _passes(group) * min(len(s) for _w, _d, s in group) > _COMPOSITE_LEN_CAP:
         return None
-    copies = [(delta, steps) for wgt, delta, steps in reduced for _ in range(wgt)]
+    shared = math.gcd(*(wgt for wgt, _d, _s in group))
+    copies = [(delta, steps) for wgt, delta, steps in group for _ in range(wgt // shared)]
     darts = _build_composite(g, copies, comp_of)
     if darts is None:
         return None

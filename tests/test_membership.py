@@ -516,6 +516,19 @@ def test_star_cut_at_static_endpoint():
     assert cert.cut_sum == -1
 
 
+def test_f2_member_is_stitched_per_zero_drift_subgroup():
+    # the two-sided drifting group of weights/drifts 1/4, 2/-2, 1/1, 1/-1
+    # has total drift zero, but its one composite does not lay out; it is
+    # stitched as two zero-drift subgroups (1/4 with 2/-2, 1/1 with 1/-1)
+    # instead of raising InternalError
+    g, text = STAR_GRAPHS["f2"]
+    vec = parse_vector_text(g, text)
+    cert = is_member(g, vec)
+    assert isinstance(cert, Member)
+    back = certificate_from_json(g, json.loads(json.dumps(certificate_to_json(cert))))
+    assert verify_certificate(g, vec, back)
+
+
 def test_family_past_the_window_is_rejected(ladder):
     # four squares at indices 14..17: the template's index plus the shift
     # range reaches past both bounds, and the certificate must not pass
