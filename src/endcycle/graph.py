@@ -4,8 +4,9 @@ A graph is given by a finite text description: a kind (finite, periodic-z,
 periodic-n), vertex classes, and edge classes. Periodic kinds describe one
 cell that repeats along the integers or the naturals, plus optional cap
 vertices that exist once. Everything downstream (ends, components, half
-spaces, ray classification) is computed from a per-direction block partition
-that is iterated to a least fixpoint and then certified by one more step.
+spaces, ray classification) is computed from a per-direction block partition:
+one union-find over a window of two blocks joins its edges once and glues
+the upper block by the lower one's groups until they stop growing.
 Past any fence the cell graph is a translate of the one past the
 stabilization radius, so that one partition answers half-space questions at
 every radius, and a graph keeps no state per radius. Vertex, edge, dart
@@ -185,6 +186,13 @@ class EdgeClass:
         if self.static:
             return 0
         return max(self.tail_pos, self.head_pos)
+
+    def ends(self, n):
+        """Tail and head vertex of instance n (None for a static class)."""
+        t, h = self.tail_pos, self.head_pos
+        if not self.static:
+            t, h = n + t, n + h
+        return VertexId(self.tail_cls, t), VertexId(self.head_cls, h)
 
 
 @dataclass(frozen=True)
@@ -416,9 +424,6 @@ class _RayStructure:
         self.direction = "+" if sign > 0 else "-"
         self.W = g.W
         self.r0 = g.stabilization_radius
-        self.block = tuple(
-            (c, r) for c in g.cell_classes for r in range(self.W)
-        )
         # per edge class: offsets seen from this direction (min stays 0)
         self.klass = []
         for ec in g.cell_edge_classes:
@@ -427,87 +432,71 @@ class _RayStructure:
                 self.klass.append((ec, ec.tail_pos, ec.head_pos, s))
             else:
                 self.klass.append((ec, s - ec.tail_pos, s - ec.head_pos, s))
-        self._fixpoint()
-        self._classify()
+        self._classify(*self._fixpoint())
 
     def _base_index(self, s, t):
         if self.sign > 0:
             return t + self.r0 + 1
         return -(t + s + self.r0 + 1)
 
-    def _instances(self, lo, hi):
-        """Edge instances with both endpoint depths in [lo, hi)."""
-        out = []
-        for ec, toff, hoff, s in self.klass:
-            for t in range(lo, hi - s):
-                n = self._base_index(s, t)
-                if self.kind == KIND_PERIODIC_N and n < 0:
-                    continue
-                out.append(
-                    (
-                        (ec.tail_cls, t + toff),
-                        (ec.head_cls, t + hoff),
-                        EdgeId(ec.name, n),
-                    )
-                )
-        return out
-
-    def _freeze(self, uf, limit):
-        """Partition of the block induced by uf, as a frozenset of groups.
-        Members at depth >= limit are dropped."""
-        groups = {}
-        for x in uf.parent:
-            if x[1] < limit:
-                groups.setdefault(uf.find(x), []).append(x)
-        return frozenset(frozenset(g) for g in groups.values())
-
     def _fixpoint(self):
-        W = self.W
-        verts2 = [(c, d) for c in self.cell_classes for d in range(2 * W)]
-        edges2 = self._instances(0, 2 * W)
-        uf = UnionFind(self.block)
-        for a, b, _ in self._instances(0, W):
-            uf.union(a, b)
-        pi = self._freeze(uf, W)
-        steps = 0
+        """The least block partition that one step of W cells reproduces,
+        closed in one union-find over the window of depths 0 .. 2W-1.
+        Vertex (c, d) there is the integer i * 2W + d, i the rank of c's
+        name, so integers order like (c, d). The window's edges are joined
+        once; then each block vertex x is labelled with the first block
+        member of its group and x + W is glued to label(x) + W, until the
+        labels stop changing. Gluing only adds unions, so the groups grow
+        to the least fixpoint, and labels a pass leaves unchanged certify
+        it. Returns the union-find and each block vertex's class id."""
+        W, W2 = self.W, 2 * self.W
+        names = sorted(self.cell_classes)
+        base = {c: i * W2 for i, c in enumerate(names)}
+        uf = UnionFind(range(len(names) * W2))
+        find, union = uf.find, uf.union
+        # the base index of a depth >= 0 is positive in direction +, the
+        # one direction of a periodic-n graph, so every instance exists
+        for ec, toff, hoff, s in self.klass:
+            a, b = base[ec.tail_cls] + toff, base[ec.head_cls] + hoff
+            for t in range(W2 - s):
+                union(a + t, b + t)
+        block = [base[c] + d for c in names for d in range(W)]
+        labels = None
         while True:
-            uf = UnionFind(verts2)
-            for a, b, _ in edges2:
-                uf.union(a, b)
-            for grp in pi:
-                mem = sorted(grp)
-                first = mem[0]
-                for other in mem[1:]:
-                    uf.union((first[0], first[1] + W), (other[0], other[1] + W))
-            new = self._freeze(uf, W)
-            if new == pi:
+            first = {}
+            new = [first.setdefault(find(x), x) for x in block]
+            if new == labels:
                 break
-            pi = new
-            steps += 1
-            if steps > len(self.block) + 2:
-                raise InternalError("block partition failed to converge")
-        # the loop exits only via new == pi, which is the fixpoint certificate
-        self.pi = pi
-        self._uf2 = uf
-        groups = sorted(pi, key=min)
+            labels = new
+            for x, y in zip(block, labels):
+                if x != y:
+                    union(y + W, x + W)
+        groups = {}
+        for x, y in zip(block, labels):
+            groups.setdefault(y, []).append(x)
         self.members = []
         self.cls_id = {}
-        for i, grp in enumerate(groups):
-            self.members.append(tuple(sorted(grp)))
-            for x in grp:
-                self.cls_id[x] = i
+        class_of = {}
+        for i, grp in enumerate(groups.values()):
+            self.members.append(tuple((names[x // W2], x % W2) for x in grp))
+            for x, m in zip(grp, self.members[-1]):
+                class_of[x] = self.cls_id[m] = i
+        return uf, class_of
 
-    def _classify(self):
-        W = self.W
+    def _classify(self, uf, class_of):
+        """The parent map, arcs and unbounded classes, read off the roots
+        of the closed window: a class at depths W .. 2W-1 has as parent
+        the class at depths 0 .. W-1 of its group, if any."""
+        W, W2 = self.W, 2 * self.W
         nids = len(self.members)
         comp0 = {}
         comp1 = {}
-        for (c, d) in self._uf2.parent:
-            root = self._uf2.find((c, d))
-            if d < W:
-                comp0.setdefault(root, set()).add(self.cls_id[(c, d)])
+        for x in uf.parent:
+            root = uf.find(x)
+            if x % W2 < W:
+                comp0.setdefault(root, set()).add(class_of[x])
             else:
-                comp1.setdefault(root, set()).add(self.cls_id[(c, d - W)])
+                comp1.setdefault(root, set()).add(class_of[x - W])
         arcs = {i: set() for i in range(nids)}
         parent = {}
         for root, ids1 in comp1.items():
@@ -551,8 +540,8 @@ class _RayStructure:
         return [i for i in range(len(self.members)) if i not in attached]
 
     def check_certificate(self):
-        """Re-run one fixpoint step and confirm nothing merges, and that the
-        parent map restricted to unbounded classes is a bijection."""
+        """Check that the parent map is total and a bijection on the
+        unbounded classes."""
         for y in self.parent:
             if self.parent[y] is None:
                 raise InternalError("parent map is partial on a valid graph")
@@ -804,16 +793,14 @@ class Graph:
         return ec
 
     def endpoints(self, e: EdgeId):
-        ec = self.require_edge(e)
-        if ec.static:
-            return (
-                VertexId(ec.tail_cls, ec.tail_pos),
-                VertexId(ec.head_cls, ec.head_pos),
-            )
-        return (
-            VertexId(ec.tail_cls, e.index + ec.tail_pos),
-            VertexId(ec.head_cls, e.index + ec.head_pos),
-        )
+        """The tail and head of e, read off its edge class; require_edge
+        sees only an edge the table cannot place, and raises what is wrong
+        with it."""
+        ec = self._ec.get(e.cls)
+        if (ec is None or ec.static != (e.index is None)
+                or (self.kind == KIND_PERIODIC_N and not ec.static and e.index < 0)):
+            self.require_edge(e)
+        return ec.ends(e.index)
 
     def dart_ends(self, d: Dart):
         t, h = self.endpoints(d.edge)
@@ -1060,7 +1047,8 @@ class Graph:
         seq = [v]
         cur = v
         for d in darts:
-            frm, to = self.dart_ends(d)
+            t, h = self.endpoints(d.edge)
+            frm, to = (t, h) if d.forward else (h, t)
             if frm != cur:
                 raise NotARay(
                     "dart %s does not start at %s" % (d.label(), cur.label())

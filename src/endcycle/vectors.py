@@ -98,12 +98,19 @@ class EdgeVector:
         """Read raw input: explicit values plus constant tails. An explicit
         entry replaces the tail value under it, and where the two tails of
         a class overlap the "+" tail wins."""
-        g = self.graph = graph
         vals = dict(vals or {})
         for e, v in vals.items():
-            g.require_edge(e)
+            graph.require_edge(e)
             if not isinstance(v, int):
                 raise FormatError("vector values must be integers")
+        self.graph = graph
+        self._statics, self._runs = self._read(graph, vals, tails).runs()
+
+    @staticmethod
+    def _read(g, vals, tails):
+        """The breakpoints of raw input whose explicit entries are already
+        known to be edges of g with integer values; the tails are checked
+        here."""
         raw = {}
         for (cname, direction), (t, v) in (tails or {}).items():
             if not isinstance(v, int) or not isinstance(t, int):
@@ -153,7 +160,7 @@ class EdgeVector:
                 continue
             pt = raw.get((cname, "+"))
             acc.span(cname, None, t + 1 if pt is None else min(t + 1, pt[0]), v)
-        self._statics, self._runs = acc.runs()
+        return acc
 
     # construction ---------------------------------------------------------
 
@@ -167,7 +174,7 @@ class EdgeVector:
         for d in darts:
             graph.require_edge(d.edge)
             vals[d.edge] = vals.get(d.edge, 0) + (1 if d.forward else -1)
-        return cls(graph, vals)
+        return cls._read(graph, vals, None).vector()
 
     # the classical form -------------------------------------------------------
 
@@ -772,7 +779,8 @@ def parse_vector_text(graph, text) -> EdgeVector:
             tails[(cname, direction)] = (t, v)
         else:
             raise FormatError("unknown directive %r" % parts[0], ln)
-    return EdgeVector(graph, vals, tails)
+    # every entry was checked on its line
+    return EdgeVector._read(graph, vals, tails).vector()
 
 
 def _parse_int(tok, ln):

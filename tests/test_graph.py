@@ -1,6 +1,7 @@
 """Graph text format and the periodic graph model."""
 
 import gc
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from endcycle.graph import (
     Dart,
     EdgeId,
     EndId,
+    Graph,
     Ray,
     VertexId,
     graph_from_text,
@@ -158,6 +160,26 @@ def test_walk_from_rejects_broken_chain(ladder):
     darts = (parse_dart_label("rail_top[0]+"), parse_dart_label("rail_top[5]+"))
     with pytest.raises(NotARay):
         ladder.walk_from(parse_vertex_label("top[0]"), darts)
+
+
+def test_walk_validates_each_dart_once(monkeypatch, chords):
+    # a valid walk reads every dart's ends off the edge-class table; only a
+    # dart the table cannot place reaches require_edge, which names why
+    calls = []
+    check = Graph.require_edge
+    monkeypatch.setattr(Graph, "require_edge", lambda g, e: calls.append(e) or check(g, e))
+    darts = [parse_dart_label("pos_first+")]
+    darts += [Dart(EdgeId("pos_step", i), True) for i in range(98)]
+    darts.append(parse_dart_label("chord[98]+"))
+    verts = chords.walk_from(VertexId("origin"), darts)
+    assert len(darts) == 100 and verts[-1] == VertexId("neg", 98) and calls == []
+    for label, message in (("spoke[0]+", "unknown edge class 'spoke'"),
+                           ("pos_first[0]+", "edge 'pos_first' takes no index"),
+                           ("pos_step+", "edge class 'pos_step' needs an index"),
+                           ("pos_step[-1]+", "no edge pos_step[-1]")):
+        with pytest.raises(UnknownEdge, match=r"^%s$" % re.escape(message)):
+            chords.walk_from(VertexId("pos", 0), [parse_dart_label(label)])
+    assert len(calls) == 4
 
 
 def test_finite_graphs_have_no_rays(theta):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from endcycle import chains as ch
+from endcycle import graph as graph_module
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
-from endcycle.errors import (FormatError, InfiniteBoundarySupport,
+from endcycle.errors import (EndcycleError, FormatError, InfiniteBoundarySupport,
                              InfiniteComponents, InternalError, NotARay,
                              NotRepresentable, UnknownEdge, UnknownVertex)
-from endcycle.graph import (Dart, EdgeId, EndId, Ray, VertexId, dart_key,
-                            first_shared, graph_from_text, shift_id)
+from endcycle.graph import (Dart, EdgeId, EndId, Ray, UnionFind, VertexId,
+                            dart_key, first_shared, graph_from_text, shift_id)
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import _star_sum, certificate_from_json, certificate_to_json
 from endcycle.vectors import (EdgeVector, FamilyMember, VectorFamily,
@@ -1315,6 +1316,111 @@ def test_incidence_table_matches_edge_scan(kind, seed):
         darts = g.neighbors(v)
         assert darts == _scanned_neighbors(g, v), v
         assert _star_sum(g, vec, v) == sum(vec.evaluate(d) for d, _w in darts), v
+
+
+
+# -- the block partition against the pass-by-pass fixpoint --------------------
+
+class _SteppedRays(graph_module._RayStructure):
+    """The ray structure with the block partition iterated pass by pass:
+    each pass builds a fresh union-find over (class, depth) pairs of the
+    window of depths 0 .. 2W-1, unions its edges and the upper block
+    glued by the last partition, and freezes the block's groups, until a
+    pass leaves the partition unchanged."""
+
+    def _instances(self, hi):
+        return [((ec.tail_cls, t + toff), (ec.head_cls, t + hoff))
+                for ec, toff, hoff, s in self.klass for t in range(hi - s)]
+
+    def _freeze(self, uf):
+        groups = {}
+        for x in uf.parent:
+            if x[1] < self.W:
+                groups.setdefault(uf.find(x), []).append(x)
+        return frozenset(frozenset(g) for g in groups.values())
+
+    def _fixpoint(self):
+        W = self.W
+        uf = UnionFind((c, d) for c in self.cell_classes for d in range(W))
+        for a, b in self._instances(W):
+            uf.union(a, b)
+        pi = self._freeze(uf)
+        while True:
+            uf = UnionFind((c, d) for c in self.cell_classes for d in range(2 * W))
+            for a, b in self._instances(2 * W):
+                uf.union(a, b)
+            for grp in pi:
+                first, *rest = sorted(grp)
+                for other in rest:
+                    uf.union((first[0], first[1] + W), (other[0], other[1] + W))
+            new = self._freeze(uf)
+            if new == pi:
+                break
+            pi = new
+        self.members = [tuple(sorted(grp)) for grp in sorted(pi, key=min)]
+        self.cls_id = {x: i for i, grp in enumerate(self.members) for x in grp}
+        return uf, None
+
+    def _classify(self, uf, _class_of):
+        comp0, comp1 = {}, {}
+        for c, d in uf.parent:
+            root = uf.find((c, d))
+            if d < self.W:
+                comp0.setdefault(root, set()).add(self.cls_id[(c, d)])
+            else:
+                comp1.setdefault(root, set()).add(self.cls_id[(c, d - self.W)])
+        self.arcs = {i: set() for i in range(len(self.members))}
+        self.parent = {}
+        for root, ids1 in comp1.items():
+            ids0 = comp0.get(root, set())
+            if len(ids0) > 1:
+                raise InternalError("fixpoint restriction is not a congruence")
+            x = next(iter(ids0)) if ids0 else None
+            for y in ids1:
+                self.parent[y] = x
+                if x is not None:
+                    self.arcs[x].add(y)
+        alive = set(range(len(self.members)))
+        while True:
+            dead = [i for i in alive if not (self.arcs[i] & alive)]
+            if not dead:
+                break
+            alive.difference_update(dead)
+        self.unbounded = frozenset(alive)
+        ranked = sorted(alive, key=lambda i: self.members[i][0])
+        self.rank = {cid: k for k, cid in enumerate(ranked)}
+        self.by_rank = dict(enumerate(ranked))
+        self.end_count = len(ranked)
+
+
+_PARTITION = ("members", "cls_id", "parent", "arcs", "unbounded", "rank")
+
+
+def _partitions(text, rays):
+    """Per direction, the block partition's attributes of the graph built
+    with the given ray structure, or the class and message it is refused
+    with."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_RayStructure", rays)
+        try:
+            g = graph_from_text(text)
+        except EndcycleError as exc:
+            return type(exc), str(exc)
+    return {sign: [getattr(ray, a) for a in _PARTITION] for sign, ray in g._rays.items()}
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), st.booleans(), seeds)
+@settings(max_examples=300, deadline=None)
+def test_block_partition_matches_stepped_fixpoint(kind, own_lines, seed):
+    text = _lattice_text(random.Random(seed), kind, own_lines)[0]
+    assert _partitions(text, graph_module._RayStructure) == _partitions(text, _SteppedRays)
+
+
+def test_offset_partition_matches_stepped_fixpoint():
+    # the offset graph of a wide window: two lines joined 10^3 cells apart
+    text = ("graph offset\nkind periodic-z\nvertex a\nvertex b\nedge ea : a -> a[+1]\n"
+            "edge eb : b -> b[+1]\nedge ab : a -> b[+1000]\n")
+    assert _partitions(text, graph_module._RayStructure) == _partitions(text, _SteppedRays)
 
 
 # -- restriction's kept region against a search over G - D ---------------------

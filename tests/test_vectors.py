@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endcycle.examples import RAIL_DIFFERENCE
-from endcycle.graph import EdgeId, graph_from_text, parse_dart_label, parse_edge_label
+from endcycle.graph import EdgeId, Graph, graph_from_text, parse_dart_label, parse_edge_label
 from endcycle.vectors import (
     _ENTRY_CAP,
     EdgeVector,
@@ -27,6 +27,36 @@ from endcycle.errors import (
 )
 
 from conftest import CHORDS, LADDER, SINGLE_RAY
+
+
+def test_parsed_entries_are_validated_once(monkeypatch, ladder):
+    # the parser checks each set line where it reads it, and the vector
+    # is built from the checked entries without checking them again
+    calls = []
+    check = Graph.require_edge
+    monkeypatch.setattr(Graph, "require_edge", lambda g, e: calls.append(e) or check(g, e))
+    vec = parse_vector_text(ladder, "\n".join("set rung[%d] = %d" % (i, i + 1) for i in range(50)))
+    assert len(calls) == 50 and vec.value_at("rung", 49) == 50
+
+
+@pytest.mark.parametrize("gname, text, error, message, line", [
+    ("ladder", "set rung[0] = 1\nset spoke[0] = 1", UnknownEdge,
+     "unknown edge class 'spoke'", None),
+    ("chords", "set pos_first[0] = 1", UnknownEdge, "edge 'pos_first' takes no index", None),
+    ("ladder", "set rung = 1", UnknownEdge, "edge class 'rung' needs an index", None),
+    ("chords", "set chord[-1] = 1", UnknownEdge, "no edge chord[-1]", None),
+    ("ladder", "set rung[0] = 1\n\nset rung[0] = 2", FormatError,
+     "line 3: duplicate entry for rung[0]", 3),
+    ("ladder", "set rung[0] = 1\nset rung[1] = one", FormatError,
+     "line 2: not an integer: 'one'", 2),
+    ("ladder", "tail+ rail_top from 0 = 1\ntail- rail_top from 3 = 2", FormatError,
+     "tails of 'rail_top' overlap with different values", None),
+])
+def test_parser_errors_are_pinned(request, gname, text, error, message, line):
+    with pytest.raises(error) as info:
+        parse_vector_text(request.getfixturevalue(gname), text)
+    assert type(info.value) is error and str(info.value) == message
+    assert getattr(info.value, "line", None) == line
 
 
 def test_round_trip_canonical(ladder):
