@@ -39,18 +39,19 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      joined across the gap between the two anchors. Otherwise a group
      becomes strands when its flux sum(w * |d|) (the unit ray stubs strands
      carry) is at most sum(w) / gcd(w) (the unit cycle passes a composite
-     stitches), or when it does not stitch. The choice reads only the
-     tails, so one pass is built; only when the strands' end rays overlap
-     is it rebuilt once with the composite wherever one stitches. All of it
-     is taken off one breakpoint accumulator of the input.
+     stitches), or when it does not stitch; a group whose strands' rays
+     would share an edge is composed instead when it stitches. The choice is
+     made per group before anything is taken off, so one pass is built. All
+     of it is taken off one breakpoint accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles. An end
      circle's rays are pulled back by the whole periods its middle walk
      repeats, so the middle holds only the walk through the data.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
-construction succeeds. It would raise InternalError only if neither pass
-laid out the end rays without overlap, which no known input does. So
+construction succeeds. It would raise InternalError only if a group whose
+rays share an edge did not stitch, and the self-check then refused the
+overlapping end circle, which no known input does. So
 chains.homology_class, which needs only the verdict, runs steps 1 and 2
 alone; a property test pins that this verdict is is_member's. Cycles are
 lifted and stitched at offset 0 on every kind of lattice; shifting computes
@@ -96,6 +97,7 @@ from .graph import (
     UnionFind,
     VertexId,
     edge_key,
+    first_shared,
     shift_id,
     vertex_key,
 )
@@ -138,22 +140,10 @@ def decompose(g, vec: EdgeVector) -> CircleDecomposition:
 
 
 def _assemble(g, vec):
-    """One full pipeline pass, not yet self-checked. When the rule's strands
-    cannot be laid out without overlap, the pass is rebuilt once with the
-    composite wherever one can be laid out; when that fails too, no layout
-    is found."""
-    for avoid_strands in (False, True):
-        try:
-            entries, strands, resid = _peel_runs(g, vec, avoid_strands)
-            pieces = _finish_finite(g, resid, strands)
-        except _RetryStrands:
-            continue
-        return CircleDecomposition(tuple(entries + pieces))
-    raise InternalError("could not lay out end rays without overlap")
-
-
-class _RetryStrands(Exception):
-    pass
+    """The one pipeline pass, not yet self-checked: the runs are peeled
+    once, and the finite stage closes what is left."""
+    entries, strands, resid = _peel_runs(g, vec)
+    return CircleDecomposition(tuple(entries + _finish_finite(g, resid, strands)))
 
 
 # -- steps 1 and 2: the obstructions ----------------------------------------
@@ -543,7 +533,7 @@ def _quotient_layout(g, tau, comp_of):
     return flat, {comp: tuple(sorted(group)) for comp, group in drifting.items()}
 
 
-def _peel_runs(g, vec, avoid_strands=False):
+def _peel_runs(g, vec):
     """Take the input off run by run as circuit families and strands; return
     (entries, strand list, finite residue). The runs lie between the input's
     changes (or 0 alone): the two outer ones are unbounded and hold the
@@ -554,8 +544,9 @@ def _peel_runs(g, vec, avoid_strands=False):
     group mirrored on both outer runs couples them: it is taken off as one
     two-sided family. Otherwise a drifting group on an outer run becomes
     strands, anchored the anchor margin past the input's changes, unless
-    the rule (or avoid_strands) composes it and it stitches. All of it is
-    taken off one accumulator of the input, the outer runs first."""
+    the rule composes it, or its strands' rays would share an edge
+    (_rays_meet), and it stitches. All of it is taken off one accumulator of
+    the input, the outer runs first."""
     cuts = sorted({i for points in vec.breakpoints().values() for i in points}) or [0]
     margin = _anchor_margin(g)
     inner = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > margin]
@@ -592,10 +583,16 @@ def _peel_runs(g, vec, avoid_strands=False):
             peel(composite(cp), 0)
             continue
         for sign, group in ((1, cp), (-1, cm)):
-            if group and (avoid_strands or _composite_is_smaller(group)) and composite(group):
+            if not group:
+                continue
+            lifted = _lift_strands(g, group, sign, anchors[sign])
+            if (_composite_is_smaller(group) or _rays_meet(lifted)) and composite(group):
                 peel(composite(group), sign)
-            elif group:
-                strands.extend(_emit_strands(g, group, sign, anchors[sign], acc))
+                continue
+            outward = (0, None) if sign > 0 else (None, 0)
+            for wgt, darts, rays in lifted:
+                _take_off(acc, wgt, darts, *outward)
+                strands.extend((wgt, ray, ray.start, g.end_of_ray(ray)) for ray in rays)
 
     # the inner runs: the tails' families and strands are constant there, so
     # the residue is too, and as b - a > 2W the stars W inside both ends lie
@@ -704,26 +701,32 @@ def _try_composite(g, group, comp_of):
     return shared, _normalized_template(g, darts)
 
 
-def _emit_strands(g, group, sign, anchor, acc):
-    """Turn each drifting quotient cycle into |drift| outward rays lifted at
-    the anchor and the next shifts outward; take each cycle's group sum (a
-    one-period path family) off the residue in acc. _cycle_to_piece pulls
-    the rays back along the walks that join them to the data."""
+def _lift_strands(g, group, sign, anchor):
+    """Each drifting quotient cycle of the group, turned to run outward, as
+    (weight, its pass lifted at the anchor, its |drift| rays from the anchor
+    and the next shifts outward). The caller takes the pass's group sum (a
+    one-period path family) off the residue; _cycle_to_piece pulls the rays
+    back along the walks that join them to the data."""
     out = []
     for wgt, delta, steps in sorted(group):
         if (delta > 0) != (sign > 0):
             steps = [(n, not f) for n, f in reversed(steps)]
-            delta = -delta
-            wgt = -wgt
+            delta, wgt = -delta, -wgt
         lifted, s_v, _e = _lift_cycle(g, steps, anchor)
-        lo, hi = (0, None) if sign > 0 else (None, 0)
-        _take_off(acc, wgt, lifted, lo, hi)
-        for r in range(abs(delta)):
-            k = r if sign > 0 else -r
-            ray = shift_id(Ray(s_v, (), tuple(lifted), delta), k)
-            end = g.end_of_ray(ray)
-            out.append((wgt, ray, ray.start, end))
+        ray = Ray(s_v, (), tuple(lifted), delta)
+        out.append((wgt, lifted, [shift_id(ray, r * sign) for r in range(abs(delta))]))
     return out
+
+
+def _rays_meet(lifted):
+    """Whether two of one group's lifted rays share an edge, tested by
+    residues (graph.first_shared) as EndCircle.check tests a circle's rays.
+    A cycle's own rays lie on distinct residues of its drift, rays of other
+    components use other edge classes, and the other side's rays lie past
+    the other anchor, so only rays of two cycles of one group on one side
+    can meet."""
+    lines = [(*d.edge, ray.shift) for _w, _l, rays in lifted for ray in rays for d in ray.repeat]
+    return first_shared((), lines) is not None
 
 
 # -- the finite stage --------------------------------------------------------
@@ -773,12 +776,12 @@ def _finish_finite(g, resid, strands):
     node_list = sorted(nodes, key=sort_key)
     pieces = []
     for m, steps in _flow_cycles(node_list, arcs, weight, order=arc_key):
-        piece = _cycle_to_piece(g, arcs, strands, steps)
+        piece = _cycle_to_piece(arcs, strands, steps)
         pieces.append((m, piece))
     return pieces
 
 
-def _cycle_to_piece(g, arcs, strands, steps):
+def _cycle_to_piece(arcs, strands, steps):
     node_seq = []
     node = None
     for key, fwd in steps:
@@ -817,12 +820,7 @@ def _cycle_to_piece(g, arcs, strands, steps):
             if kind != "e":
                 raise InternalError("unexpected ray stub inside a segment")
             middle.append(Dart(payload, fwd))
-    piece = EndCircle(tuple(segments))
-    try:
-        piece.check(g)
-    except FormatError:
-        raise _RetryStrands()
-    return piece
+    return EndCircle(tuple(segments))
 
 
 def _pulled_back(back, middle, fwd):

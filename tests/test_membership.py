@@ -42,6 +42,7 @@ from endcycle.membership import (
 from endcycle.vectors import EdgeVector, parse_vector_text
 
 from conftest import CHORDS, LADDER
+from test_properties import constructed_member
 
 RAIL_DIFFERENCE = """\
 tail+ rail_top from 0 = 1
@@ -288,26 +289,40 @@ def test_tampered_drift_and_rail_certificates_rejected(ladder):
     assert kinds == {"coefficient", "family bound", "ray repeat dart"}
 
 
+# constructed members where the rule picks strands for a group whose rays
+# would share an edge (on both sides for periodic-z 34707), so that group
+# is composed within the one peel
+RAYS_MEET = [("periodic-z", seed) for seed in (2161, 6448, 11384, 17395, 22287, 26660,
+                                                34707, 39677)] + [("periodic-n", 8311)]
+
+
 def test_each_decision_assembles_one_pass(monkeypatch, ladder, chords):
-    # composite or strands is chosen per drifting group inside the one
-    # pass, so no decision builds a second pass to compare against
+    # composite or strands is chosen per drifting group before anything is
+    # taken off, so no decision peels or builds a second pass
     calls = []
-    assemble = membership._assemble
 
-    def counting(*args):
-        calls.append(args)
-        return assemble(*args)
+    def counting(name):
+        inner = getattr(membership, name)
 
-    monkeypatch.setattr(membership, "_assemble", counting)
+        def call(*args):
+            calls.append(name)
+            return inner(*args)
+        return call
+
+    for name in ("_assemble", "_peel_runs"):
+        monkeypatch.setattr(membership, name, counting(name))
     cases = [(g, vec) for g, vec, _cert in _drift_members()]
     cases.append((ladder, parse_vector_text(ladder, RAIL_DIFFERENCE)))
     cases.append((chords, parse_vector_text(chords, CHORD_RAIL_LOOP)))
+    tie = graph_from_text(OVERLAPPING_STRANDS)
+    cases.append((tie, parse_vector_text(tie, OVERLAPPING_TAILS)))
+    cases += [constructed_member(seed, kind) for kind, seed in RAYS_MEET]
     for g, vec in cases:
         del calls[:]
         cert = is_member(g, vec)
-        assert len(calls) == 1
+        assert sorted(calls) == ["_assemble", "_peel_runs"]
         assert isinstance(cert, Member)
-        assert verify_certificate(g, vec, cert)
+        assert verify_certificate(g, vec, certificate_from_json(g, certificate_to_json(cert)))
 
 
 # the minimal repro of the mended fault F1: on the one-ended lattice these
@@ -337,7 +352,7 @@ def test_one_ended_drift_repro_is_a_member():
 
 # drawn by the constructed-member property test: the - tails hold a
 # drifting group of flux 2 and two unit copies, so the rule picks strands,
-# and their end rays overlap from every anchor tried
+# but the two copies' rays would share an edge, so the group is composed
 OVERLAPPING_STRANDS = """\
 graph tie
 kind periodic-z
@@ -349,14 +364,19 @@ edge e3 : c2[1] -> c1[2]
 edge e4 : c1[2] -> c2[0]
 edge e5 : c1[1] -> c2[1]
 """
+OVERLAPPING_TAILS = """\
+tail+ e1 from 6 = -1
+tail+ e2 from 5 = 1
+tail+ e3 from 5 = 1
+tail- e3 from 4 = 2
+tail- e4 from 6 = 1
+tail+ e5 from 0 = 1
+tail- e5 from -1 = 1"""
 
 
 def test_overlapping_strands_fall_back_to_composites():
     g = graph_from_text(OVERLAPPING_STRANDS)
-    vec = parse_vector_text(g, "tail+ e1 from 6 = -1\ntail+ e2 from 5 = 1\n"
-                               "tail+ e3 from 5 = 1\ntail- e3 from 4 = 2\n"
-                               "tail- e4 from 6 = 1\ntail+ e5 from 0 = 1\n"
-                               "tail- e5 from -1 = 1")
+    vec = parse_vector_text(g, OVERLAPPING_TAILS)
     cert = is_member(g, vec)
     assert isinstance(cert, Member)
     assert verify_certificate(g, vec, cert)

@@ -1064,8 +1064,8 @@ def constructed_member(seed, kind="periodic-z"):
 # their end rays
 @example(18849)
 @example(37643)
-# the strands of the rule's pass overlap, and the pass is rebuilt with the
-# composite wherever one lays out
+# the rule picks strands, but two of the - group's rays would share an
+# edge, so that group is composed
 @example(2161)
 def test_constructed_members_decide_and_verify(seed):
     g, vec = constructed_member(seed)
