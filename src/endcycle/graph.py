@@ -665,9 +665,12 @@ class Graph:
         self._ends = tuple(EndId(ray.direction, k) for ray in self._rays.values()
                            for k in range(ray.end_count))
         self._comp_cache = None
-        # facts membership derives from the graph alone, filled on first use:
-        # per-end crossing counts and connector paths per hub class
+        # facts membership derives from the graph alone, filled on first use
+        # so that no decision takes them again: per-end crossing counts, the
+        # quotient multigraph (class components, sorted classes, arcs and
+        # arc lists per class) and connector paths per hub class
         self._flux_counts = None
+        self._quotient = None
         self._connector_cache = {}
         self._pieces_cache = {}
         self._joined_cache = {}

@@ -48,6 +48,14 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      circle's rays are pulled back by the whole periods its middle walk
      repeats, so the middle holds only the walk through the data.
 
+What depends on the graph alone is taken once per graph and kept on it:
+the crossing counts of step 2, the quotient multigraph of step 3 (class
+components, sorted classes, arcs and arc lists per class) and the connector
+paths per hub class. A decision builds only what its input uses: a side
+without tails lays out nothing, a group's strands are lifted only when they
+are kept or their rays must be tested, and the values of inner runs are read
+only when there is one.
+
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
 construction succeeds. It would raise InternalError only if a group whose
 rays share an edge did not stitch, and the self-check then refused the
@@ -63,7 +71,6 @@ returned (_decomposition_holds)."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,7 +99,6 @@ from .graph import (
     KIND_PERIODIC_N,
     Dart,
     EdgeId,
-    EndId,
     Ray,
     UnionFind,
     VertexId,
@@ -247,17 +253,45 @@ def _tail_circulation(g, vec, direction):
     return out
 
 
-def _flow_cycles(nodes, arcs, weight, order=None):
-    """Greedy decomposition of a conservative integer flow into node-simple
-    cycles. arcs: key -> (tail, head); nodes must come pre-ordered. Returns
-    a list of (weight>0, steps) with steps a tuple of (key, forward)."""
-    w = {k: v for k, v in weight.items() if v}
-    by_tail = {}
-    by_head = {}
+def _quotient(g):
+    """The quotient multigraph, taken once per graph: each cell class mapped
+    to the smallest class name of its component (the component's hub), the
+    classes sorted, the arcs name -> (tail class, head class), and the arcs
+    out of and into each class in name order (_arc_lists)."""
+    if g._quotient is None:
+        uf = UnionFind(g.spec.cell_classes)
+        arcs = {}
+        for ec in g.cell_edge_classes:
+            uf.union(ec.tail_cls, ec.head_cls)
+            arcs[ec.name] = (ec.tail_cls, ec.head_cls)
+        comp_of = {c: min(grp) for grp in uf.groups().values() for c in grp}
+        g._quotient = comp_of, sorted(g.spec.cell_classes), arcs, _arc_lists(arcs)
+    return g._quotient
+
+
+def _arc_lists(arcs, order=None):
+    """The arcs out of and into each node, in the key order given."""
+    by_tail, by_head = {}, {}
     for key in sorted(arcs, key=order):
         t, h = arcs[key]
         by_tail.setdefault(t, []).append(key)
         by_head.setdefault(h, []).append(key)
+    return by_tail, by_head
+
+
+def _flow_cycles(nodes, arcs, weight, order=None):
+    """Greedy decomposition of a conservative integer flow into node-simple
+    cycles. arcs: key -> (tail, head); nodes must come pre-ordered. Returns
+    a list of (weight>0, steps) with steps a tuple of (key, forward)."""
+    return _walk_cycles(nodes, arcs, _arc_lists(arcs, order), weight)
+
+
+def _walk_cycles(nodes, arcs, lists, weight):
+    """_flow_cycles over arc lists (by tail, by head) built beforehand: once
+    per graph for the quotient, in the finite stage's one pass over its
+    arcs."""
+    w = {k: v for k, v in weight.items() if v}
+    by_tail, by_head = lists
 
     # an arc keeps the sign of its weight until it empties, and the arcs on
     # a node-simple walk never leave its current node, so the remaining
@@ -356,15 +390,6 @@ def _normalized_template(g, darts):
     return FiniteCircuit(tuple(shift_id(d, -mn) for d in darts))
 
 
-def _class_components(g):
-    """Each cell class mapped to the smallest class name of its component
-    in the quotient graph."""
-    uf = UnionFind(g.spec.cell_classes)
-    for ec in g.cell_edge_classes:
-        uf.union(ec.tail_cls, ec.head_cls)
-    return {c: min(grp) for grp in uf.groups().values() for c in grp}
-
-
 def _connector_paths(g, hub):
     """For every class in hub's component, a dart path from (class, 0) to
     the hub class at road_off, by breadth-first search over (class, offset)
@@ -452,17 +477,12 @@ def _stacked_order(copies):
     return order, sum(d for d, _s in order)
 
 
-def _build_composite(g, copies, comp_of):
+def _build_composite(g, copies):
     """Stitch unit-weight drifting cycles (total drift zero) into one closed
     drift-free circuit via connector paths to the component's hub class,
     laid out from the hub at offset 0. Returns the dart list or None when
     no edge-injective layout exists."""
-    hub = min(
-        c
-        for c in g.spec.cell_classes
-        if comp_of[c] == comp_of[_cycle_class(g, copies[0][1])]
-    )
-    paths = _connector_paths(g, hub)
+    paths = _connector_paths(g, _quotient(g)[0][_cycle_class(g, copies[0][1])])
     for ordering in (_balanced_order, _stacked_order):
         order, acc = ordering(copies)
         if acc != 0:
@@ -516,13 +536,15 @@ def _take_off(acc, coeff, darts, lo, hi):
                -coeff, lo, hi)
 
 
-def _quotient_layout(g, tau, comp_of):
+def _quotient_layout(g, tau):
     """A run's quotient circulation as its flat templates, {canonical steps:
     (merged weight, normalized template)}, and its drifting cycles per
     component, sorted (weight, drift, canonical steps)."""
-    arcs = {ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes}
     flat, drifting = {}, {}
-    for wgt, steps in _flow_cycles(sorted(g.spec.cell_classes), arcs, tau):
+    if not tau:
+        return flat, drifting
+    comp_of, classes, arcs, lists = _quotient(g)
+    for wgt, steps in _walk_cycles(classes, arcs, lists, tau):
         key = _canonical(steps)
         d = _cycle_drift(g, steps)
         if d:
@@ -556,7 +578,12 @@ def _peel_runs(g, vec):
     strands = []  # (weight, Ray, start VertexId, EndId)
     acc = _Breakpoints(g)
     acc.add(vec)
-    comp_of = _class_components(g) if g.spec.cell_classes else {}
+    composed = {}  # a mirrored pair is composed once
+
+    def composite(group):
+        if group not in composed:
+            composed[group] = _compose(g, group)
+        return composed[group]
 
     def peel(built, run):
         for coeff, template in built:
@@ -565,7 +592,7 @@ def _peel_runs(g, vec):
                 _peel(acc, entries, coeff, template, *bounds)
 
     (plus_flat, plus_drift), (minus_flat, minus_drift) = (
-        _quotient_layout(g, _tail_circulation(g, vec, d), comp_of) for d in "+-")
+        _quotient_layout(g, _tail_circulation(g, vec, d)) for d in "+-")
     for key in sorted(set(plus_flat) | set(minus_flat)):
         wp, template = plus_flat.get(key) or (0, minus_flat[key][1])
         wm = minus_flat.get(key, (0,))[0]
@@ -575,8 +602,6 @@ def _peel_runs(g, vec):
                 peel([(wgt, template)], run)
 
     anchors = {1: cuts[-1] + margin, -1: cuts[0] - margin}
-    # a mirrored pair is composed once
-    composite = functools.lru_cache()(lambda group: _compose(g, group, comp_of))
     for comp in sorted(set(plus_drift) | set(minus_drift)):
         cp, cm = plus_drift.get(comp, ()), minus_drift.get(comp, ())
         if cp == cm and _fits_between_anchors(cp, anchors[1] - anchors[-1]) and composite(cp):
@@ -585,9 +610,13 @@ def _peel_runs(g, vec):
         for sign, group in ((1, cp), (-1, cm)):
             if not group:
                 continue
-            lifted = _lift_strands(g, group, sign, anchors[sign])
-            if (_composite_is_smaller(group) or _rays_meet(lifted)) and composite(group):
-                peel(composite(group), sign)
+            # the strands are lifted only to be kept or to test their rays
+            built = _composite_is_smaller(group) and composite(group)
+            if not built:
+                lifted = _lift_strands(g, group, sign, anchors[sign])
+                built = _rays_meet(lifted) and composite(group)
+            if built:
+                peel(built, sign)
                 continue
             outward = (0, None) if sign > 0 else (None, 0)
             for wgt, darts, rays in lifted:
@@ -598,15 +627,15 @@ def _peel_runs(g, vec):
     # the residue is too, and as b - a > 2W the stars W inside both ends lie
     # in the run: unless static edges attach to all of them, its values
     # form a quotient circulation
-    mid = acc.vector()
+    mid = acc.vector() if inner else None
     for a, b in inner:
         tau = {ec.name: v for ec in g.cell_edge_classes if (v := mid.value_at(ec.name, a))}
         if not tau or not _conserves(g, tau):
             continue
-        flat, drifting = _quotient_layout(g, tau, comp_of)
+        flat, drifting = _quotient_layout(g, tau)
         peel([flat[key] for key in sorted(flat)], (a, b))
         for _comp, group in sorted(drifting.items()):
-            peel(_compose(g, group, comp_of) or [], (a, b))
+            peel(_compose(g, group) or [], (a, b))
     resid = acc.vector()
     if resid.tails:
         raise InternalError("tails survived the peeling stage")
@@ -660,7 +689,7 @@ def _fits_between_anchors(group, gap):
     return _passes(group) * min(len(s) for _w, _d, s in group) <= rays * gap
 
 
-def _compose(g, group, comp_of):
+def _compose(g, group):
     """A drifting group as drift-free composites, [(coeff, template)], or
     None when it does not stitch whole. It stitches whole when its drift is
     zero and either one composite lays out (_try_composite) or it splits into
@@ -669,7 +698,7 @@ def _compose(g, group, comp_of):
     Only groups with at most _COMPOSITE_LEN_CAP sub-multisets are split."""
     if sum(wgt * delta for wgt, delta, _s in group):
         return None
-    whole = _try_composite(g, group, comp_of)
+    whole = _try_composite(g, group)
     if whole is not None:
         return [whole]
     weights = tuple(wgt for wgt, _d, _s in group)
@@ -679,15 +708,15 @@ def _compose(g, group, comp_of):
         sub = [(t, delta, steps) for t, (_w, delta, steps) in zip(take, group) if t]
         if not sub or take == weights or sum(t * delta for t, delta, _s in sub):
             continue
-        built = _try_composite(g, sub, comp_of)
+        built = _try_composite(g, sub)
         if built is not None:
             rest = [(w - t, delta, steps) for t, (w, delta, steps) in zip(take, group) if w > t]
-            more = _compose(g, rest, comp_of)
+            more = _compose(g, rest)
             return None if more is None else [built] + more
     return None
 
 
-def _try_composite(g, group, comp_of):
+def _try_composite(g, group):
     """Common weight times one stitched drift-free template, or None. A
     group whose _passes(group) unit passes of its shortest cycle already
     exceed _COMPOSITE_LEN_CAP is refused before any copy is made."""
@@ -695,7 +724,7 @@ def _try_composite(g, group, comp_of):
         return None
     shared = math.gcd(*(wgt for wgt, _d, _s in group))
     copies = [(delta, steps) for wgt, delta, steps in group for _ in range(wgt // shared)]
-    darts = _build_composite(g, copies, comp_of)
+    darts = _build_composite(g, copies)
     if darts is None:
         return None
     return shared, _normalized_template(g, darts)
@@ -733,74 +762,45 @@ def _rays_meet(lifted):
 
 
 def _finish_finite(g, resid, strands):
-    arcs = {}
-    weight = {}
-    nodes = set()
-    for e, val in resid.vals.items():
-        t, h = g.endpoints(e)
-        arcs[("e", e)] = (t, h)
-        weight[("e", e)] = val
-        nodes.add(t)
-        nodes.add(h)
-    for i, (wgt, ray, start, end) in enumerate(strands):
-        arcs[("s", i)] = (start, end)
-        weight[("s", i)] = wgt
-        nodes.add(start)
-        nodes.add(end)
-
-    # conservation must already hold; a failure here is a pipeline bug
-    flux = {}
-    for key, (t, h) in arcs.items():
-        w = weight[key]
-        flux[t] = flux.get(t, 0) + w
-        flux[h] = flux.get(h, 0) - w
-    bad = [n for n, f in flux.items() if f and isinstance(n, VertexId)]
-    if bad:
-        raise InternalError("finite stage is not conservative at %s"
-                            % bad[0].label())
-    bad = [n for n, f in flux.items() if f and isinstance(n, EndId)]
-    if bad:
-        raise InternalError("ray stubs into %s do not balance" % (bad[0],))
-
-    def sort_key(n):
-        if isinstance(n, EndId):
-            return (1, n.direction, n.rank)
-        return (0,) + vertex_key(n)
-
-    def arc_key(key):
-        kind, payload = key
-        if kind == "e":
-            return (0, edge_key(payload))
-        return (1, payload)
-
-    node_list = sorted(nodes, key=sort_key)
-    pieces = []
-    for m, steps in _flow_cycles(node_list, arcs, weight, order=arc_key):
-        piece = _cycle_to_piece(arcs, strands, steps)
-        pieces.append((m, piece))
-    return pieces
+    """Close the residue and the strands' ray stubs into finite circuits and
+    end circles. Arcs are keyed by EdgeId and by strand index, and one pass
+    lists them per node (edges in edge_key order, then the strands) and sums
+    each node's net flow. The flow must conserve: otherwise the first node
+    that does not balance, vertices in vertex_key order before ends, is
+    named in an InternalError, a pipeline bug."""
+    arcs, weight, net, by_tail, by_head = {}, {}, {}, {}, {}
+    edges = ((e, g.endpoints(e), resid.vals[e]) for e in sorted(resid.vals, key=edge_key))
+    stubs = ((i, (start, end), wgt) for i, (wgt, _ray, start, end) in enumerate(strands))
+    for key, (t, h), w in itertools.chain(edges, stubs):
+        arcs[key] = (t, h)
+        weight[key] = w
+        net[t] = net.get(t, 0) + w
+        net[h] = net.get(h, 0) - w
+        by_tail.setdefault(t, []).append(key)
+        by_head.setdefault(h, []).append(key)
+    ends = {end for _w, _r, _s, end in strands}
+    nodes = sorted(net.keys() - ends, key=vertex_key) + sorted(ends)
+    bad = next((n for n in nodes if net[n]), None)
+    if bad in ends:
+        raise InternalError("ray stubs into %s do not balance" % (bad,))
+    if bad is not None:
+        raise InternalError("finite stage is not conservative at %s" % bad.label())
+    return [(m, _cycle_to_piece(arcs, strands, ends, steps))
+            for m, steps in _walk_cycles(nodes, arcs, (by_tail, by_head), weight)]
 
 
-def _cycle_to_piece(arcs, strands, steps):
-    node_seq = []
-    node = None
-    for key, fwd in steps:
-        t, h = arcs[key]
-        node = h if fwd else t
-        node_seq.append(node)
-    virt = [i for i, n in enumerate(node_seq) if isinstance(n, EndId)]
+def _cycle_to_piece(arcs, strands, ends, steps):
+    """A cycle of the finite stage as a piece. Only strand arcs meet an end,
+    so a cycle through no end is a finite circuit of edge darts, and one
+    through ends alternates a strand out of an end, edge darts, and a strand
+    into the next end."""
+    node_seq = [arcs[key][1 if fwd else 0] for key, fwd in steps]
+    virt = [i for i, n in enumerate(node_seq) if n in ends]
     if not virt:
-        darts = []
-        for key, fwd in steps:
-            kind, payload = key
-            if kind != "e":
-                raise InternalError("ray stub in a finite circuit")
-            darts.append(Dart(payload, fwd))
-        return FiniteCircuit(tuple(darts))
+        return FiniteCircuit(tuple(Dart(key, fwd) for key, fwd in steps))
     if len(virt) != len(set(node_seq[i] for i in virt)):
         raise InternalError("a circle would pass twice through one end")
-    # rotate so the walk begins just after a visit to an end: then it
-    # alternates (ray out of the end, middle darts, ray into the next end)
+    # rotate so the walk begins just after a visit to an end
     k = virt[0] + 1
     steps = steps[k:] + steps[:k]
     node_seq = node_seq[k:] + node_seq[:k]
@@ -808,18 +808,14 @@ def _cycle_to_piece(arcs, strands, steps):
     back_ray = None
     middle = []
     for (key, fwd), node in zip(steps, node_seq):
-        if isinstance(node, EndId):
-            fwd_ray = _strand_ray(strands, (key, fwd))
-            segments.append(_pulled_back(back_ray, middle, fwd_ray))
+        if node in ends:
+            segments.append(_pulled_back(back_ray, middle, strands[key][1]))
             middle = []
             back_ray = None
         elif back_ray is None:
-            back_ray = _strand_ray(strands, (key, fwd))
+            back_ray = strands[key][1]
         else:
-            kind, payload = key
-            if kind != "e":
-                raise InternalError("unexpected ray stub inside a segment")
-            middle.append(Dart(payload, fwd))
+            middle.append(Dart(key, fwd))
     return EndCircle(tuple(segments))
 
 
@@ -850,13 +846,6 @@ def _periods_behind(ray, darts, flip):
             break
         i += 1
     return i // p
-
-
-def _strand_ray(strands, step):
-    (kind, idx), _fwd = step
-    if kind != "s":
-        raise InternalError("expected a ray stub at an end boundary")
-    return strands[idx][1]
 
 
 # -- verification ------------------------------------------------------------

@@ -28,7 +28,7 @@ from endcycle.circles import (
 from endcycle.cuts import HalfSpaceCut, cut_sum, star_cut
 from endcycle.errors import (FormatError, InternalError, NotARay, NotRepresentable, UnknownEdge,
                              UnknownVertex)
-from endcycle.graph import (EdgeId, Graph, Ray, first_shared, graph_from_text,
+from endcycle.graph import (EdgeId, EndId, Graph, Ray, first_shared, graph_from_text,
                             parse_dart_label, parse_vertex_label, vertex_key)
 from endcycle.membership import (
     Member,
@@ -323,6 +323,50 @@ def test_each_decision_assembles_one_pass(monkeypatch, ladder, chords):
         assert sorted(calls) == ["_assemble", "_peel_runs"]
         assert isinstance(cert, Member)
         assert verify_certificate(g, vec, certificate_from_json(g, certificate_to_json(cert)))
+
+
+def test_quotient_facts_are_taken_once_per_graph(monkeypatch):
+    # the class components and the quotient's arc lists depend on the graph
+    # alone: a second decision on the same graph builds neither again
+    unions = _counting(monkeypatch, membership, "UnionFind")
+    lists = _counting(monkeypatch, membership, "_arc_lists")
+    g = graph_from_text(OVERLAPPING_STRANDS)
+    vec = parse_vector_text(g, OVERLAPPING_TAILS)
+    for _ in range(2):
+        assert isinstance(is_member(g, vec), Member)
+        assert (unions[0], lists[0]) == (1, 1)
+
+
+def test_strands_are_lifted_only_to_be_kept_or_tested(monkeypatch):
+    # the one-sided drift walk's group, and the OVERLAPPING_STRANDS + group,
+    # are composed by the rule, so their strands are never lifted; the
+    # OVERLAPPING_STRANDS - group keeps strands by the rule, so they are
+    # lifted, and as their rays meet, the group is composed all the same
+    one_sided = list(_drift_members())[1][:2]
+    tie = graph_from_text(OVERLAPPING_STRANDS)
+    lifts = _counting(monkeypatch, membership, "_lift_strands")
+    composes = _counting(monkeypatch, membership, "_compose")
+    assert isinstance(is_member(*one_sided), Member)
+    assert (lifts[0], composes[0]) == (0, 1)
+    cert = is_member(tie, parse_vector_text(tie, OVERLAPPING_TAILS))
+    assert (lifts[0], composes[0]) == (1, 3)
+    assert not any(isinstance(p, EndCircle) for _c, p in cert.decomposition.entries)
+
+
+def test_finite_stage_names_the_first_node_that_does_not_balance(ladder):
+    # hand-made residues that no peel leaves: the error names the first
+    # vertex in vertex_key order, then the first end, whatever the order
+    # the arcs come in
+    for text in ("set rung[3] = 1\nset rung[0] = 1", "set rung[0] = 1\nset rail_top[5] = 2"):
+        resid = parse_vector_text(ladder, text)
+        with pytest.raises(InternalError, match=re.escape(
+                "finite stage is not conservative at bot[0]")):
+            membership._finish_finite(ladder, resid, [])
+    top = parse_vertex_label("top[0]")
+    stubs = [(1, None, top, EndId("-", 0)), (-1, None, top, EndId("+", 0))]
+    for order in (stubs, stubs[::-1]):
+        with pytest.raises(InternalError, match=re.escape("ray stubs into end+0 do not balance")):
+            membership._finish_finite(ladder, parse_vector_text(ladder, ""), order)
 
 
 # the minimal repro of the mended fault F1: on the one-ended lattice these

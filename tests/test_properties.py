@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from endcycle import chains as ch
 from endcycle import graph as graph_module
+from endcycle import membership
 from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
                               FiniteCircuit, RaySegment)
 from endcycle.errors import (EndcycleError, FormatError, InfiniteBoundarySupport,
@@ -1755,6 +1756,108 @@ def test_flow_cycles_match_reference(seed):
         for k, fwd in steps:
             total[k] += m if fwd else -m
     assert total == weight
+
+
+def _finish_finite_reference(g, resid, strands):
+    """membership._finish_finite as it was before its arcs were keyed by
+    EdgeId and strand index: tagged keys ("e", edge) and ("s", index),
+    sorted by tag, and conservation checked in a second pass; kept as the
+    reference for test_finite_stage_matches_reference."""
+    arcs = {}
+    weight = {}
+    nodes = set()
+    for e, val in resid.vals.items():
+        t, h = g.endpoints(e)
+        arcs[("e", e)] = (t, h)
+        weight[("e", e)] = val
+        nodes.add(t)
+        nodes.add(h)
+    for i, (wgt, ray, start, end) in enumerate(strands):
+        arcs[("s", i)] = (start, end)
+        weight[("s", i)] = wgt
+        nodes.add(start)
+        nodes.add(end)
+
+    flux = {}
+    for key, (t, h) in arcs.items():
+        w = weight[key]
+        flux[t] = flux.get(t, 0) + w
+        flux[h] = flux.get(h, 0) - w
+    bad = [n for n, f in flux.items() if f and isinstance(n, VertexId)]
+    if bad:
+        raise InternalError("finite stage is not conservative at %s" % bad[0].label())
+    bad = [n for n, f in flux.items() if f and isinstance(n, EndId)]
+    if bad:
+        raise InternalError("ray stubs into %s do not balance" % (bad[0],))
+
+    def sort_key(n):
+        if isinstance(n, EndId):
+            return (1, n.direction, n.rank)
+        return (0,) + graph_module.vertex_key(n)
+
+    def arc_key(key):
+        kind, payload = key
+        if kind == "e":
+            return (0, graph_module.edge_key(payload))
+        return (1, payload)
+
+    node_list = sorted(nodes, key=sort_key)
+    return [(m, _cycle_to_piece_reference(arcs, strands, steps))
+            for m, steps in _flow_cycles_reference(node_list, arcs, weight, order=arc_key)]
+
+
+def _cycle_to_piece_reference(arcs, strands, steps):
+    node_seq = []
+    for key, fwd in steps:
+        t, h = arcs[key]
+        node_seq.append(h if fwd else t)
+    virt = [i for i, n in enumerate(node_seq) if isinstance(n, EndId)]
+    if not virt:
+        darts = []
+        for (kind, payload), fwd in steps:
+            if kind != "e":
+                raise InternalError("ray stub in a finite circuit")
+            darts.append(Dart(payload, fwd))
+        return FiniteCircuit(tuple(darts))
+    if len(virt) != len(set(node_seq[i] for i in virt)):
+        raise InternalError("a circle would pass twice through one end")
+    k = virt[0] + 1
+    steps = steps[k:] + steps[:k]
+    node_seq = node_seq[k:] + node_seq[:k]
+    segments = []
+    back_ray = None
+    middle = []
+    for ((kind, payload), fwd), node in zip(steps, node_seq):
+        if isinstance(node, EndId):
+            if kind != "s":
+                raise InternalError("expected a ray stub at an end boundary")
+            segments.append(membership._pulled_back(back_ray, middle, strands[payload][1]))
+            middle = []
+            back_ray = None
+        elif back_ray is None:
+            if kind != "s":
+                raise InternalError("expected a ray stub at an end boundary")
+            back_ray = strands[payload][1]
+        else:
+            if kind != "e":
+                raise InternalError("unexpected ray stub inside a segment")
+            middle.append(Dart(payload, fwd))
+    return EndCircle(tuple(segments))
+
+
+@pytest.mark.parametrize("kind", ["periodic-z", "periodic-n"])
+def test_finite_stage_matches_reference(kind):
+    """The finite stage against its form with tagged keys, on the residue
+    and strands that the peel leaves of constructed members: the same
+    pieces in the same order. Some draws keep strands on each kind."""
+    with_strands = 0
+    for seed in range(200):
+        g, vec = constructed_member(seed, kind)
+        _entries, strands, resid = membership._peel_runs(g, vec)
+        with_strands += bool(strands)
+        got = membership._finish_finite(g, resid, strands)
+        assert got == _finish_finite_reference(g, resid, strands), seed
+    assert with_strands >= 5
 
 
 # -- the verdict of steps 1 and 2 against is_member's ---------------------------
