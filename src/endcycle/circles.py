@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .graph import Dart, EdgeId, Ray, VertexId, first_shared, json_list, shift_id
+from .graph import Dart, EdgeId, Ray, VertexId, first_shared, json_int, json_list, shift_id
 from .vectors import EdgeVector, _Counts
 
 
@@ -212,9 +212,7 @@ def dart_to_json(d: Dart):
 def dart_from_json(obj) -> Dart:
     if not isinstance(obj, dict) or not isinstance(obj.get("edge"), str):
         raise FormatError("bad dart object %r" % (obj,))
-    idx = obj.get("index")
-    if idx is not None and not isinstance(idx, int):
-        raise FormatError("dart index must be an integer")
+    idx = json_int(obj, "index", "dart", null=True)
     fwd = obj.get("forward", True)
     if not isinstance(fwd, bool):
         raise FormatError("dart 'forward' must be a boolean")
@@ -239,13 +237,11 @@ def ray_from_json(obj) -> Ray:
     st = obj["start"]
     if not isinstance(st, dict) or not isinstance(st.get("class"), str):
         raise FormatError("bad ray start %r" % (st,))
-    if not isinstance(obj.get("shift"), int):
-        raise FormatError("ray shift must be an integer")
     return Ray(
-        VertexId(st["class"], st.get("index")),
+        VertexId(st["class"], json_int(st, "index", "ray start", null=True)),
         tuple(dart_from_json(d) for d in json_list(obj, "initial", "ray")),
         tuple(dart_from_json(d) for d in json_list(obj, "repeat", "ray")),
-        obj["shift"],
+        json_int(obj, "shift", "ray"),
     )
 
 
@@ -302,16 +298,12 @@ def piece_from_json(obj):
             tuple(dart_from_json(d) for d in json_list(obj, "darts", "circuit"))
         )
     if typ == "family":
-        lo, hi = obj.get("lo"), obj.get("hi")
-        for b in (lo, hi):
-            if b is not None and not isinstance(b, int):
-                raise FormatError("family bounds must be integers or null")
         return CircuitFamily(
             FiniteCircuit(
                 tuple(dart_from_json(d) for d in json_list(obj, "template", "family"))
             ),
-            lo,
-            hi,
+            json_int(obj, "lo", "family", null=True),
+            json_int(obj, "hi", "family", null=True),
         )
     if typ == "double-ray":
         return EndCircle((_segment_from_json(obj),))
@@ -341,8 +333,6 @@ def decomposition_from_json(obj) -> CircleDecomposition:
     for item in json_list(obj, "circles", "decomposition"):
         if not isinstance(item, dict):
             raise FormatError("bad circle entry %r" % (item,))
-        coeff = item.get("coeff", 1)
-        if not isinstance(coeff, int):
-            raise FormatError("circle coefficient must be an integer")
+        coeff = json_int(item, "coeff", "circle") if "coeff" in item else 1
         entries.append((coeff, piece_from_json(item)))
     return CircleDecomposition(tuple(entries))

@@ -61,18 +61,8 @@ def _emit(args, payload, lines):
 
 def _oracle_radius(g, vec, args):
     if args.radius is not None:
-        r = args.radius
-    else:
-        r = vec.support_bound() + 2 * g.D + 2
-    cap = os.environ.get("ENDCYCLE_MAX_RADIUS")
-    if cap is not None:
-        try:
-            r = min(r, int(cap))
-        except ValueError:
-            raise _CliError(
-                "ENDCYCLE_MAX_RADIUS must be an integer, got %r" % cap
-            )
-    return max(0, r)
+        return max(0, args.radius)
+    return vec.support_bound() + 2 * g.D + 2
 
 
 def _run_oracle(g, vec, verdict_member, args):

@@ -1,14 +1,12 @@
 """Oriented cuts and their crossing sums.
 
 A cut is one side X of a vertex bipartition with finitely many crossing
-edges. Three shapes cover everything this package needs:
+edges. Two shapes cover everything this package needs:
 
   FiniteSetCut   X is an explicit finite vertex set.
   HalfSpaceCut   X is a union of half spaces (one per chosen end, beyond a
                  truncation radius), symmetric-differenced with a finite
                  delta set.
-  ClassSetCut    X is a union of whole vertex classes plus cap vertices.
-                 Finite only when no repeating edge class crosses.
 
 Crossing darts are oriented out of X, and cut_sum adds the vector over them.
 """
@@ -17,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, InfiniteCut
+from .errors import FormatError
 from .graph import (
     Dart,
     EdgeId,
     EndId,
     VertexId,
-    dart_key,
     end_key,
+    json_int,
     json_list,
     vertex_key,
 )
@@ -61,19 +59,6 @@ class HalfSpaceCut:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class ClassSetCut:
-    classes: tuple = ()
-    caps: tuple = ()
-
-    def describe(self):
-        names = list(self.classes) + list(self.caps)
-        return "X = every vertex of class {%s}" % ", ".join(names)
-
-    def __str__(self):
-        return self.describe()
-
-
 def _check_cut(g, cut):
     if isinstance(cut, FiniteSetCut):
         for v in cut.vertices:
@@ -87,13 +72,6 @@ def _check_cut(g, cut):
             raise FormatError("duplicate end in cut")
         for v in cut.delta:
             g.require_vertex(v)
-    elif isinstance(cut, ClassSetCut):
-        for c in cut.classes:
-            if c not in g._cell_set:
-                raise FormatError("unknown vertex class %r in cut" % c)
-        for c in cut.caps:
-            if c not in g._cap_set:
-                raise FormatError("unknown cap vertex %r in cut" % c)
     else:
         raise FormatError("not a cut: %r" % (cut,))
 
@@ -106,21 +84,12 @@ def cut_contains(g, cut, v) -> bool:
     if isinstance(cut, HalfSpaceCut):
         base = any(g.in_half_space(v, e, cut.radius) for e in cut.ends)
         return base != (v in cut.delta)
-    if isinstance(cut, ClassSetCut):
-        if v.index is None:
-            return v.cls in cut.caps
-        return v.cls in cut.classes
     raise FormatError("not a cut: %r" % (cut,))
 
 
 def cut_edges(g, cut):
-    """The finite list of crossing darts, oriented out of X.
-
-    Raises InfiniteCut when a ClassSetCut is crossed by a repeating edge
-    class (then infinitely many instances cross at once)."""
+    """The finite list of crossing darts, oriented out of X."""
     _check_cut(g, cut)
-    if isinstance(cut, ClassSetCut):
-        return _class_cut_edges(g, cut)
     if isinstance(cut, FiniteSetCut):
         cand = set()
         for v in cut.vertices:
@@ -158,29 +127,6 @@ def cut_edges(g, cut):
         elif hin and not tin:
             out.append(Dart(e, False))
     return tuple(out)
-
-
-def _class_cut_edges(g, cut):
-    cls_in = set(cut.classes)
-    caps_in = set(cut.caps)
-    for ec in g.cell_edge_classes:
-        tin = ec.tail_cls in cls_in
-        hin = ec.head_cls in cls_in
-        if tin != hin:
-            raise InfiniteCut(
-                "every instance of edge class %r crosses" % ec.name,
-                witness_class=ec.name,
-            )
-    out = []
-    for e in g.static_instances():
-        t, h = g.endpoints(e)
-        tin = (t.cls in caps_in) if t.index is None else (t.cls in cls_in)
-        hin = (h.cls in caps_in) if h.index is None else (h.cls in cls_in)
-        if tin and not hin:
-            out.append(Dart(e, True))
-        elif hin and not tin:
-            out.append(Dart(e, False))
-    return tuple(sorted(out, key=dart_key))
 
 
 def cut_sum(g, cut, vec) -> int:
@@ -284,10 +230,7 @@ def vertex_to_json(v: VertexId):
 def vertex_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("class"), str):
         raise FormatError("bad vertex object %r" % (obj,))
-    idx = obj.get("index")
-    if idx is not None and not isinstance(idx, int):
-        raise FormatError("vertex index must be an integer")
-    return VertexId(obj["class"], idx)
+    return VertexId(obj["class"], json_int(obj, "index", "vertex", null=True))
 
 
 def cut_to_json(cut):
@@ -307,12 +250,6 @@ def cut_to_json(cut):
                 vertex_to_json(v) for v in sorted(cut.delta, key=vertex_key)
             ],
         }
-    if isinstance(cut, ClassSetCut):
-        return {
-            "kind": "class-set",
-            "classes": list(cut.classes),
-            "caps": list(cut.caps),
-        }
     raise FormatError("not a cut: %r" % (cut,))
 
 
@@ -327,17 +264,10 @@ def cut_from_json(g, obj):
             )
         )
     elif kind == "half-space":
-        if not isinstance(obj.get("radius"), int):
-            raise FormatError("half-space cut needs an integer radius")
         cut = HalfSpaceCut(
             tuple(EndId.parse(e) for e in json_list(obj, "ends", "cut", True)),
-            obj["radius"],
+            json_int(obj, "radius", "half-space cut"),
             frozenset(vertex_from_json(v) for v in json_list(obj, "delta", "cut")),
-        )
-    elif kind == "class-set":
-        cut = ClassSetCut(
-            tuple(json_list(obj, "classes", "cut", True)),
-            tuple(json_list(obj, "caps", "cut", True)),
         )
     else:
         raise FormatError("unknown cut kind %r" % kind)

@@ -70,12 +70,6 @@ class NotRepresentable(EndcycleError):
     vector format (or the shift-periodic chain format)."""
 
 
-class InfiniteCut(EndcycleError):
-    def __init__(self, message, witness_class=None):
-        super().__init__(message)
-        self.witness_class = witness_class
-
-
 class NotInCycleSpace(EndcycleError):
     """Raised by decompose. Carries the violated cut as a certificate."""
 

@@ -809,14 +809,6 @@ class Graph:
         t, h = self.endpoints(d.edge)
         return (t, h) if d.forward else (h, t)
 
-    def shift_edge(self, e, k):
-        """The id of e moved k cells along the lattice (`shift_id`); e must
-        be of a cell class."""
-        ec = self._ec.get(e.cls)
-        if ec is None or ec.static:
-            raise UnknownEdge("edge %s cannot be shifted" % e.label())
-        return shift_id(e, k)
-
     def neighbors(self, v: VertexId):
         """Darts leaving v, with the vertex each one reaches, in dart_key
         order; read off the incidence table."""
@@ -1197,6 +1189,19 @@ def json_list(obj, key, what, strings=False):
     if strings and not all(isinstance(x, str) for x in items):
         raise FormatError("%s %r must list strings" % (what, key))
     return items
+
+
+def json_int(obj, key, what, null=False):
+    """obj[key] when it is an integer, or None when null is allowed and it
+    is absent or null; a boolean or anything else is a FormatError naming
+    what holds it."""
+    x = obj.get(key)
+    if x is None and null:
+        return None
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise FormatError("%s %r must be an integer%s"
+                          % (what, key, " or null" if null else ""))
+    return x
 
 
 def parse_dart_label(text) -> Dart:

@@ -88,7 +88,6 @@ from .circles import (
 from .errors import (
     FormatError,
     GraphMismatch,
-    InfiniteCut,
     InternalError,
     NotARay,
     NotInCycleSpace,
@@ -104,6 +103,7 @@ from .graph import (
     VertexId,
     edge_key,
     first_shared,
+    json_int,
     shift_id,
     vertex_key,
 )
@@ -451,23 +451,6 @@ def _reduce_backtracks(darts):
     return stack
 
 
-def _balanced_order(copies):
-    """Interleave signs so the accumulated drift stays near zero."""
-    pending = sorted(copies)
-    order = []
-    acc = 0
-    while pending:
-        want_pos = acc <= 0
-        pick = next(
-            (i for i, (d, _s) in enumerate(pending) if (d > 0) == want_pos),
-            0,
-        )
-        delta, steps = pending.pop(pick)
-        order.append((delta, steps))
-        acc += delta
-    return order, acc
-
-
 def _stacked_order(copies):
     """Keep copies of one cycle consecutive, so each lands at a fresh
     offset; positive drifts first, then the negatives ride back down."""
@@ -480,17 +463,14 @@ def _stacked_order(copies):
 def _build_composite(g, copies):
     """Stitch unit-weight drifting cycles (total drift zero) into one closed
     drift-free circuit via connector paths to the component's hub class,
-    laid out from the hub at offset 0. Returns the dart list or None when
-    no edge-injective layout exists."""
+    laid out once from the hub at offset 0 in _stacked_order. Returns the
+    dart list, or None when that layout is not edge-injective; _compose
+    then stitches the group per zero-drift subgroup."""
     paths = _connector_paths(g, _quotient(g)[0][_cycle_class(g, copies[0][1])])
-    for ordering in (_balanced_order, _stacked_order):
-        order, acc = ordering(copies)
-        if acc != 0:
-            raise InternalError("drifting cycles do not balance")
-        darts = _assemble_composite(g, order, paths)
-        if darts is not None:
-            return darts
-    return None
+    order, acc = _stacked_order(copies)
+    if acc != 0:
+        raise InternalError("drifting cycles do not balance")
+    return _assemble_composite(g, order, paths)
 
 
 def _assemble_composite(g, order, paths):
@@ -884,15 +864,12 @@ def verify_certificate(g, vec: EdgeVector, cert) -> bool:
     counts would evaluate more than vectors._ENTRY_CAP indices on one
     class: the rays of one class and direction repeat with a period past
     _ENTRY_CAP / 2, or their sum is not constant over a stretch that long.
-    For NonMember the cut must be finite and its crossing sum must match
-    the claim and be nonzero."""
+    For NonMember the cut's crossing sum must match the claim and be
+    nonzero."""
     if isinstance(cert, Member):
         return _decomposition_holds(g, vec, cert.decomposition)
     if isinstance(cert, NonMember):
-        try:
-            s = cuts.cut_sum(g, cert.cut, vec)
-        except InfiniteCut:
-            return False
+        s = cuts.cut_sum(g, cert.cut, vec)
         return s == cert.cut_sum and s != 0
     raise FormatError("not a certificate: %r" % (cert,))
 
@@ -932,7 +909,6 @@ def certificate_from_json(g, obj):
     if verdict == "member":
         return Member(decomposition_from_json(obj.get("decomposition", {})))
     if verdict == "non-member":
-        if not isinstance(obj.get("sum"), int):
-            raise FormatError("non-member certificate needs an integer sum")
-        return NonMember(cuts.cut_from_json(g, obj.get("cut")), obj["sum"])
+        s = json_int(obj, "sum", "non-member certificate")
+        return NonMember(cuts.cut_from_json(g, obj.get("cut")), s)
     raise FormatError("unknown verdict %r" % verdict)

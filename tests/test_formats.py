@@ -108,6 +108,9 @@ def _member(circle):
     return {"verdict": "member", "decomposition": {"circles": [{"coeff": 1, **circle}]}}
 
 
+STAR = {"kind": "finite-set", "vertices": [{"class": "top", "index": 0}]}
+
+
 def _non_member(cut):
     return {"verdict": "non-member", "cut": cut, "sum": 1}
 
@@ -133,6 +136,14 @@ MALFORMED_CERTIFICATES = {
     "half-space end not a string": _non_member({"kind": "half-space", "ends": [5], "radius": 3}),
     "half-space delta not a list": _non_member({"kind": "half-space", "ends": ["end+0"],
                                                "radius": 3, "delta": 5}),
+    "ray start index a string": _member({"type": "double-ray", "back": RAY, "forward": {
+        **RAY, "start": {"class": "top", "index": "0"}}}),
+    "circle coeff a boolean": _member({"type": "circuit", "darts": [DART], "coeff": True}),
+    "sum a boolean": {**_non_member(STAR), "sum": True},
+    "half-space radius a boolean": _non_member({"kind": "half-space", "ends": ["end+0"],
+                                               "radius": True}),
+    "vertex index a boolean": _non_member({"kind": "finite-set",
+                                          "vertices": [{"class": "top", "index": True}]}),
     "class-set classes not a list": _non_member({"kind": "class-set", "classes": 5}),
     "class-set caps not names": _non_member({"kind": "class-set", "classes": [], "caps": [[]]}),
 }

@@ -20,6 +20,7 @@ from endcycle.graph import (
     parse_dart_label,
     parse_edge_label,
     parse_vertex_label,
+    shift_id,
 )
 from endcycle.errors import (
     BadOffset,
@@ -51,19 +52,13 @@ def test_neighbors_and_shift(ladder):
     v = parse_vertex_label("top[0]")
     nb = {u.label() for _, u in ladder.neighbors(v)}
     assert nb == {"top[-1]", "top[1]", "bot[0]"}
-    assert ladder.shift_edge(EdgeId("rail_top", 1), -3) == EdgeId("rail_top", -2)
-
-
-def test_static_edges_do_not_shift(chords):
-    with pytest.raises(UnknownEdge):
-        chords.shift_edge(EdgeId("pos_first", None), 4)
 
 
 def test_shift_computes_ids_only(chords):
     # pos_step[-1] is off the one-ended lattice: the circle checks, not the
     # shift, decide whether an edge exists
-    assert chords.shift_edge(EdgeId("pos_step", -1), 1) == EdgeId("pos_step", 0)
-    assert chords.shift_edge(EdgeId("pos_step", 0), -1) == EdgeId("pos_step", -1)
+    assert shift_id(EdgeId("pos_step", -1), 1) == EdgeId("pos_step", 0)
+    assert shift_id(EdgeId("pos_step", 0), -1) == EdgeId("pos_step", -1)
     with pytest.raises(UnknownEdge):
         chords.require_edge(EdgeId("pos_step", -1))
 

@@ -325,6 +325,19 @@ def test_each_decision_assembles_one_pass(monkeypatch, ladder, chords):
         assert verify_certificate(g, vec, certificate_from_json(g, certificate_to_json(cert)))
 
 
+def test_each_composite_is_laid_out_once(monkeypatch):
+    # a composite is laid out in one order; when that layout fails, _compose
+    # stitches the group per zero-drift subgroup instead of trying another
+    builds = _counting(monkeypatch, membership, "_build_composite")
+    layouts = _counting(monkeypatch, membership, "_assemble_composite")
+    for seed in (0, 15, 25):
+        g, vec = constructed_member(seed, "periodic-z")
+        cert = is_member(g, vec)
+        assert isinstance(cert, Member)
+        assert verify_certificate(g, vec, certificate_from_json(g, certificate_to_json(cert)))
+    assert builds[0] and layouts[0] == builds[0]
+
+
 def test_quotient_facts_are_taken_once_per_graph(monkeypatch):
     # the class components and the quotient's arc lists depend on the graph
     # alone: a second decision on the same graph builds neither again
