@@ -682,9 +682,6 @@ class _Region:
         self.kept_roots = {self.win.find(g, r) for r in pair.kept}
         self.kept_ends = {e for e, root in self.win.roots.items() if root in self.kept_roots}
 
-    def has_vertex(self, v):
-        return v not in self.deleted and self.win.find(self.g, v) in self.kept_roots
-
     def has_ray(self, ray):
         """A ray is connected and its tail runs into its end, so it is kept
         when its end is and none of its vertices is deleted: no deleted

@@ -666,12 +666,12 @@ class Graph:
                            for k in range(ray.end_count))
         self._comp_cache = None
         # facts membership derives from the graph alone, filled on first use
-        # so that no decision takes them again: per-end crossing counts, the
-        # quotient multigraph (class components, sorted classes, arcs and
-        # arc lists per class) and connector paths per hub class
+        # so that no decision takes them again: per-end crossing counts, read
+        # off the stable classes, and the quotient multigraph (class
+        # components, sorted classes, arcs, arc lists per class and each
+        # class's road to its component's hub), from one spanning forest
         self._flux_counts = None
         self._quotient = None
-        self._connector_cache = {}
         self._pieces_cache = {}
         self._joined_cache = {}
 
@@ -768,6 +768,8 @@ class Graph:
         elif v.cls in self._cell_set:
             if v.index is None:
                 raise UnknownVertex("vertex class %r needs an index" % v.cls)
+            if type(v.index) is not int:
+                raise UnknownVertex("vertex index %r is not an integer" % (v.index,))
             if self.kind == KIND_PERIODIC_N and v.index < 0:
                 raise UnknownVertex("no vertex %s" % v.label())
         else:
@@ -791,6 +793,8 @@ class Graph:
         else:
             if e.index is None:
                 raise UnknownEdge("edge class %r needs an index" % e.cls)
+            if type(e.index) is not int:
+                raise UnknownEdge("edge index %r is not an integer" % (e.index,))
             if self.kind == KIND_PERIODIC_N and e.index < 0:
                 raise UnknownEdge("no edge %s" % e.label())
         return ec
@@ -800,8 +804,8 @@ class Graph:
         sees only an edge the table cannot place, and raises what is wrong
         with it."""
         ec = self._ec.get(e.cls)
-        if (ec is None or ec.static != (e.index is None)
-                or (self.kind == KIND_PERIODIC_N and not ec.static and e.index < 0)):
+        if ec is None or (e.index is not None if ec.static else type(e.index) is not int
+                          or e.index < 0 and self.kind == KIND_PERIODIC_N):
             self.require_edge(e)
         return ec.ends(e.index)
 

@@ -28,33 +28,37 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      template's length before the last but not before the first, and an
      inner family holds the members wholly inside its run. Drifting cycles
      are grouped per quotient component. A group of total drift zero is
-     stitched into a drift-free composite circuit via connector paths to a
-     hub class, or, when that one does not lay out, into one composite per
-     zero-drift subgroup. On an outer run a group may instead go to the end
-     stage as explicit rays (strands), one per residue class of the drift,
-     anchored the anchor margin past the input's last change (+) or below
-     its first (-), so shifting the input shifts them. A cycle or group
-     mirrored on both outer runs couples them: it first tries one two-sided
-     family, a group only when its composite is no longer than its strands
-     joined across the gap between the two anchors. Otherwise a group
-     becomes strands when its flux sum(w * |d|) (the unit ray stubs strands
-     carry) is at most sum(w) / gcd(w) (the unit cycle passes a composite
-     stitches), or when it does not stitch; a group whose strands' rays
-     would share an edge is composed instead when it stitches. The choice is
-     made per group before anything is taken off, so one pass is built. All
-     of it is taken off one breakpoint accumulator of the input.
+     stitched into a drift-free composite circuit via each class's road to
+     its component's hub class, or, when that one does not lay out, into
+     one composite per zero-drift subgroup. On an outer run a group may
+     instead go to the end stage as explicit rays (strands), one per residue
+     class of the drift, anchored the anchor margin past the input's last
+     change (+) or below its first (-), so shifting the input shifts them.
+     A cycle or group mirrored on both outer runs couples them: it first
+     tries one two-sided family, a group only when its composite is no
+     longer than its strands joined across the gap between the two anchors.
+     Otherwise a group becomes strands when its flux sum(w * |d|) (the unit
+     ray stubs strands carry) is at most sum(w) / gcd(w) (the unit cycle
+     passes a composite stitches), or when it does not stitch; a group whose
+     strands' rays would share an edge is composed instead when it
+     stitches. The choice is made per group before anything is taken off,
+     so one pass is built. All of it is taken off one breakpoint
+     accumulator of the input.
   4. What remains is a finite conservative flow plus ray stubs into ends;
      its cycle decomposition yields finite circuits and end circles. An end
      circle's rays are pulled back by the whole periods its middle walk
      repeats, so the middle holds only the walk through the data.
 
-What depends on the graph alone is taken once per graph and kept on it:
-the crossing counts of step 2, the quotient multigraph of step 3 (class
-components, sorted classes, arcs and arc lists per class) and the connector
-paths per hub class. A decision builds only what its input uses: a side
-without tails lays out nothing, a group's strands are lifted only when they
-are kept or their rays must be tested, and the values of inner runs are read
-only when there is one.
+What depends on the graph alone is taken once per graph and kept on it,
+read off the quotient: the crossing counts of step 2, from the stable class
+of each crossing edge's deeper end (no cut is enumerated), and the quotient
+multigraph of step 3 (class components, sorted classes, arcs and arc lists
+per class, and each class's road to its hub), from one breadth-first
+spanning forest whose tree paths are lifted once. So a first decision on a
+graph costs about what later ones do. A decision builds only what its input
+uses: a side without tails lays out nothing, a group's strands are lifted
+only when they are kept or their rays must be tested, and the values of
+inner runs are read only when there is one.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
 construction succeeds. It would raise InternalError only if a group whose
@@ -99,7 +103,6 @@ from .graph import (
     Dart,
     EdgeId,
     Ray,
-    UnionFind,
     VertexId,
     edge_key,
     first_shared,
@@ -230,14 +233,23 @@ def _flux_counts(g):
     once per graph. decompose cuts at radius >= R, past the data, where
     every crossing edge carries its tail value. The tails alone have a zero
     star at every vertex past r0 (step 1), so their cut sum is the same at
-    R and at radius: the flux is these counts times the tails."""
+    R and at radius: the flux is these counts times the tails. A class of
+    span s crosses R with its deeper end at depths 0 .. s-1 past R, and the
+    stable class there names the end whose half space holds it, if any
+    (Graph._end_past); no cut is enumerated."""
     if g._flux_counts is None:
         R = g.stabilization_radius + g.D + 2
-        g._flux_counts = {}
-        for e in g.ends():
-            row = g._flux_counts[e] = {}
-            for d in cuts.cut_edges(g, cuts.HalfSpaceCut((e,), R)):
-                row[d.edge.cls] = row.get(d.edge.cls, 0) + (1 if d.forward else -1)
+        counts = g._flux_counts = {e: {} for e in g.ends()}
+        for direction in g.directions():
+            sign = 1 if direction == "+" else -1
+            for ec in g.cell_edge_classes:
+                tail_deeper = sign * (ec.tail_pos - ec.head_pos) > 0
+                cls = ec.tail_cls if tail_deeper else ec.head_cls
+                for d in range(ec.span):
+                    end = g._end_past(VertexId(cls, sign * (R + 1 + d)), R)
+                    if end is not None:
+                        row = counts[end]
+                        row[ec.name] = row.get(ec.name, 0) + (1 if tail_deeper else -1)
     return g._flux_counts
 
 
@@ -256,16 +268,32 @@ def _tail_circulation(g, vec, direction):
 def _quotient(g):
     """The quotient multigraph, taken once per graph: each cell class mapped
     to the smallest class name of its component (the component's hub), the
-    classes sorted, the arcs name -> (tail class, head class), and the arcs
-    out of and into each class in name order (_arc_lists)."""
+    classes sorted, the arcs name -> (tail class, head class), the arcs out
+    of and into each class in name order (_arc_lists), and each class's road
+    (darts, road_off) from (class, 0) to (hub, road_off). One breadth-first
+    spanning forest over the incidence table gives the components and the
+    roads, each a tree path lifted once: a lift ends at the sum of its
+    arcs' offsets (the voltage-graph lift of Gross & Tucker)."""
     if g._quotient is None:
-        uf = UnionFind(g.spec.cell_classes)
-        arcs = {}
-        for ec in g.cell_edge_classes:
-            uf.union(ec.tail_cls, ec.head_cls)
-            arcs[ec.name] = (ec.tail_cls, ec.head_cls)
-        comp_of = {c: min(grp) for grp in uf.groups().values() for c in grp}
-        g._quotient = comp_of, sorted(g.spec.cell_classes), arcs, _arc_lists(arcs)
+        classes = sorted(g.spec.cell_classes)
+        comp_of, steps, roads = {}, {}, {}
+        for hub in classes:
+            if hub in comp_of:
+                continue
+            comp_of[hub], steps[hub], roads[hub] = hub, [], ((), 0)
+            queue = [hub]
+            for cls in queue:  # breadth first: the queue grows as it is read
+                for name, _pos, sign in g.cell_incidence[cls]:
+                    ec = g.edge_classes[name]
+                    other = ec.head_cls if sign > 0 else ec.tail_cls
+                    if other not in comp_of:
+                        # other's step toward the hub is forward when cls is the head
+                        comp_of[other], steps[other] = hub, [(name, sign < 0)] + steps[cls]
+                        darts, _s, end = _lift_cycle(g, steps[other])
+                        roads[other] = tuple(darts), end.index
+                        queue.append(other)
+        arcs = {ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes}
+        g._quotient = comp_of, classes, arcs, _arc_lists(arcs), roads
     return g._quotient
 
 
@@ -279,17 +307,12 @@ def _arc_lists(arcs, order=None):
     return by_tail, by_head
 
 
-def _flow_cycles(nodes, arcs, weight, order=None):
-    """Greedy decomposition of a conservative integer flow into node-simple
-    cycles. arcs: key -> (tail, head); nodes must come pre-ordered. Returns
-    a list of (weight>0, steps) with steps a tuple of (key, forward)."""
-    return _walk_cycles(nodes, arcs, _arc_lists(arcs, order), weight)
-
-
 def _walk_cycles(nodes, arcs, lists, weight):
-    """_flow_cycles over arc lists (by tail, by head) built beforehand: once
-    per graph for the quotient, in the finite stage's one pass over its
-    arcs."""
+    """Greedy decomposition of a conservative integer flow into node-simple
+    cycles. arcs: key -> (tail, head); nodes must come pre-ordered; lists are
+    the arcs by tail and by head (_arc_lists), built once per graph for the
+    quotient, in the finite stage's one pass over its arcs. Returns a list of
+    (weight > 0, steps) with steps a tuple of (key, forward)."""
     w = {k: v for k, v in weight.items() if v}
     by_tail, by_head = lists
 
@@ -358,9 +381,9 @@ def _canonical(steps):
 
 
 def _lift_cycle(g, steps, start_offset=0):
-    """Darts of one pass of a quotient cycle, starting at the tail-side
-    class of the first step placed at start_offset. Returns (darts, start
-    vertex, end vertex)."""
+    """Darts of one pass of a quotient cycle (or path), starting at the
+    tail-side class of the first step placed at start_offset. Returns
+    (darts, start vertex, end vertex)."""
     name0, fwd0 = steps[0]
     ec0 = g.edge_classes[name0]
     cls = ec0.tail_cls if fwd0 else ec0.head_cls
@@ -388,49 +411,6 @@ def _normalized_template(g, darts):
     """The circuit of darts shifted so that its smallest edge index is 0."""
     mn = min(d.edge.index for d in darts)
     return FiniteCircuit(tuple(shift_id(d, -mn) for d in darts))
-
-
-def _connector_paths(g, hub):
-    """For every class in hub's component, a dart path from (class, 0) to
-    the hub class at road_off, by breadth-first search over (class, offset)
-    states near (hub, 0). Found once per graph and hub."""
-    if hub in g._connector_cache:
-        return g._connector_cache[hub]
-    limit = (len(g.spec.cell_classes) + 2) * (g.D + 1) + g.W
-    paths = {hub: ((), 0)}
-    frontier = [(hub, 0, ())]
-    seen = {(hub, 0)}
-    # search backwards from the hub so stored paths run class -> hub
-    while frontier:
-        nxt = []
-        for cls, off, trail in frontier:
-            for ec in g.cell_edge_classes:
-                moves = []
-                if ec.head_cls == cls:
-                    at = off - ec.head_pos
-                    moves.append(
-                        (ec.tail_cls, at + ec.tail_pos,
-                         Dart(EdgeId(ec.name, at), True))
-                    )
-                if ec.tail_cls == cls:
-                    at = off - ec.tail_pos
-                    moves.append(
-                        (ec.head_cls, at + ec.head_pos,
-                         Dart(EdgeId(ec.name, at), False))
-                    )
-                for ncls, noff, dart in moves:
-                    if abs(noff) > limit or (ncls, noff) in seen:
-                        continue
-                    seen.add((ncls, noff))
-                    ntrail = (dart,) + trail
-                    if ncls not in paths:
-                        # ntrail runs from (ncls, noff) to (hub, 0); rebase
-                        paths[ncls] = (
-                            tuple(shift_id(d, -noff) for d in ntrail), -noff)
-                    nxt.append((ncls, noff, ntrail))
-        frontier = nxt
-    g._connector_cache[hub] = paths
-    return paths
 
 
 def _anchor_margin(g):
@@ -462,25 +442,22 @@ def _stacked_order(copies):
 
 def _build_composite(g, copies):
     """Stitch unit-weight drifting cycles (total drift zero) into one closed
-    drift-free circuit via connector paths to the component's hub class,
-    laid out once from the hub at offset 0 in _stacked_order. Returns the
-    dart list, or None when that layout is not edge-injective; _compose
-    then stitches the group per zero-drift subgroup."""
-    paths = _connector_paths(g, _quotient(g)[0][_cycle_class(g, copies[0][1])])
+    drift-free circuit via each cycle class's road to its component's hub
+    class (_quotient), laid out once from the hub at offset 0 in
+    _stacked_order. Returns the dart list, or None when that layout is not
+    edge-injective; _compose then stitches the group per zero-drift
+    subgroup."""
     order, acc = _stacked_order(copies)
     if acc != 0:
         raise InternalError("drifting cycles do not balance")
-    return _assemble_composite(g, order, paths)
+    return _assemble_composite(g, order, _quotient(g)[4])
 
 
-def _assemble_composite(g, order, paths):
+def _assemble_composite(g, order, roads):
     darts = []
     off = 0
     for delta, steps in order:
-        cls = _cycle_class(g, steps)
-        if cls not in paths:
-            return None
-        road, road_off = paths[cls]
+        road, road_off = roads[_cycle_class(g, steps)]
         # hub at `off` down to the cycle class at `at`, one pass, and back up
         at = off - road_off
         inbound = [d.reverse() for d in reversed(road)]
@@ -523,7 +500,7 @@ def _quotient_layout(g, tau):
     flat, drifting = {}, {}
     if not tau:
         return flat, drifting
-    comp_of, classes, arcs, lists = _quotient(g)
+    comp_of, classes, arcs, lists, _roads = _quotient(g)
     for wgt, steps in _walk_cycles(classes, arcs, lists, tau):
         key = _canonical(steps)
         d = _cycle_drift(g, steps)

@@ -34,7 +34,7 @@ from endcycle.errors import (
     UnknownVertex,
     UnknownVertexClass,
 )
-from endcycle.membership import _flow_cycles
+from endcycle.membership import _arc_lists, _walk_cycles
 
 
 def test_ladder_basics(ladder):
@@ -189,6 +189,27 @@ def test_require_helpers(ladder):
         ladder.require_edge(EdgeId("spoke", 0))
 
 
+def test_non_integer_indices_name_no_vertex_or_edge(monkeypatch, intro_chords):
+    # an index that is neither None nor an int (a bool included) is a typed
+    # error, not a bare TypeError, and a bool is not read as 0 or 1; such an
+    # edge takes endpoints' slow path to require_edge
+    g = intro_chords
+    for call, x in ((g.require_vertex, VertexId("pos", "0")),
+                    (g.require_vertex, VertexId("pos", True)),
+                    (g.neighbors, VertexId("pos", 1.5))):
+        with pytest.raises(UnknownVertex, match="is not an integer"):
+            call(x)
+    with pytest.raises(UnknownEdge, match="is not an integer"):
+        g.require_edge(EdgeId("pos_step", "0"))
+    calls = []
+    check = Graph.require_edge
+    monkeypatch.setattr(Graph, "require_edge", lambda g, e: calls.append(e) or check(g, e))
+    for index in ("0", True, 1.5):
+        with pytest.raises(UnknownEdge, match="is not an integer"):
+            g.endpoints(EdgeId("pos_step", index))
+    assert len(calls) == 3
+
+
 def test_label_round_trips():
     for text in ("top[0]", "bot[-3]", "origin"):
         assert parse_vertex_label(text).label() == text
@@ -219,8 +240,9 @@ def test_ids_are_immutable_values(ladder):
     # messages that name an id format it as one value, not as its fields
     with pytest.raises(UnknownEnd, match=r"^graph has no end end\+5$"):
         ladder.require_end(EndId("+", 5))
+    arcs = {"x": (v, VertexId("b", 1))}
     with pytest.raises(InternalError, match=r"flow stalled at VertexId\(cls='b', index=1\)"):
-        _flow_cycles([v], {"x": (v, VertexId("b", 1))}, {"x": 1})
+        _walk_cycles([v], arcs, _arc_lists(arcs), {"x": 1})
 
 
 # --- parse failures -------------------------------------------------------

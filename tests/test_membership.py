@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endcycle import chains, examples, membership
+from endcycle import chains, cuts, examples, membership
 from endcycle.circles import (
     CircleDecomposition,
     CircuitFamily,
@@ -339,15 +339,15 @@ def test_each_composite_is_laid_out_once(monkeypatch):
 
 
 def test_quotient_facts_are_taken_once_per_graph(monkeypatch):
-    # the class components and the quotient's arc lists depend on the graph
-    # alone: a second decision on the same graph builds neither again
-    unions = _counting(monkeypatch, membership, "UnionFind")
+    # the quotient multigraph (class components, arc lists and roads, from
+    # one spanning forest) depends on the graph alone: a second decision on
+    # the same graph does not build it again
     lists = _counting(monkeypatch, membership, "_arc_lists")
     g = graph_from_text(OVERLAPPING_STRANDS)
     vec = parse_vector_text(g, OVERLAPPING_TAILS)
     for _ in range(2):
         assert isinstance(is_member(g, vec), Member)
-        assert (unions[0], lists[0]) == (1, 1)
+        assert lists[0] == 1
 
 
 def test_strands_are_lifted_only_to_be_kept_or_tested(monkeypatch):
@@ -671,6 +671,32 @@ def _counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+# two rails joined by one edge whose offset is the largest the format takes
+OFFSET_RAILS = """\
+graph offset-rails
+kind periodic-z
+vertex a
+vertex b
+edge s : a -> a[+1]
+edge t : b -> b[+1]
+edge l : a -> b[+10000]
+"""
+
+
+def test_first_decision_enumerates_no_cut(monkeypatch):
+    # the crossing counts of the end flux are read off the stable classes,
+    # so the first decision on a graph enumerates no half-space cut, however
+    # far its edges reach: the circuit a[0] a[1] b[10001] b[10000] a[0]
+    g = graph_from_text(OFFSET_RAILS)
+    enumerated = _counting(monkeypatch, cuts, "cut_edges")
+    placed = _counting(monkeypatch, Graph, "in_half_space")
+    vec = parse_vector_text(g, "set s[0] = 1\nset l[1] = 1\nset t[10000] = -1\nset l[0] = -1")
+    cert = is_member(g, vec)
+    assert (enumerated[0], placed[0]) == (0, 0)
+    assert isinstance(cert, Member)
+    assert verify_certificate(g, vec, certificate_from_json(g, certificate_to_json(cert)))
 
 
 def test_far_value_inside_a_tail_costs_its_description(monkeypatch, chords):

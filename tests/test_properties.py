@@ -1474,7 +1474,8 @@ def test_kept_region_matches_search(draw):
         frontier = nxt
     near = fence + 2 * W
     for v in g.cap_vertices() + tuple(g.cell_vertices_within(-near, near)):
-        assert region.has_vertex(v) == (v in reached), v
+        kept = v not in region.deleted and region.win.find(g, v) in region.kept_roots
+        assert kept == (v in reached), v
     ends = {g._end_past(v, fence) for v in reached
             if v.index is not None and fence + 10 * W < abs(v.index) <= fence + 20 * W}
     assert region.kept_ends == ends - {None}
@@ -1631,7 +1632,7 @@ def _tail_flux(vec, counts, direction):
 @example("periodic-z", 68)
 @example("periodic-n", 184)
 def test_end_flux_matches_half_space_cuts(kind, seed):
-    from endcycle.cuts import HalfSpaceCut, cut_sum
+    from endcycle.cuts import HalfSpaceCut, cut_edges, cut_sum
     from endcycle.membership import _flux_counts
 
     rng = random.Random(seed)
@@ -1646,6 +1647,12 @@ def test_end_flux_matches_half_space_cuts(kind, seed):
     bound = R - g.D - 1
     counts = _flux_counts(g)
     assert list(counts) == list(g.ends())
+    # the counts read off the stable classes are the enumerated cut's tally
+    for e in g.ends():
+        tally = {}
+        for d in cut_edges(g, HalfSpaceCut((e,), R)):
+            tally[d.edge.cls] = tally.get(d.edge.cls, 0) + (1 if d.forward else -1)
+        assert counts[e] == tally, e
     for direction in g.directions():
         ends = [e for e in g.ends() if e.direction == direction]
         # any tails: the counts are the cut at R
@@ -1662,11 +1669,71 @@ def test_end_flux_matches_half_space_cuts(kind, seed):
                 assert flux == cut_sum(g, HalfSpaceCut((e,), radius), vec), (e, radius)
 
 
+# -- roads from the spanning forest against the lifted search -------------------
+
+def _connector_paths_reference(g, hub):
+    """For every class in hub's component, a dart path from (class, 0) to
+    the hub class at road_off, by breadth-first search over (class, offset)
+    states near (hub, 0): membership's connector search before the roads
+    were lifted off one spanning forest; kept as the reference for
+    test_roads_match_lifted_search."""
+    limit = (len(g.spec.cell_classes) + 2) * (g.D + 1) + g.W
+    paths = {hub: ((), 0)}
+    frontier = [(hub, 0, ())]
+    seen = {(hub, 0)}
+    # search backwards from the hub so stored paths run class -> hub
+    while frontier:
+        nxt = []
+        for cls, off, trail in frontier:
+            for ec in g.cell_edge_classes:
+                moves = []
+                if ec.head_cls == cls:
+                    at = off - ec.head_pos
+                    moves.append((ec.tail_cls, at + ec.tail_pos, Dart(EdgeId(ec.name, at), True)))
+                if ec.tail_cls == cls:
+                    at = off - ec.tail_pos
+                    moves.append((ec.head_cls, at + ec.head_pos, Dart(EdgeId(ec.name, at), False)))
+                for ncls, noff, dart in moves:
+                    if abs(noff) > limit or (ncls, noff) in seen:
+                        continue
+                    seen.add((ncls, noff))
+                    ntrail = (dart,) + trail
+                    if ncls not in paths:
+                        # ntrail runs from (ncls, noff) to (hub, 0); rebase
+                        paths[ncls] = (tuple(shift_id(d, -noff) for d in ntrail), -noff)
+                    nxt.append((ncls, noff, ntrail))
+        frontier = nxt
+    return paths
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), seeds)
+@settings(max_examples=150, deadline=None)
+def test_roads_match_lifted_search(kind, seed):
+    # each class's road chains from (class, 0) to (hub, road_off), and it is
+    # as long as, and ends where, the lifted search's path does. The walk is
+    # moved K cells out, past any dart below index 0 on periodic-n
+    try:
+        g = _random_lattice(random.Random(seed), kind)
+    except InfiniteComponents:
+        return
+    comp_of, _classes, _arcs, _lists, roads = membership._quotient(g)
+    assert set(roads) == set(comp_of) == set(g.cell_classes)
+    K = len(g.cell_classes) * (g.D + 1)
+    for hub in set(comp_of.values()):
+        want = _connector_paths_reference(g, hub)
+        assert set(want) == {c for c, h in comp_of.items() if h == hub}
+        for cls, (path, path_off) in want.items():
+            road, road_off = roads[cls]
+            walked = g.walk_from(VertexId(cls, K), [shift_id(d, K) for d in road])
+            assert walked[-1] == VertexId(hub, K + road_off), cls
+            assert (len(road), road_off) == (len(path), path_off), cls
+
+
 # -- the finite stage's cycle walk against its earlier form ---------------------
 
 def _flow_cycles_reference(nodes, arcs, weight, order=None):
-    """membership._flow_cycles as it was before the pending-weight map was
-    dropped; kept as the reference for test_flow_cycles_match_reference."""
+    """membership's flow cycle walk as it was before the pending-weight map
+    was dropped; kept as the reference for test_flow_cycles_match_reference."""
     w = {k: v for k, v in weight.items() if v}
     by_tail = {}
     by_head = {}
@@ -1728,7 +1795,7 @@ def test_flow_cycles_match_reference(seed):
     """Random conservative integer flows, built as sums of closed walks
     over new or reused arcs in either direction: self-loops, parallel
     arcs, arcs of both signs and arcs whose weight cancels to zero."""
-    from endcycle.membership import _flow_cycles
+    from endcycle.membership import _arc_lists, _walk_cycles
 
     rng = random.Random(seed)
     nodes = list(range(rng.randint(1, 5)))
@@ -1748,7 +1815,7 @@ def test_flow_cycles_match_reference(seed):
     rank = list(arcs)
     rng.shuffle(rank)
     order = {k: i for i, k in enumerate(rank)}.__getitem__
-    got = _flow_cycles(nodes, arcs, weight, order)
+    got = _walk_cycles(nodes, arcs, _arc_lists(arcs, order), weight)
     assert got == _flow_cycles_reference(nodes, arcs, weight, order)
     total = dict.fromkeys(arcs, 0)
     for m, steps in got:
