@@ -256,7 +256,7 @@ class ChainRep:
     def __post_init__(self):
         g = self.graph
         for coeff, s in self.finite:
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise FormatError("coefficients must be integers")
             _simplex(s).check(g)
         for m in self.periodic:
@@ -297,12 +297,12 @@ class ChainRep:
 def _check_member(g, m):
     if not isinstance(m, PeriodicMember):
         raise FormatError("periodic members must be PeriodicMember values")
-    if not isinstance(m.coeff, int):
+    if type(m.coeff) is not int:
         raise FormatError("coefficients must be integers")
-    if not isinstance(m.step, int) or m.step < 1:
+    if type(m.step) is not int or m.step < 1:
         raise FormatError("family step must be a positive integer")
     for b in (m.lo, m.hi):
-        if b is not None and not isinstance(b, int):
+        if b is not None and type(b) is not int:
             raise FormatError("family range ends must be integers or None")
     if m.lo is not None and m.hi is not None and m.lo > m.hi:
         raise FormatError("empty family range %d..%d" % (m.lo, m.hi))
@@ -653,7 +653,7 @@ class AdmissiblePairSpec:
 
 class _Region:
     """The kept region of G - D: the components of the kept
-    representatives, read off small windows of the graph (`_Windows`):
+    representatives, read off windows sized as for components (`_Windows`):
     one around the core and one around each cluster of deleted vertices.
     A vertex in a stretch between windows is answered by the windows on
     either side, and one past the outermost windows by the vertex of the
@@ -676,8 +676,7 @@ class _Region:
         self.dels = {}
         for v in self.deleted:
             self.dels.setdefault(v.cls, set()).add(v.index)
-        margin = (len(g.spec.cell_classes) + 3) * g.W + g.D + 2
-        self.win = _Windows(g, self.deleted, g.stabilization_radius + margin, margin)
+        self.win = _Windows(g, self.deleted)
         self.fence = max(self.win.fence.values())
         self.kept_roots = {self.win.find(g, r) for r in pair.kept}
         self.kept_ends = {e for e, root in self.win.roots.items() if root in self.kept_roots}

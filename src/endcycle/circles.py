@@ -77,6 +77,8 @@ class CircuitFamily:
     def check(self, g):
         if g.kind == "finite":
             raise FormatError("shift families need a periodic graph")
+        if any(b is not None and type(b) is not int for b in (self.lo, self.hi)):
+            raise FormatError("shift range ends must be integers or None")
         self.template.check(g)
         for d in self.template.darts:
             if d.edge.index is None:
@@ -175,7 +177,7 @@ class CircleDecomposition:
 
     def check(self, g):
         for coeff, piece in self.entries:
-            if not isinstance(coeff, int) or coeff == 0:
+            if type(coeff) is not int or coeff == 0:
                 raise FormatError("circle coefficient must be a nonzero "
                                   "integer, got %r" % (coeff,))
             if not isinstance(piece, PIECE_TYPES):

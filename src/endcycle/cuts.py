@@ -64,7 +64,7 @@ def _check_cut(g, cut):
         for v in cut.vertices:
             g.require_vertex(v)
     elif isinstance(cut, HalfSpaceCut):
-        if not isinstance(cut.radius, int) or cut.radius < 0:
+        if type(cut.radius) is not int or cut.radius < 0:
             raise FormatError("cut radius must be a nonnegative integer")
         for e in cut.ends:
             g.require_end(e)

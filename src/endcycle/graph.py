@@ -9,8 +9,10 @@ one union-find over a window of two blocks joins its edges once and glues
 the upper block by the lower one's groups until they stop growing.
 Past any fence the cell graph is a translate of the one past the
 stabilization radius, so that one partition answers half-space questions at
-every radius, and a graph keeps no state per radius. Vertex, edge, dart
-and end ids are named tuples (see VertexId).
+every radius, and a graph keeps no state per radius. Components and
+restrictions read connectivity off windows sized by one rule, linear in the
+longest edge span (`_Windows`); a component is named by its vertex nearest
+index 0. Vertex, edge, dart and end ids are named tuples (see VertexId).
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ class EndId(NamedTuple):
 
 def vertex_key(v: VertexId):
     return (v.cls, v.index is not None, v.index if v.index is not None else 0)
+
+
+def near_key(v: VertexId):
+    """vertex_key with cells ordered by distance from index 0, - first."""
+    return (v.cls, v.index is not None, abs(v.index or 0), v.index or 0)
 
 
 def edge_key(e: EdgeId):
@@ -861,7 +868,7 @@ class Graph:
     # -- local structure --------------------------------------------------
 
     def truncate(self, r):
-        if not isinstance(r, int) or r < 0:
+        if type(r) is not int or r < 0:
             raise FormatError("radius must be a nonnegative integer")
         verts = list(self.cap_vertices())
         if self.kind != KIND_FINITE:
@@ -899,14 +906,13 @@ class Graph:
 
     # -- components ---------------------------------------------------------
 
-    def _cells_joined(self, lo, hi, deleted, keep):
+    def _cells_joined(self, lo, hi, deleted):
         """Union-find parents of the cells lo..hi but the deleted ones,
         joined by the cell edges among them, whose ends are read off the
-        edge class. With keep and no deleted cell the answer is kept per
-        graph and shared, so that restrictions build their core window
+        edge class. With no deleted cell the answer is kept per graph and
+        shared, so that components and restrictions build their core window
         once; callers copy it before they union."""
-        keep = keep and not deleted
-        got = self._joined_cache.get((lo, hi)) if keep else None
+        got = None if deleted else self._joined_cache.get((lo, hi))
         if got is not None:
             return got
         uf = UnionFind(v for v in self.cell_vertices_within(lo, hi) if v not in deleted)
@@ -920,7 +926,7 @@ class Graph:
                     rt, rh = find(t), find(h)
                     if rt != rh:
                         parent[rh] = rt
-        if keep:
+        if not deleted:
             self._joined_cache[(lo, hi)] = parent
         return parent
 
@@ -937,7 +943,7 @@ class Graph:
         if pairs is None:
             uf = UnionFind()
             if n < 3 * W:
-                uf.parent = self._cells_joined(0, n - 1, (), False)
+                uf.parent = dict(self._cells_joined(0, n - 1, ()))
             else:
                 m = (n + W) // 2
                 uf.join(self._stretch(0, m - 1) + self._stretch(m - W, n - 1))
@@ -948,32 +954,29 @@ class Graph:
         return [(VertexId(u.cls, u.index + lo), VertexId(r.cls, r.index + lo)) for u, r in pairs]
 
     def _components_info(self):
-        """Components of the window of caps and cells within M + W, closed
-        off past M by the stable partition (`_Windows`)."""
+        """Components of the window restrictions read (`_Windows` with
+        nothing deleted), closed off past its fence by the stable partition.
+        A component is named by its vertex nearest index 0, which any wider
+        window names too, and components are ordered by that vertex."""
         if self._comp_cache is not None:
             return self._comp_cache
-        nb = max(1, len(self.cell_classes) * self.W)
-        M = self.stabilization_radius + (nb + 3) * self.W
-        win = _Windows(self, frozenset(), M + self.W, 0)
-        raw = sorted(
-            win.uf.groups().values(),
-            key=lambda ms: min(vertex_key(u) for u in ms),
-        )
+        win = _Windows(self, frozenset())
+        raw = sorted(((min(ms, key=near_key), ms) for ms in win.uf.groups().values()),
+                     key=lambda p: near_key(p[0]))
         comps = []
         root_index = {}
-        for i, ms in enumerate(raw):
-            root = win.uf.find(ms[0])
+        for i, (rep, ms) in enumerate(raw):
+            root = win.uf.find(rep)
             root_index[root] = i
             ends = tuple(e for e in self._ends if win.roots[e] == root)
             finite = not ends
-            if finite and any(
-                u.index is not None and abs(u.index) > M for u in ms
-            ):
+            if finite and any(u.index is not None and abs(u.index) > win.fence[
+                    1 if u.index > 0 else -1] - self.W for u in ms):
                 raise InternalError("finite component reached the closure block")
             comps.append(
                 Component(
                     index=i,
-                    representative=min(ms, key=vertex_key),
+                    representative=rep,
                     cell_classes=tuple(
                         sorted({u.cls for u in ms if u.index is not None})
                     ),
@@ -1028,7 +1031,7 @@ class Graph:
         the cell graph past the fence; caps never lie in a half space."""
         self.require_vertex(v)
         self.require_end(end)
-        if not isinstance(radius, int) or radius < 0:
+        if type(radius) is not int or radius < 0:
             raise FormatError("radius must be a nonnegative integer")
         if v.index is None:
             return False
@@ -1061,8 +1064,8 @@ class Graph:
             raise NotARay("finite graphs have no rays")
         if not ray.repeat:
             raise NotARay("empty repeat block")
-        if ray.shift == 0:
-            raise NotARay("repeat block must shift")
+        if type(ray.shift) is not int or ray.shift == 0:
+            raise NotARay("repeat block must shift by a nonzero integer")
         if self.kind == KIND_PERIODIC_N and ray.shift < 0:
             raise NotARay("negative drift leaves a periodic-n graph")
         lead = self.walk_from(ray.start, ray.initial)
@@ -1099,17 +1102,24 @@ class Graph:
 
 class _Windows:
     """Connectivity of G - deleted, read off windows of the graph: one of
-    the caps and the cells within core, widened by the largest |index| of
-    a deleted vertex there, and one of the cells within margin of each
-    other deleted vertex, merged where they meet. A union-find joins each
-    window by its edges. A stretch of cells between two windows holds no
-    deleted vertex and meets no static edge, so it joins the facing blocks
-    of its windows as `Graph._stretch` says, and the outermost windows are
-    closed off by the stable partition (`_RayStructure.close_deep`)."""
+    the caps and the cells within core = r0 + margin, widened by the
+    largest |index| of a deleted vertex there, and one of the cells within
+    margin = (classes + 3) * W + D + 2 of each other deleted vertex, merged
+    where they meet. Components (nothing deleted) and restrictions read
+    this one rule. A finite piece of the cell graph past a fence holds at
+    most one vertex per class: with c[d] and c[d + k] it would hold its own
+    translate by k. So every finite component lies within r0 + (classes -
+    1) * D of index 0, inside the core. A union-find joins each window by
+    its edges. A stretch of cells between two windows holds no deleted
+    vertex and meets no static edge, so it joins the facing blocks of its
+    windows as `Graph._stretch` says, and the outermost windows are closed
+    off by the stable partition (`_RayStructure.close_deep`)."""
 
-    def __init__(self, g, deleted, core, margin):
+    def __init__(self, g, deleted):
         # no reference back to g, so a dropped graph is freed at once
         W = g.W
+        margin = (len(g.cell_classes) + 3) * W + g.D + 2
+        core = g.stabilization_radius + margin
         cells = [v.index for v in deleted if v.index is not None]
         r = core + max([abs(i) for i in cells if abs(i) <= core], default=0)
         self.spans = []
@@ -1120,11 +1130,9 @@ class _Windows:
                 self.spans.append((lo, hi))
         self.fence = {1: self.spans[-1][1], -1: -self.spans[0][0]}
         uf = self.uf = UnionFind(v for v in g.cap_vertices() if v not in deleted)
-        # restrictions (margin > 0) share their core window per graph; the
-        # components' window is built once per graph anyway
         for lo, hi in self.spans:
             cut = {v for v in deleted if v.index is not None and lo <= v.index <= hi}
-            uf.parent.update(g._cells_joined(lo, hi, cut, margin > 0))
+            uf.parent.update(g._cells_joined(lo, hi, cut))
         for ec in g.static_edge_classes:
             t, h = VertexId(ec.tail_cls, ec.tail_pos), VertexId(ec.head_cls, ec.head_pos)
             if t in uf.parent and h in uf.parent:

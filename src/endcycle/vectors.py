@@ -101,7 +101,7 @@ class EdgeVector:
         vals = dict(vals or {})
         for e, v in vals.items():
             graph.require_edge(e)
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise FormatError("vector values must be integers")
         self.graph = graph
         self._statics, self._runs = self._read(graph, vals, tails).runs()
@@ -113,7 +113,7 @@ class EdgeVector:
         here."""
         raw = {}
         for (cname, direction), (t, v) in (tails or {}).items():
-            if not isinstance(v, int) or not isinstance(t, int):
+            if type(v) is not int or type(t) is not int:
                 raise FormatError("tail thresholds and values must be integers")
             if v == 0:
                 continue

@@ -229,7 +229,8 @@ def test_homologous(work, capsys):
 def test_h0(work, capsys):
     code, out, _ = run(capsys, "h0", str(work / "ladder.graph"))
     assert code == 0
-    assert out.splitlines()[0] == "H0 = Z"
+    # a component is named by its vertex nearest index 0
+    assert out.splitlines() == ["H0 = Z", "  component at bot[0]"]
     code, out, _ = run(capsys, "--json", "h0", str(work / "three.graph"))
     assert code == 0
     assert json.loads(out)["rank"] == 3

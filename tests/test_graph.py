@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from endcycle import examples
+from endcycle import chains, examples
 from endcycle.graph import (
     KIND_FINITE,
     KIND_PERIODIC_N,
@@ -92,6 +92,31 @@ def test_components(ladder, disjoint, three_parts, theta):
     assert len(three_parts.components()) == 3
     comps = theta.components()
     assert len(comps) == 1 and comps[0].finite and comps[0].size == 2
+
+
+def test_components_and_restrictions_share_one_core_window(monkeypatch):
+    # components and restrictions size their windows by one rule, so after
+    # components() a restriction whose deleted cells lie past the core
+    # builds no second window around index 0, here the cells within
+    # r0 + (classes + 3) * W + D + 2 = 2 + 5 + 1 + 2 (a stretch's windows
+    # start at 0, the deleted cells' past it)
+    g = examples.example_graph("double-ladder")
+    misses = []
+    joined = g._cells_joined
+
+    def counting(lo, hi, *rest):
+        cached = list(g._joined_cache.values())
+        out = joined(lo, hi, *rest)
+        if not any(out is d for d in cached):
+            misses.append((lo, hi))
+        return out
+
+    monkeypatch.setattr(g, "_cells_joined", counting)
+    g.components()
+    pair = chains.parse_pair_text(g, "delete top[100]\ndelete bot[100]\nkeep top[0]")
+    chains.restrict_chain(g, pair, chains.parse_chain_text(g, "walk top[0] rail_top[0] top[1]"))
+    assert [w for w in misses if w[0] < 0 < w[1]] == [(-10, 10)], misses
+    assert any(w[0] > 10 for w in misses), misses
 
 
 def test_component_of_is_consistent(disjoint):

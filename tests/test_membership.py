@@ -206,6 +206,57 @@ def test_malformed_member_rejected(ladder):
         assert not verify_certificate(ladder, vec, cert)
 
 
+_SQUARE = FiniteCircuit(tuple(parse_dart_label(t) for t in
+                              ("rail_top[0]+", "rung[1]+", "rail_bot[0]-", "rung[0]-")))
+
+
+def _holds(g, piece, coeff=1, shift=0):
+    """Whether coeff * piece verifies as the square moved shift cells."""
+    vec = _SQUARE.shifted(g, shift).vector(g)
+    return verify_certificate(g, vec, Member(CircleDecomposition(((coeff, piece),))))
+
+
+def _chain_with(g, text, **change):
+    rep = chains.parse_chain_text(g, text)
+    if rep.periodic:
+        return chains.ChainRep(g, periodic=(dataclasses.replace(rep.periodic[0], **change),))
+    return chains.ChainRep(g, finite=((change["coeff"], rep.finite[0][1]),))
+
+
+_RUNG_RAY = (parse_vertex_label("top[0]"), (), (parse_dart_label("rail_top[0]+"),))
+_TOP = "walk top[0] rail_top[0] top[1]"
+
+# a number built in code that is not an int, a bool included, is a typed
+# error (inside a certificate, a failed verification), never a bare
+# TypeError, and a bool is not read as 0 or 1
+_NON_INTEGERS = {
+    "family bound": lambda g: _holds(g, CircuitFamily(_SQUARE, "0", None)),
+    "bool family bounds": lambda g: _holds(g, CircuitFamily(_SQUARE, True, True), shift=1),
+    "bool coefficient": lambda g: _holds(g, _SQUARE, coeff=True),
+    "ray shift": lambda g: g.end_of_ray(Ray(*_RUNG_RAY, "1")),
+    "bool ray shift": lambda g: g.end_of_ray(Ray(*_RUNG_RAY, True)),
+    "bool vector value": lambda g: EdgeVector(g, {EdgeId("rung", 0): True}),
+    "bool tail value": lambda g: EdgeVector(g, tails={("rail_top", "+"): (0, True)}),
+    "bool tail threshold": lambda g: EdgeVector(g, tails={("rail_top", "+"): (True, 1)}),
+    "bool cut radius": lambda g: cut_sum(g, HalfSpaceCut((EndId("+", 0),), True), EdgeVector(g)),
+    "bool half-space radius": lambda g: g.in_half_space(parse_vertex_label("top[5]"), EndId("+", 0), True),
+    "bool truncation radius": lambda g: g.truncate(True),
+    "bool chain coefficient": lambda g: _chain_with(g, _TOP, coeff=True),
+    "bool member coefficient": lambda g: _chain_with(g, "periodic 0..1 { %s }" % _TOP, coeff=True),
+    "bool member step": lambda g: _chain_with(g, "periodic 0..1 { %s }" % _TOP, step=True),
+    "bool member bound": lambda g: _chain_with(g, "periodic 0..1 { %s }" % _TOP, hi=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGERS))
+def test_non_integer_numbers_are_refused(ladder, case):
+    try:
+        out = _NON_INTEGERS[case](ladder)
+    except (FormatError, NotARay):
+        return
+    assert out is False, out
+
+
 @pytest.mark.parametrize("error", [FormatError, UnknownEdge, UnknownVertex, NotARay])
 def test_failed_self_check_is_an_internal_error(monkeypatch, ladder, error):
     # the self-check rejecting the solver's own decomposition of a valid

@@ -1562,6 +1562,67 @@ def test_far_restriction_costs_what_near_costs():
         assert min(spent) < 0.1, seed
 
 
+# -- components against a window quadratic in W ---------------------------------
+
+def _components_reference(g):
+    """The components of a window far wider than the core: the caps and
+    the cells within R = r0 + (classes * W + 3) * W + W, joined by their
+    edges and closed off past R - W by the stable partition, named and
+    ordered by graph.near_key. Returns them with the index of the
+    component of a vertex."""
+    W = g.W
+    R = g.stabilization_radius + (max(1, len(g.cell_classes) * W) + 3) * W + W
+    uf = UnionFind(g.cap_vertices())
+    uf.parent.update(g._cells_joined(-R, R, ()))
+    for ec in g.static_edge_classes:
+        t, h = ec.ends(None)
+        if t in uf.parent and h in uf.parent:
+            uf.union(t, h)
+    for ray in g._rays.values():
+        ray.close_deep(uf, R - W)
+    roots = {EndId(ray.direction, rank): root for ray in g._rays.values()
+             for rank, root in ray.end_roots(uf, R - W).items()}
+    groups = sorted(((min(ms, key=graph_module.near_key), ms) for ms in uf.groups().values()),
+                    key=lambda p: graph_module.near_key(p[0]))
+    comps, index = [], {}
+    for i, (rep, ms) in enumerate(groups):
+        index[uf.find(rep)] = i
+        ends = tuple(e for e in g.ends() if roots[e] == uf.find(rep))
+        comps.append(graph_module.Component(
+            i, rep, tuple(sorted({u.cls for u in ms if u.index is not None})),
+            tuple(sorted({u.cls for u in ms if u.index is None})), ends, not ends,
+            None if ends else len(ms)))
+
+    def component_of(v):
+        if v.index is not None and abs(v.index) > R:
+            v = g._rays[1 if v.index > 0 else -1].deep_representative(v, R - W)
+        return index[uf.find(v)]
+
+    return tuple(comps), component_of
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), st.booleans(), seeds)
+@settings(max_examples=200, deadline=None)
+def test_components_match_wide_window(kind, own_lines, seed):
+    # the core window of restrictions holds every finite component, and
+    # each component's vertex nearest index 0, so it names and orders the
+    # components as a window quadratic in W does; component_of agrees on
+    # vertices inside the core, in the wide window's closure block and
+    # far past both
+    try:
+        g = graph_from_text(_lattice_text(random.Random(seed), kind, own_lines)[0])
+    except InfiniteComponents:
+        return
+    comps, component_of = _components_reference(g)
+    assert g.components() == comps
+    W, core = g.W, max(g._components_info()[0].fence.values())
+    R = g.stabilization_radius + (max(1, len(g.cell_classes) * W) + 3) * W + W
+    probes = {0, 1, W, core - W, core, core + 1, R - W + 1, R, R + 1, R + 7 * W, 10**9}
+    probes |= set() if kind == "periodic-n" else {-i for i in probes}
+    for v in g.cap_vertices() + tuple(VertexId(c, i) for c in g.cell_classes for i in probes):
+        assert g.component_of(v) == component_of(v), v
+
+
 # -- end flux from per-graph crossing counts ------------------------------------
 
 def _random_circulation(g, rng):
