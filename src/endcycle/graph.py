@@ -4,15 +4,19 @@ A graph is given by a finite text description: a kind (finite, periodic-z,
 periodic-n), vertex classes, and edge classes. Periodic kinds describe one
 cell that repeats along the integers or the naturals, plus optional cap
 vertices that exist once. Everything downstream (ends, components, half
-spaces, ray classification) is computed from a per-direction block partition:
-one union-find over a window of two blocks joins its edges once and glues
-the upper block by the lower one's groups until they stop growing.
-Past any fence the cell graph is a translate of the one past the
-stabilization radius, so that one partition answers half-space questions at
-every radius, and a graph keeps no state per radius. Components and
-restrictions read connectivity off windows sized by one rule, linear in the
-longest edge span (`_Windows`); a component is named by its vertex nearest
-index 0. Vertex, edge, dart and end ids are named tuples (see VertexId).
+spaces, ray classification) is computed from the quotient, whose nodes are
+the cell classes and whose arcs are the cell edge classes, each drifting by
+its offset. One breadth-first spanning forest gives each class its hub and
+its potential; a component whose cycles drift with gcd g lifts to g
+components of the cell graph, and each has one end per direction (the
+voltage-graph lift of Gross & Tucker, the gcd count of Cohen & Megiddo).
+Past a fence, a vertex's piece is found by a search that stops within
+classes + 1 vertices (`Graph._piece`): a finite piece holds one vertex per
+class at most. So a graph keeps no state per radius, and building it joins
+no window. Components and restrictions read connectivity off windows sized
+by one rule, linear in the longest edge span (`_Windows`); a component is
+named by its vertex nearest index 0. Vertex, edge, dart and end ids are
+named tuples (see VertexId).
 """
 
 from __future__ import annotations
@@ -417,214 +421,6 @@ def _parse_endpoint(tok, ln):
     return (m.group(1), int(idx) if idx is not None else None)
 
 
-class _RayStructure:
-    """Everything about one escape direction: the certified block partition,
-    its unbounded classes (the ends), the parent map between consecutive
-    levels, and coordinate transforms. Depth d corresponds to the cell at
-    distance d+1 beyond the stabilization radius."""
-
-    def __init__(self, g, sign):
-        # no reference back to g, so a dropped graph is freed at once
-        self.kind = g.kind
-        self.cell_classes = g.cell_classes
-        self.sign = sign
-        self.direction = "+" if sign > 0 else "-"
-        self.W = g.W
-        self.r0 = g.stabilization_radius
-        # per edge class: offsets seen from this direction (min stays 0)
-        self.klass = []
-        for ec in g.cell_edge_classes:
-            s = ec.span
-            if sign > 0:
-                self.klass.append((ec, ec.tail_pos, ec.head_pos, s))
-            else:
-                self.klass.append((ec, s - ec.tail_pos, s - ec.head_pos, s))
-        self._classify(*self._fixpoint())
-
-    def _base_index(self, s, t):
-        if self.sign > 0:
-            return t + self.r0 + 1
-        return -(t + s + self.r0 + 1)
-
-    def _fixpoint(self):
-        """The least block partition that one step of W cells reproduces,
-        closed in one union-find over the window of depths 0 .. 2W-1.
-        Vertex (c, d) there is the integer i * 2W + d, i the rank of c's
-        name, so integers order like (c, d). The window's edges are joined
-        once; then each block vertex x is labelled with the first block
-        member of its group and x + W is glued to label(x) + W, until the
-        labels stop changing. Gluing only adds unions, so the groups grow
-        to the least fixpoint, and labels a pass leaves unchanged certify
-        it. Returns the union-find and each block vertex's class id."""
-        W, W2 = self.W, 2 * self.W
-        names = sorted(self.cell_classes)
-        base = {c: i * W2 for i, c in enumerate(names)}
-        uf = UnionFind(range(len(names) * W2))
-        find, union = uf.find, uf.union
-        # the base index of a depth >= 0 is positive in direction +, the
-        # one direction of a periodic-n graph, so every instance exists
-        for ec, toff, hoff, s in self.klass:
-            a, b = base[ec.tail_cls] + toff, base[ec.head_cls] + hoff
-            for t in range(W2 - s):
-                union(a + t, b + t)
-        block = [base[c] + d for c in names for d in range(W)]
-        labels = None
-        while True:
-            first = {}
-            new = [first.setdefault(find(x), x) for x in block]
-            if new == labels:
-                break
-            labels = new
-            for x, y in zip(block, labels):
-                if x != y:
-                    union(y + W, x + W)
-        groups = {}
-        for x, y in zip(block, labels):
-            groups.setdefault(y, []).append(x)
-        self.members = []
-        self.cls_id = {}
-        class_of = {}
-        for i, grp in enumerate(groups.values()):
-            self.members.append(tuple((names[x // W2], x % W2) for x in grp))
-            for x, m in zip(grp, self.members[-1]):
-                class_of[x] = self.cls_id[m] = i
-        return uf, class_of
-
-    def _classify(self, uf, class_of):
-        """The parent map, arcs and unbounded classes, read off the roots
-        of the closed window: a class at depths W .. 2W-1 has as parent
-        the class at depths 0 .. W-1 of its group, if any."""
-        W, W2 = self.W, 2 * self.W
-        nids = len(self.members)
-        comp0 = {}
-        comp1 = {}
-        for x in uf.parent:
-            root = uf.find(x)
-            if x % W2 < W:
-                comp0.setdefault(root, set()).add(class_of[x])
-            else:
-                comp1.setdefault(root, set()).add(class_of[x - W])
-        arcs = {i: set() for i in range(nids)}
-        parent = {}
-        for root, ids1 in comp1.items():
-            ids0 = comp0.get(root, set())
-            if len(ids0) > 1:
-                raise InternalError("fixpoint restriction is not a congruence")
-            x = next(iter(ids0)) if ids0 else None
-            for y in ids1:
-                parent[y] = x
-                if x is not None:
-                    arcs[x].add(y)
-        self.parent = parent
-        self.arcs = arcs
-        # a class is unbounded iff it starts an infinite arc walk,
-        # i.e. survives pruning of nodes with no live successor
-        alive = set(range(nids))
-        while True:
-            dead = [i for i in alive if not (arcs[i] & alive)]
-            if not dead:
-                break
-            alive.difference_update(dead)
-        self.unbounded = frozenset(alive)
-        ranked = sorted(self.unbounded, key=lambda i: self.members[i][0])
-        self.rank = {cid: k for k, cid in enumerate(ranked)}
-        self.by_rank = {k: cid for cid, k in self.rank.items()}
-        self.end_count = len(ranked)
-
-    def missing_attachment(self):
-        """Class ids with no edge toward shallower cells. Any such class
-        describes a component pattern that repeats forever on its own."""
-        attached = set()
-        for ec, toff, hoff, s in self.klass:
-            for t in range(-s, 0):
-                n = self._base_index(s, t)
-                if self.kind == KIND_PERIODIC_N and n < 0:
-                    continue
-                d1, d2 = t + toff, t + hoff
-                if (d1 < 0) != (d2 < 0):
-                    c, d = (ec.tail_cls, d1) if d1 >= 0 else (ec.head_cls, d2)
-                    attached.add(self.cls_id[(c, d)])
-        return [i for i in range(len(self.members)) if i not in attached]
-
-    def check_certificate(self):
-        """Check that the parent map is total and a bijection on the
-        unbounded classes."""
-        for y in self.parent:
-            if self.parent[y] is None:
-                raise InternalError("parent map is partial on a valid graph")
-        ub_parents = {self.parent[y] for y in self.unbounded}
-        if ub_parents != set(self.unbounded):
-            raise InternalError("unbounded classes do not shift bijectively")
-
-    def parent_pow(self, cid, k):
-        seen = {}
-        path = []
-        while k > 0:
-            if cid in seen:
-                lam = len(path) - seen[cid]
-                k %= lam
-                for _ in range(k):
-                    cid = self.parent[cid]
-                return cid
-            seen[cid] = len(path)
-            path.append(cid)
-            cid = self.parent[cid]
-            k -= 1
-        return cid
-
-    def period(self):
-        """Cells after which the deep pattern repeats: W times the order of
-        the parent map, a permutation of the unbounded classes."""
-        order = 1
-        for cid in self.unbounded:
-            n, x = 1, self.parent[cid]
-            while x != cid:
-                n, x = n + 1, self.parent[x]
-            order = order * n // math.gcd(order, n)
-        return self.W * order
-
-    def stable_class(self, c, d):
-        """Stable class id of the cell-class vertex at depth d >= 0, pulled
-        back to depth level zero through the parent map."""
-        cid = self.cls_id[(c, d % self.W)]
-        return self.parent_pow(cid, d // self.W)
-
-    # A fence is a radius >= r0; the block of cells fence+1 .. fence+W in
-    # this direction stands for everything beyond it.
-    def close_deep(self, uf, fence):
-        """Close off the deep pattern past the fence: glue the block by the
-        stable partition."""
-        for rel in range(self.W):
-            for c in self.cell_classes:
-                first = self.members[self.cls_id[(c, rel)]][0]
-                uf.union(
-                    VertexId(first[0], self.sign * (fence + 1 + first[1])),
-                    VertexId(c, self.sign * (fence + 1 + rel)),
-                )
-
-    def deep_representative(self, v, fence):
-        """The vertex in the block past the fence that the vertex v, beyond
-        the block, is glued to."""
-        d = self.sign * v.index - fence - 1
-        c0, rel0 = self.members[self.stable_class(v.cls, d)][0]
-        return VertexId(c0, self.sign * (fence + 1 + rel0))
-
-    def end_roots(self, uf, fence):
-        """Root in uf of each end, by rank, read off the closed block."""
-        roots = {}
-        for rel in range(self.W):
-            for c in self.cell_classes:
-                cid = self.stable_class(c, fence - self.r0 + rel)
-                if cid not in self.unbounded:
-                    continue
-                root = uf.find(VertexId(c, self.sign * (fence + 1 + rel)))
-                if roots.setdefault(self.rank[cid], root) != root:
-                    raise InternalError("one end spread over two components")
-        if set(roots) != set(range(self.end_count)):
-            raise InternalError("an end vanished from the closed block")
-        return roots
-
-
 class Graph:
     """A validated graph built from a GraphSpec.
 
@@ -653,30 +449,13 @@ class Graph:
         # radius past which the periodic pattern is clean: caps are cleared
         # and every cell sees its full star
         self.stabilization_radius = reach + self.D + 1
-        self._rays = {}
-        if self.kind != KIND_FINITE and self.cell_classes:
-            signs = (1, -1) if self.kind == KIND_PERIODIC_Z else (1,)
-            for sign in signs:
-                ray = _RayStructure(self, sign)
-                missing = ray.missing_attachment()
-                if missing:
-                    c, r = ray.members[missing[0]][0]
-                    raise InfiniteComponents(
-                        "the pattern around vertex class %r repeats with no "
-                        "attachment toward the center (direction %s); the "
-                        "graph would have infinitely many components"
-                        % (c, ray.direction)
-                    )
-                ray.check_certificate()
-                self._rays[sign] = ray
-        self._ends = tuple(EndId(ray.direction, k) for ray in self._rays.values()
-                           for k in range(ray.end_count))
+        self._lift_quotient()
         self._comp_cache = None
         # facts membership derives from the graph alone, filled on first use
         # so that no decision takes them again: per-end crossing counts, read
-        # off the stable classes, and the quotient multigraph (class
+        # off the pieces past a fence, and the quotient multigraph (class
         # components, sorted classes, arcs, arc lists per class and each
-        # class's road to its component's hub), from one spanning forest
+        # class's road to its component's hub), lifted off the forest
         self._flux_counts = None
         self._quotient = None
         self._pieces_cache = {}
@@ -755,6 +534,68 @@ class Graph:
             for cls, pos, sign in ((ec.tail_cls, ec.tail_pos, 1), (ec.head_cls, ec.head_pos, -1)):
                 self.static_incidence.setdefault(VertexId(cls, pos), []).append((ec.name, sign))
 
+    def _lift_quotient(self):
+        """Grow the quotient's breadth-first spanning forest over the
+        incidence table, one tree per component from its hub, the smallest
+        class name in it. Per cell class it records the hub, the tree step
+        toward the hub (edge class, forward) and the potential, the offset
+        at which the tree path from (hub, 0) reaches the class; per hub, the
+        gcd g of the drifts of the non-tree edges. A component lifts to g
+        components of the cell graph, c[i] lying in the one of residue
+        (i - potential) mod g, and each has one end toward each side. With
+        g = 0 every lift is finite, so there are infinitely many, and the
+        graph is refused."""
+        self._hub, self._potential, self._tree_step, self._drift = {}, {}, {}, {}
+        for hub in sorted(self.cell_classes):
+            if hub in self._hub:
+                continue
+            self._hub[hub], self._potential[hub], drift = hub, 0, 0
+            queue = [hub]
+            for cls in queue:  # breadth first: the queue grows as it is read
+                for name, pos, sign in self.cell_incidence[cls]:
+                    ec = self._ec[name]
+                    other, at = (ec.head_cls, ec.head_pos) if sign > 0 else (ec.tail_cls, ec.tail_pos)
+                    at += self._potential[cls] - pos
+                    if other in self._hub:
+                        drift = math.gcd(drift, at - self._potential[other])
+                    else:
+                        # other's step toward the hub is forward when cls is the head
+                        self._hub[other], self._potential[other] = hub, at
+                        self._tree_step[other] = name, sign < 0
+                        queue.append(other)
+            if not drift:
+                raise InfiniteComponents(
+                    "the pattern around vertex class %r repeats with no "
+                    "attachment toward the center (direction +); the "
+                    "graph would have infinitely many components" % hub
+                )
+            self._drift[hub] = drift
+        signs = ((1, -1) if self.kind == KIND_PERIODIC_Z else (1,)) if self.cell_classes else ()
+        self._rank = {sign: self._rank_ends(sign) for sign in signs}
+        self._ends = tuple(EndId("+" if sign > 0 else "-", k)
+                           for sign, ranks in self._rank.items() for k in range(len(ranks)))
+
+    def _rank_ends(self, sign):
+        """The ends toward sign, {(hub, residue): rank}, ranked by their
+        smallest (class name, depth < W) whose piece past r0 is infinite,
+        depth d naming the cell sign * (r0 + 1 + d). A class meets each
+        residue of its component at every g-th depth, so it steps that
+        progression up to the first infinite piece."""
+        r0, W = self.stabilization_radius, self.W
+        first = {}
+        for c in sorted(self.cell_classes):
+            hub = self._hub[c]
+            g = self._drift[hub]
+            for d0 in range(min(g, W)):
+                key = hub, (sign * (r0 + 1 + d0) - self._potential[c]) % g
+                if key in first:
+                    continue
+                for d in range(d0, W, g):
+                    if self._piece(VertexId(c, sign * (r0 + 1 + d)), sign, r0) is None:
+                        first[key] = c, d
+                        break
+        return {key: k for k, key in enumerate(sorted(first, key=first.get))}
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -762,7 +603,7 @@ class Graph:
         return self._ec
 
     def directions(self):
-        return tuple(self._rays[s].direction for s in (1, -1) if s in self._rays)
+        return tuple("+" if sign > 0 else "-" for sign in self._rank)
 
     def require_vertex(self, v: VertexId):
         if not isinstance(v, VertexId):
@@ -896,8 +737,9 @@ class Graph:
 
     def deep_period(self, sign):
         """Shift, in cells, that maps every deep vertex in direction sign
-        (+1 or -1) into the half-spaces of the same ends."""
-        return self._rays[sign].period()
+        (+1 or -1) into the half-spaces of the same ends: the least common
+        multiple of W and every component's drift gcd, the same either way."""
+        return math.lcm(self.W, *self._drift.values())
 
     def require_end(self, end: EndId):
         if end not in self._ends:
@@ -909,10 +751,11 @@ class Graph:
     def _cells_joined(self, lo, hi, deleted):
         """Union-find parents of the cells lo..hi but the deleted ones,
         joined by the cell edges among them, whose ends are read off the
-        edge class. With no deleted cell the answer is kept per graph and
-        shared, so that components and restrictions build their core window
-        once; callers copy it before they union."""
-        got = None if deleted else self._joined_cache.get((lo, hi))
+        edge class. The core window, the one centred on index 0 with no
+        deleted cell, is kept per graph and shared, so that components and
+        restrictions build it once; callers copy it before they union."""
+        core = lo == -hi and not deleted
+        got = self._joined_cache.get((lo, hi)) if core else None
         if got is not None:
             return got
         uf = UnionFind(v for v in self.cell_vertices_within(lo, hi) if v not in deleted)
@@ -926,7 +769,7 @@ class Graph:
                     rt, rh = find(t), find(h)
                     if rt != rh:
                         parent[rh] = rt
-        if not deleted:
+        if core:
             self._joined_cache[(lo, hi)] = parent
         return parent
 
@@ -955,7 +798,8 @@ class Graph:
 
     def _components_info(self):
         """Components of the window restrictions read (`_Windows` with
-        nothing deleted), closed off past its fence by the stable partition.
+        nothing deleted), closed off past its fence by the ends and finite
+        pieces of its closure block.
         A component is named by its vertex nearest index 0, which any wider
         window names too, and components are ordered by that vertex."""
         if self._comp_cache is not None:
@@ -999,31 +843,47 @@ class Graph:
 
     # -- half spaces ---------------------------------------------------------
 
+    def _piece(self, v, sign, radius):
+        """The piece of the cell vertex v (sign * v.index > radius) in the
+        cell graph past the fence at radius toward sign, as {class: index},
+        or None when it is infinite. A finite piece holds at most one vertex
+        per class: with c[i] and c[i + k], k moving outward, it would hold
+        its own translate by k. So the search stops at the first class met
+        twice, within classes + 1 vertices. It steps over the incidence
+        table by class arithmetic; on periodic-n no instance lies below 0."""
+        seen = {v.cls: v.index}
+        queue = [(v.cls, v.index)]
+        one_ended = self.kind == KIND_PERIODIC_N
+        for cls, i in queue:
+            for name, pos, s in self.cell_incidence[cls]:
+                ec = self._ec[name]
+                n = i - pos
+                other, j = (ec.head_cls, n + ec.head_pos) if s > 0 else (ec.tail_cls, n + ec.tail_pos)
+                if sign * j <= radius or one_ended and n < 0:
+                    continue
+                k = seen.get(other)
+                if k is None:
+                    seen[other] = j
+                    queue.append((other, j))
+                elif k != j:
+                    return None
+        return seen
+
+    def _end_of(self, v, sign):
+        """The end toward sign of the lift component of the cell vertex v:
+        residue (index - potential) mod g of its class's component."""
+        hub = self._hub[v.cls]
+        residue = (v.index - self._potential[v.cls]) % self._drift[hub]
+        return EndId("+" if sign > 0 else "-", self._rank[sign][hub, residue])
+
     def _end_past(self, v, radius):
         """The end whose half space past the fence at radius holds the cell
-        vertex v (|v.index| > radius), or None when v's piece is finite.
-
-        Past any fence the cell graph is a translate of the one past r0:
-        cell edges repeat in every cell (on periodic-n from cell 0 on), and
-        half spaces leave the caps out. So v's piece is the translate of
-        the piece, past r0, of the stable class at v's depth, and holds the
-        class's first member moved out by radius - r0. For radius >= r0
-        that vertex lies past r0, and the stable class there names the end.
-        Below r0 it can fall inside r0, where the block partition says
-        nothing, so fence and member first move out together by a multiple
-        of the deep period: the shift maps every piece past the fence onto
-        one past the moved fence, in the half space of the same end."""
+        vertex v (|v.index| > radius), or None when v's piece is finite. An
+        infinite piece lies in one lift component, and that component has
+        one end toward each side, so the piece's end is the component's.
+        Half spaces leave the caps out, so only cell edges count."""
         sign = 1 if v.index > 0 else -1
-        ray = self._rays[sign]
-        cid = ray.stable_class(v.cls, sign * v.index - radius - 1)
-        if cid not in ray.unbounded:
-            return None
-        if radius < ray.r0:
-            p = ray.period()
-            radius += -(-(ray.r0 - radius) // p) * p
-        c0, rel0 = ray.members[cid][0]
-        deep = ray.stable_class(c0, rel0 + radius - ray.r0)
-        return EndId(ray.direction, ray.rank[deep])
+        return None if self._piece(v, sign, radius) is not None else self._end_of(v, sign)
 
     def in_half_space(self, v, end: EndId, radius):
         """Whether v lies in the unbounded piece that the given end inhabits
@@ -1088,16 +948,10 @@ class Graph:
         return v1, per
 
     def end_of_ray(self, ray: Ray):
-        v1, per = self.check_ray(ray)
-        sign = 1 if ray.shift > 0 else -1
-        r0 = self.stabilization_radius
-        mrel = min(sign * u.index - sign * v1.index for u in per)
-        need = r0 + 1 - mrel - sign * v1.index
-        j = max(0, -(-need // abs(ray.shift)))
-        end = self._end_past(VertexId(v1.cls, v1.index + j * ray.shift), r0)
-        if end is None:
-            raise InternalError("ray tail escaped every end")
-        return end
+        """The end a ray's tail runs into: that of the lift component of
+        the vertex where its repeat block starts, toward the shift's side."""
+        v1, _per = self.check_ray(ray)
+        return self._end_of(v1, 1 if ray.shift > 0 else -1)
 
 
 class _Windows:
@@ -1112,8 +966,10 @@ class _Windows:
     1) * D of index 0, inside the core. A union-find joins each window by
     its edges. A stretch of cells between two windows holds no deleted
     vertex and meets no static edge, so it joins the facing blocks of its
-    windows as `Graph._stretch` says, and the outermost windows are closed
-    off by the stable partition (`_RayStructure.close_deep`)."""
+    windows as `Graph._stretch` says. The outermost windows are closed
+    off past the inner edge of their last W cells, the closure block: the
+    block vertices of one end are glued to the first of them, the end's
+    anchor, and those of one finite piece to its least one (`_glued`)."""
 
     def __init__(self, g, deleted):
         # no reference back to g, so a dropped graph is freed at once
@@ -1141,12 +997,24 @@ class _Windows:
             uf.join(g._stretch(hi - W + 1, lo + W - 1))
         # close every side before reading any roots: a later closure can
         # merge the roots read off an earlier side
-        for sign, ray in g._rays.items():
-            ray.close_deep(uf, self.fence[sign] - W)
-        self.roots = {}
-        for sign, ray in g._rays.items():
-            for rk, root in ray.end_roots(uf, self.fence[sign] - W).items():
-                self.roots[EndId(ray.direction, rk)] = root
+        self.anchors = {}
+        for sign in g._rank:
+            for rel in range(W):
+                for c in g.cell_classes:
+                    u = VertexId(c, sign * (self.fence[sign] - W + 1 + rel))
+                    uf.union(self._glued(g, u, sign), u)
+        self.roots = {e: uf.find(a) for e, a in self.anchors.items()}
+
+    def _glued(self, g, v, sign):
+        """The vertex of the closure block toward sign that v, past the
+        block's inner edge, is glued to: the anchor of its piece's end, or
+        the least block vertex of its finite piece. A finite piece has a
+        vertex within D <= W of the inner edge, or it would be a finite
+        component of the cell graph, and the pattern would repeat it."""
+        piece = g._piece(v, sign, self.fence[sign] - g.W)
+        if piece is None:
+            return self.anchors.setdefault(g._end_of(v, sign), v)
+        return min(VertexId(c, i) for c, i in piece.items() if sign * i <= self.fence[sign])
 
     def find(self, g, v):
         """The root of v's component (v not deleted) on the graph g. Past
@@ -1159,7 +1027,7 @@ class _Windows:
             return uf.find(v)
         sign = 1 if v.index > 0 else -1
         if sign * v.index > self.fence[sign]:
-            return uf.find(g._rays[sign].deep_representative(v, self.fence[sign] - g.W))
+            return uf.find(self._glued(g, v, sign))
         i = bisect.bisect(self.spans, (v.index,))
         local = UnionFind()
         local.join(g._stretch(self.spans[i - 1][1] - g.W + 1, v.index + g.W - 1)

@@ -50,15 +50,15 @@ raises NotInCycleSpace carrying a violated finite cut. The pipeline:
      repeats, so the middle holds only the walk through the data.
 
 What depends on the graph alone is taken once per graph and kept on it,
-read off the quotient: the crossing counts of step 2, from the stable class
-of each crossing edge's deeper end (no cut is enumerated), and the quotient
-multigraph of step 3 (class components, sorted classes, arcs and arc lists
-per class, and each class's road to its hub), from one breadth-first
-spanning forest whose tree paths are lifted once. So a first decision on a
-graph costs about what later ones do. A decision builds only what its input
-uses: a side without tails lays out nothing, a group's strands are lifted
-only when they are kept or their rays must be tested, and the values of
-inner runs are read only when there is one.
+read off the quotient: the crossing counts of step 2, from the end of the
+piece of each crossing edge's deeper end (no cut is enumerated), and the
+quotient multigraph of step 3 (class components, sorted classes, arcs and
+arc lists per class, and each class's road to its hub), from the graph's
+breadth-first spanning forest, whose tree paths are lifted once. So a
+first decision on a graph costs about what later ones do. A decision
+builds only what its input uses: a side without tails lays out nothing, a
+group's strands are lifted only when they are kept or their rays must be
+tested, and the values of inner runs are read only when there is one.
 
 Steps 1 and 2 (_obstruct) are the only obstructions: when both pass, the
 construction succeeds. It would raise InternalError only if a group whose
@@ -234,9 +234,9 @@ def _flux_counts(g):
     every crossing edge carries its tail value. The tails alone have a zero
     star at every vertex past r0 (step 1), so their cut sum is the same at
     R and at radius: the flux is these counts times the tails. A class of
-    span s crosses R with its deeper end at depths 0 .. s-1 past R, and the
-    stable class there names the end whose half space holds it, if any
-    (Graph._end_past); no cut is enumerated."""
+    span s crosses R with its deeper end at depths 0 .. s-1 past R, and
+    that vertex's piece past R names the end whose half space holds it, if
+    any (Graph._end_past); no cut is enumerated."""
     if g._flux_counts is None:
         R = g.stabilization_radius + g.D + 2
         counts = g._flux_counts = {e: {} for e in g.ends()}
@@ -270,30 +270,24 @@ def _quotient(g):
     to the smallest class name of its component (the component's hub), the
     classes sorted, the arcs name -> (tail class, head class), the arcs out
     of and into each class in name order (_arc_lists), and each class's road
-    (darts, road_off) from (class, 0) to (hub, road_off). One breadth-first
-    spanning forest over the incidence table gives the components and the
-    roads, each a tree path lifted once: a lift ends at the sum of its
-    arcs' offsets (the voltage-graph lift of Gross & Tucker)."""
+    (darts, road_off) from (class, 0) to (hub, road_off). The graph's
+    breadth-first spanning forest (Graph._lift_quotient) gives the
+    components and the roads, each a tree path lifted once: a lift ends at
+    the sum of its arcs' offsets (the voltage-graph lift of Gross &
+    Tucker)."""
     if g._quotient is None:
-        classes = sorted(g.spec.cell_classes)
-        comp_of, steps, roads = {}, {}, {}
-        for hub in classes:
-            if hub in comp_of:
+        steps, roads = {}, {}
+        for cls in g._hub:  # breadth first: a parent comes first
+            step = g._tree_step.get(cls)
+            if step is None:
+                steps[cls], roads[cls] = [], ((), 0)
                 continue
-            comp_of[hub], steps[hub], roads[hub] = hub, [], ((), 0)
-            queue = [hub]
-            for cls in queue:  # breadth first: the queue grows as it is read
-                for name, _pos, sign in g.cell_incidence[cls]:
-                    ec = g.edge_classes[name]
-                    other = ec.head_cls if sign > 0 else ec.tail_cls
-                    if other not in comp_of:
-                        # other's step toward the hub is forward when cls is the head
-                        comp_of[other], steps[other] = hub, [(name, sign < 0)] + steps[cls]
-                        darts, _s, end = _lift_cycle(g, steps[other])
-                        roads[other] = tuple(darts), end.index
-                        queue.append(other)
+            ec = g.edge_classes[step[0]]
+            steps[cls] = [step] + steps[ec.head_cls if step[1] else ec.tail_cls]
+            darts, _s, end = _lift_cycle(g, steps[cls])
+            roads[cls] = tuple(darts), end.index
         arcs = {ec.name: (ec.tail_cls, ec.head_cls) for ec in g.cell_edge_classes}
-        g._quotient = comp_of, classes, arcs, _arc_lists(arcs), roads
+        g._quotient = g._hub, sorted(g.cell_classes), arcs, _arc_lists(arcs), roads
     return g._quotient
 
 

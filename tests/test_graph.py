@@ -320,3 +320,51 @@ def test_finite_kind_takes_no_indices():
         graph_from_text(
             "graph g\nkind finite\nvertex a\nvertex b\nedge e : a -> b[+1]\n"
         )
+
+
+def test_joined_cache_keeps_only_the_core_window():
+    # a stretch memoizes its pieces per length, so the short windows it
+    # joins are not kept: after a restriction 10^6 cells out at W = 10^3
+    # the cache holds the core window alone, r0 + (classes + 3) * W + D + 2
+    # = 1001 + 6002 cells each way
+    g = graph_from_text("graph offset\nkind periodic-z\nvertex a\nvertex b\nedge s : a -> a[+1]\n"
+                        "edge t : b -> b[+1]\nedge l : a -> b[+1000]\n")
+    pair = chains.parse_pair_text(g, "delete a[1000000]\ndelete b[1000000]\nkeep a[0]")
+    chains.restrict_chain(g, pair, chains.parse_chain_text(g, "walk a[0] s[0] a[1]"))
+    assert list(g._joined_cache) == [(-7003, 7003)]
+
+
+def test_zero_drift_refusal_names_the_hub():
+    # a quotient component whose cycles do not drift (here it has none)
+    # lifts to infinitely many finite components; the refusal names its
+    # hub, the smallest class name in it
+    msg = ("the pattern around vertex class 'a' repeats with no attachment toward "
+           "the center (direction +); the graph would have infinitely many components")
+    with pytest.raises(InfiniteComponents, match=re.escape(msg)):
+        graph_from_text("graph g\nkind periodic-z\nvertex a\nvertex b\nedge f : a[3] -> b[0]\n")
+
+
+def _ends_at(g, label):
+    return " ".join(e.label() for e in g.components()[g.component_of(parse_vertex_label(label))].ends)
+
+
+def test_ends_where_a_cycle_drifts_farther_than_w():
+    # a component whose cycles drift with gcd g lifts to g components, each
+    # with one end per direction, also when g exceeds W; the deep period is
+    # lcm(W, g) over the components
+    g = graph_from_text("graph g\nkind periodic-z\nvertex a\nvertex b\n"
+                        "edge f : a -> b[+2]\nedge h : b -> a[+2]\n")  # W = 2, g = 4
+    assert [e.label() for e in g.ends()] == ["end%s%d" % (d, k) for d in "+-" for k in range(4)]
+    assert (g.deep_period(1), g.deep_period(-1)) == (4, 4)
+    assert chains.h0(g).describe() == "Z^4"
+    for label, ends in (("a[0]", "end+0 end-0"), ("a[-1]", "end+3 end-1"),
+                        ("a[1]", "end+1 end-3"), ("a[-2]", "end+2 end-2")):
+        assert _ends_at(g, label) == ends, label
+    g = graph_from_text("graph n\nkind periodic-n\nvertex a\nvertex b\nvertex c\n"
+                        "edge e : a -> a[+2]\nedge f : b -> c[+3]\nedge h : c -> b[0]\n"
+                        "edge k : c -> c[+3]\n")  # W = 3, g = 2 and 3
+    assert [e.label() for e in g.ends()] == ["end+%d" % k for k in range(5)]
+    assert g.deep_period(1) == 6
+    for label, ends in (("a[0]", "end+1"), ("a[1]", "end+0"), ("b[0]", "end+3"),
+                        ("b[1]", "end+4"), ("b[2]", "end+2")):
+        assert _ends_at(g, label) == ends, label

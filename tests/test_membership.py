@@ -685,7 +685,7 @@ def test_square_at_a_billion_is_the_square_at_ten_shifted(ladder):
 
 
 def test_far_squares_leave_no_state_per_index():
-    # every half space is read off the graph's block partition, so deciding
+    # every half space is read off the quotient's forest, so deciding
     # squares at 500 distinct indices keeps nothing per radius behind
     g = graph_from_text(LADDER)
     assert isinstance(is_member(g, _ladder_square(g, 10)), Member)
@@ -737,7 +737,7 @@ edge l : a -> b[+10000]
 
 
 def test_first_decision_enumerates_no_cut(monkeypatch):
-    # the crossing counts of the end flux are read off the stable classes,
+    # the crossing counts of the end flux are read off the pieces past R,
     # so the first decision on a graph enumerates no half-space cut, however
     # far its edges reach: the circuit a[0] a[1] b[10001] b[10000] a[0]
     g = graph_from_text(OFFSET_RAILS)

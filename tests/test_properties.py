@@ -18,7 +18,7 @@ from endcycle.circles import (CircleDecomposition, CircuitFamily, EndCircle,
 from endcycle.errors import (EndcycleError, FormatError, InfiniteBoundarySupport,
                              InfiniteComponents, InternalError, NotARay,
                              NotRepresentable, UnknownEdge, UnknownVertex)
-from endcycle.graph import (Dart, EdgeId, EndId, Ray, UnionFind, VertexId,
+from endcycle.graph import (KIND_PERIODIC_N, Dart, EdgeId, EndId, Ray, UnionFind, VertexId,
                             dart_key, first_shared, graph_from_text, shift_id)
 from endcycle.membership import Member, NonMember, is_member, verify_certificate
 from endcycle.membership import _star_sum, certificate_from_json, certificate_to_json
@@ -1195,12 +1195,307 @@ def _random_lattice(rng, kind):
     return graph_from_text(_lattice_text(rng, kind)[0])
 
 
+# -- ends from the quotient's forest against the block partition ---------------
+
+class _RayStructure:
+    """Everything about one escape direction: the certified block partition,
+    its unbounded classes (the ends), the parent map between consecutive
+    levels, and coordinate transforms. Depth d corresponds to the cell at
+    distance d+1 beyond the stabilization radius."""
+
+    def __init__(self, g, sign):
+        # no reference back to g, so a dropped graph is freed at once
+        self.kind = g.kind
+        self.cell_classes = g.cell_classes
+        self.sign = sign
+        self.direction = "+" if sign > 0 else "-"
+        self.W = g.W
+        self.r0 = g.stabilization_radius
+        # per edge class: offsets seen from this direction (min stays 0)
+        self.klass = []
+        for ec in g.cell_edge_classes:
+            s = ec.span
+            if sign > 0:
+                self.klass.append((ec, ec.tail_pos, ec.head_pos, s))
+            else:
+                self.klass.append((ec, s - ec.tail_pos, s - ec.head_pos, s))
+        self._classify(*self._fixpoint())
+
+    def _base_index(self, s, t):
+        if self.sign > 0:
+            return t + self.r0 + 1
+        return -(t + s + self.r0 + 1)
+
+    def _fixpoint(self):
+        """The least block partition that one step of W cells reproduces,
+        closed in one union-find over the window of depths 0 .. 2W-1.
+        Vertex (c, d) there is the integer i * 2W + d, i the rank of c's
+        name, so integers order like (c, d). The window's edges are joined
+        once; then each block vertex x is labelled with the first block
+        member of its group and x + W is glued to label(x) + W, until the
+        labels stop changing. Gluing only adds unions, so the groups grow
+        to the least fixpoint, and labels a pass leaves unchanged certify
+        it. Returns the union-find and each block vertex's class id."""
+        W, W2 = self.W, 2 * self.W
+        names = sorted(self.cell_classes)
+        base = {c: i * W2 for i, c in enumerate(names)}
+        uf = UnionFind(range(len(names) * W2))
+        find, union = uf.find, uf.union
+        # the base index of a depth >= 0 is positive in direction +, the
+        # one direction of a periodic-n graph, so every instance exists
+        for ec, toff, hoff, s in self.klass:
+            a, b = base[ec.tail_cls] + toff, base[ec.head_cls] + hoff
+            for t in range(W2 - s):
+                union(a + t, b + t)
+        block = [base[c] + d for c in names for d in range(W)]
+        labels = None
+        while True:
+            first = {}
+            new = [first.setdefault(find(x), x) for x in block]
+            if new == labels:
+                break
+            labels = new
+            for x, y in zip(block, labels):
+                if x != y:
+                    union(y + W, x + W)
+        groups = {}
+        for x, y in zip(block, labels):
+            groups.setdefault(y, []).append(x)
+        self.members = []
+        self.cls_id = {}
+        class_of = {}
+        for i, grp in enumerate(groups.values()):
+            self.members.append(tuple((names[x // W2], x % W2) for x in grp))
+            for x, m in zip(grp, self.members[-1]):
+                class_of[x] = self.cls_id[m] = i
+        return uf, class_of
+
+    def _classify(self, uf, class_of):
+        """The parent map, arcs and unbounded classes, read off the roots
+        of the closed window: a class at depths W .. 2W-1 has as parent
+        the class at depths 0 .. W-1 of its group, if any."""
+        W, W2 = self.W, 2 * self.W
+        nids = len(self.members)
+        comp0 = {}
+        comp1 = {}
+        for x in uf.parent:
+            root = uf.find(x)
+            if x % W2 < W:
+                comp0.setdefault(root, set()).add(class_of[x])
+            else:
+                comp1.setdefault(root, set()).add(class_of[x - W])
+        arcs = {i: set() for i in range(nids)}
+        parent = {}
+        for root, ids1 in comp1.items():
+            ids0 = comp0.get(root, set())
+            if len(ids0) > 1:
+                raise InternalError("fixpoint restriction is not a congruence")
+            x = next(iter(ids0)) if ids0 else None
+            for y in ids1:
+                parent[y] = x
+                if x is not None:
+                    arcs[x].add(y)
+        self.parent = parent
+        self.arcs = arcs
+        # a class is unbounded iff it starts an infinite arc walk,
+        # i.e. survives pruning of nodes with no live successor
+        alive = set(range(nids))
+        while True:
+            dead = [i for i in alive if not (arcs[i] & alive)]
+            if not dead:
+                break
+            alive.difference_update(dead)
+        self.unbounded = frozenset(alive)
+        ranked = sorted(self.unbounded, key=lambda i: self.members[i][0])
+        self.rank = {cid: k for k, cid in enumerate(ranked)}
+        self.by_rank = {k: cid for cid, k in self.rank.items()}
+        self.end_count = len(ranked)
+
+    def missing_attachment(self):
+        """Class ids with no edge toward shallower cells. Any such class
+        describes a component pattern that repeats forever on its own."""
+        attached = set()
+        for ec, toff, hoff, s in self.klass:
+            for t in range(-s, 0):
+                n = self._base_index(s, t)
+                if self.kind == KIND_PERIODIC_N and n < 0:
+                    continue
+                d1, d2 = t + toff, t + hoff
+                if (d1 < 0) != (d2 < 0):
+                    c, d = (ec.tail_cls, d1) if d1 >= 0 else (ec.head_cls, d2)
+                    attached.add(self.cls_id[(c, d)])
+        return [i for i in range(len(self.members)) if i not in attached]
+
+    def check_certificate(self):
+        """Check that the parent map is total and a bijection on the
+        unbounded classes."""
+        for y in self.parent:
+            if self.parent[y] is None:
+                raise InternalError("parent map is partial on a valid graph")
+        ub_parents = {self.parent[y] for y in self.unbounded}
+        if ub_parents != set(self.unbounded):
+            raise InternalError("unbounded classes do not shift bijectively")
+
+    def parent_pow(self, cid, k):
+        seen = {}
+        path = []
+        while k > 0:
+            if cid in seen:
+                lam = len(path) - seen[cid]
+                k %= lam
+                for _ in range(k):
+                    cid = self.parent[cid]
+                return cid
+            seen[cid] = len(path)
+            path.append(cid)
+            cid = self.parent[cid]
+            k -= 1
+        return cid
+
+    def period(self):
+        """Cells after which the deep pattern repeats: W times the order of
+        the parent map, a permutation of the unbounded classes."""
+        order = 1
+        for cid in self.unbounded:
+            n, x = 1, self.parent[cid]
+            while x != cid:
+                n, x = n + 1, self.parent[x]
+            order = order * n // math.gcd(order, n)
+        return self.W * order
+
+    def stable_class(self, c, d):
+        """Stable class id of the cell-class vertex at depth d >= 0, pulled
+        back to depth level zero through the parent map."""
+        cid = self.cls_id[(c, d % self.W)]
+        return self.parent_pow(cid, d // self.W)
+
+    # A fence is a radius >= r0; the block of cells fence+1 .. fence+W in
+    # this direction stands for everything beyond it.
+    def close_deep(self, uf, fence):
+        """Close off the deep pattern past the fence: glue the block by the
+        stable partition."""
+        for rel in range(self.W):
+            for c in self.cell_classes:
+                first = self.members[self.cls_id[(c, rel)]][0]
+                uf.union(
+                    VertexId(first[0], self.sign * (fence + 1 + first[1])),
+                    VertexId(c, self.sign * (fence + 1 + rel)),
+                )
+
+    def deep_representative(self, v, fence):
+        """The vertex in the block past the fence that the vertex v, beyond
+        the block, is glued to."""
+        d = self.sign * v.index - fence - 1
+        c0, rel0 = self.members[self.stable_class(v.cls, d)][0]
+        return VertexId(c0, self.sign * (fence + 1 + rel0))
+
+    def end_roots(self, uf, fence):
+        """Root in uf of each end, by rank, read off the closed block."""
+        roots = {}
+        for rel in range(self.W):
+            for c in self.cell_classes:
+                cid = self.stable_class(c, fence - self.r0 + rel)
+                if cid not in self.unbounded:
+                    continue
+                root = uf.find(VertexId(c, self.sign * (fence + 1 + rel)))
+                if roots.setdefault(self.rank[cid], root) != root:
+                    raise InternalError("one end spread over two components")
+        if set(roots) != set(range(self.end_count)):
+            raise InternalError("an end vanished from the closed block")
+        return roots
+
+
+def _reference_rays(g):
+    """Per direction the block partition of g (_RayStructure), or
+    InfiniteComponents when a class of it repeats with no attachment toward
+    the center, as graphs were refused before the quotient's forest."""
+    rays = {}
+    for sign in ((1, -1) if g.kind == "periodic-z" else (1,)) if g.cell_classes else ():
+        ray = _RayStructure(g, sign)
+        if ray.missing_attachment():
+            return InfiniteComponents
+        ray.check_certificate()
+        rays[sign] = ray
+    return rays
+
+
+def _unrefused_graph(text):
+    """The graph of text built without its quotient's forest, so that the
+    block partition reads the graphs the forest refuses too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module.Graph, "_lift_quotient", lambda self: None)
+        return graph_from_text(text)
+
+
+def _reference_end_past(ray, v, radius):
+    """Graph._end_past as the block partition answered it: v's piece past
+    the fence at radius is the translate of the one past r0 of the stable
+    class at v's depth, and below r0 fence and class move out together by
+    a whole number of deep periods."""
+    sign = ray.sign
+    cid = ray.stable_class(v.cls, sign * v.index - radius - 1)
+    if cid not in ray.unbounded:
+        return None
+    if radius < ray.r0:
+        p = ray.period()
+        radius += -(-(ray.r0 - radius) // p) * p
+    c0, rel0 = ray.members[cid][0]
+    deep = ray.stable_class(c0, rel0 + radius - ray.r0)
+    return EndId(ray.direction, ray.rank[deep])
+
+
+def _reference_end_of_ray(g, rays, ray):
+    """Graph.end_of_ray as the block partition answered it, at a vertex of
+    the ray's tail past r0."""
+    v1, per = g.check_ray(ray)
+    sign = 1 if ray.shift > 0 else -1
+    r0 = g.stabilization_radius
+    mrel = min(sign * u.index - sign * v1.index for u in per)
+    need = r0 + 1 - mrel - sign * v1.index
+    j = max(0, -(-need // abs(ray.shift)))
+    return _reference_end_past(rays[sign], VertexId(v1.cls, v1.index + j * ray.shift), r0)
+
+
+@given(st.sampled_from(["periodic-z", "periodic-n"]), st.booleans(), seeds)
+@settings(max_examples=300, deadline=None)
+def test_ends_match_block_partition(kind, own_lines, seed):
+    # ends, their ranks, deep periods, half spaces below and above r0 and
+    # the ends of rays along every line are the block partition's, and the
+    # forest refuses exactly the graphs the partition did
+    rng = random.Random(seed)
+    text = _lattice_text(rng, kind, own_lines)[0]
+    rays = _reference_rays(_unrefused_graph(text))
+    if rays is InfiniteComponents:
+        with pytest.raises(InfiniteComponents):
+            graph_from_text(text)
+        return
+    g = graph_from_text(text)
+    r0, W = g.stabilization_radius, g.W
+    assert g.ends() == tuple(EndId(ray.direction, k) for ray in rays.values()
+                             for k in range(ray.end_count))
+    for sign, ray in rays.items():
+        assert g.deep_period(sign) == ray.period()
+        for radius in (rng.randint(0, r0 - 1), rng.randint(r0, r0 + 3 * W)):
+            for m in range(radius + 1, radius + (len(g.cell_classes) + 2) * W + 2):
+                for c in g.cell_classes:
+                    v = VertexId(c, sign * m)
+                    assert g._end_past(v, radius) == _reference_end_past(ray, v, radius), (v, radius)
+        for ec in g.cell_edge_classes:
+            if ec.tail_cls == ec.head_cls:
+                fwd = (ec.head_pos - ec.tail_pos) * sign > 0
+                n = rng.randint(ec.span if kind == "periodic-n" else -r0 - 2, r0 + 2)
+                step = Dart(EdgeId(ec.name, n - (ec.tail_pos if fwd else ec.head_pos)), fwd)
+                line = Ray(VertexId(ec.tail_cls, n), (), (step,), sign * ec.span)
+                assert g.end_of_ray(line) == _reference_end_of_ray(g, rays, line), line
+
+
 def _searched_ends(g, sign, radius):
     """Per cell vertex of the window past the fence at radius, the end
     whose anchor a search over cell edges reaches from it, or None. The
     anchor of an end is the first member of its stable class moved out a
-    whole number of deep periods, far from both edges of the window."""
-    ray = g._rays[sign]
+    whole number of deep periods, far from both edges of the window; the
+    ends are ranked by the block partition."""
+    ray = _reference_rays(g)[sign]
     margin = (len(g.cell_classes) * g.W + 3) * g.W
     base = max(radius, ray.r0) + margin
     reach = -(-base // ray.period()) * ray.period()
@@ -1318,110 +1613,6 @@ def test_incidence_table_matches_edge_scan(kind, seed):
         assert darts == _scanned_neighbors(g, v), v
         assert _star_sum(g, vec, v) == sum(vec.evaluate(d) for d, _w in darts), v
 
-
-
-# -- the block partition against the pass-by-pass fixpoint --------------------
-
-class _SteppedRays(graph_module._RayStructure):
-    """The ray structure with the block partition iterated pass by pass:
-    each pass builds a fresh union-find over (class, depth) pairs of the
-    window of depths 0 .. 2W-1, unions its edges and the upper block
-    glued by the last partition, and freezes the block's groups, until a
-    pass leaves the partition unchanged."""
-
-    def _instances(self, hi):
-        return [((ec.tail_cls, t + toff), (ec.head_cls, t + hoff))
-                for ec, toff, hoff, s in self.klass for t in range(hi - s)]
-
-    def _freeze(self, uf):
-        groups = {}
-        for x in uf.parent:
-            if x[1] < self.W:
-                groups.setdefault(uf.find(x), []).append(x)
-        return frozenset(frozenset(g) for g in groups.values())
-
-    def _fixpoint(self):
-        W = self.W
-        uf = UnionFind((c, d) for c in self.cell_classes for d in range(W))
-        for a, b in self._instances(W):
-            uf.union(a, b)
-        pi = self._freeze(uf)
-        while True:
-            uf = UnionFind((c, d) for c in self.cell_classes for d in range(2 * W))
-            for a, b in self._instances(2 * W):
-                uf.union(a, b)
-            for grp in pi:
-                first, *rest = sorted(grp)
-                for other in rest:
-                    uf.union((first[0], first[1] + W), (other[0], other[1] + W))
-            new = self._freeze(uf)
-            if new == pi:
-                break
-            pi = new
-        self.members = [tuple(sorted(grp)) for grp in sorted(pi, key=min)]
-        self.cls_id = {x: i for i, grp in enumerate(self.members) for x in grp}
-        return uf, None
-
-    def _classify(self, uf, _class_of):
-        comp0, comp1 = {}, {}
-        for c, d in uf.parent:
-            root = uf.find((c, d))
-            if d < self.W:
-                comp0.setdefault(root, set()).add(self.cls_id[(c, d)])
-            else:
-                comp1.setdefault(root, set()).add(self.cls_id[(c, d - self.W)])
-        self.arcs = {i: set() for i in range(len(self.members))}
-        self.parent = {}
-        for root, ids1 in comp1.items():
-            ids0 = comp0.get(root, set())
-            if len(ids0) > 1:
-                raise InternalError("fixpoint restriction is not a congruence")
-            x = next(iter(ids0)) if ids0 else None
-            for y in ids1:
-                self.parent[y] = x
-                if x is not None:
-                    self.arcs[x].add(y)
-        alive = set(range(len(self.members)))
-        while True:
-            dead = [i for i in alive if not (self.arcs[i] & alive)]
-            if not dead:
-                break
-            alive.difference_update(dead)
-        self.unbounded = frozenset(alive)
-        ranked = sorted(alive, key=lambda i: self.members[i][0])
-        self.rank = {cid: k for k, cid in enumerate(ranked)}
-        self.by_rank = dict(enumerate(ranked))
-        self.end_count = len(ranked)
-
-
-_PARTITION = ("members", "cls_id", "parent", "arcs", "unbounded", "rank")
-
-
-def _partitions(text, rays):
-    """Per direction, the block partition's attributes of the graph built
-    with the given ray structure, or the class and message it is refused
-    with."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_RayStructure", rays)
-        try:
-            g = graph_from_text(text)
-        except EndcycleError as exc:
-            return type(exc), str(exc)
-    return {sign: [getattr(ray, a) for a in _PARTITION] for sign, ray in g._rays.items()}
-
-
-@given(st.sampled_from(["periodic-z", "periodic-n"]), st.booleans(), seeds)
-@settings(max_examples=300, deadline=None)
-def test_block_partition_matches_stepped_fixpoint(kind, own_lines, seed):
-    text = _lattice_text(random.Random(seed), kind, own_lines)[0]
-    assert _partitions(text, graph_module._RayStructure) == _partitions(text, _SteppedRays)
-
-
-def test_offset_partition_matches_stepped_fixpoint():
-    # the offset graph of a wide window: two lines joined 10^3 cells apart
-    text = ("graph offset\nkind periodic-z\nvertex a\nvertex b\nedge ea : a -> a[+1]\n"
-            "edge eb : b -> b[+1]\nedge ab : a -> b[+1000]\n")
-    assert _partitions(text, graph_module._RayStructure) == _partitions(text, _SteppedRays)
 
 
 # -- restriction's kept region against a search over G - D ---------------------
@@ -1567,9 +1758,10 @@ def test_far_restriction_costs_what_near_costs():
 def _components_reference(g):
     """The components of a window far wider than the core: the caps and
     the cells within R = r0 + (classes * W + 3) * W + W, joined by their
-    edges and closed off past R - W by the stable partition, named and
+    edges and closed off past R - W by the block partition, named and
     ordered by graph.near_key. Returns them with the index of the
     component of a vertex."""
+    rays = _reference_rays(g)
     W = g.W
     R = g.stabilization_radius + (max(1, len(g.cell_classes) * W) + 3) * W + W
     uf = UnionFind(g.cap_vertices())
@@ -1578,9 +1770,9 @@ def _components_reference(g):
         t, h = ec.ends(None)
         if t in uf.parent and h in uf.parent:
             uf.union(t, h)
-    for ray in g._rays.values():
+    for ray in rays.values():
         ray.close_deep(uf, R - W)
-    roots = {EndId(ray.direction, rank): root for ray in g._rays.values()
+    roots = {EndId(ray.direction, rank): root for ray in rays.values()
              for rank, root in ray.end_roots(uf, R - W).items()}
     groups = sorted(((min(ms, key=graph_module.near_key), ms) for ms in uf.groups().values()),
                     key=lambda p: graph_module.near_key(p[0]))
@@ -1595,7 +1787,7 @@ def _components_reference(g):
 
     def component_of(v):
         if v.index is not None and abs(v.index) > R:
-            v = g._rays[1 if v.index > 0 else -1].deep_representative(v, R - W)
+            v = rays[1 if v.index > 0 else -1].deep_representative(v, R - W)
         return index[uf.find(v)]
 
     return tuple(comps), component_of
